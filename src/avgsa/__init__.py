@@ -19,7 +19,6 @@ from avgsa.innovations import (
     box_muller_pair,
     halton_point,
     make_source,
-    next_innovation,
     radical_inverse,
     star_discrepancy_exact,
 )
@@ -31,7 +30,6 @@ from avgsa.engine import (
     admissible_qsa,
     check_schedule_numeric,
     run,
-    sa_step,
 )
 
 __version__ = "0.1.0"
@@ -40,7 +38,6 @@ __all__ = [
     "box_muller_pair",
     "halton_point",
     "make_source",
-    "next_innovation",
     "radical_inverse",
     "star_discrepancy_exact",
     "RateSpec",
@@ -50,6 +47,5 @@ __all__ = [
     "admissible_qsa",
     "check_schedule_numeric",
     "run",
-    "sa_step",
     "__version__",
 ]

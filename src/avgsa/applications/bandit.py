@@ -12,20 +12,19 @@ exactly that regime.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
-from avgsa.engine import StepSchedule, Trajectory
+from avgsa.engine import StepSchedule, Trajectory, run
 from avgsa.innovations import Ar1MixingSource, IidUniformSource, InnovationSource
 
 __all__ = [
     "IidEventSource",
     "Ar1ThresholdEventSource",
     "make_event_source",
-    "bandit_step",
+    "bandit_field",
     "classify_terminal",
     "BanditResult",
     "bandit_run",
@@ -99,18 +98,31 @@ def make_event_source(
     raise ValueError(f"unknown event stream kind {kind!r}; use 'iid' or 'ar1'")
 
 
-def bandit_step(
-    theta: float, u: float, a_occurred: bool, b_occurred: bool, gamma: float
-) -> float:
-    """One rewarding update.  Plays arm A when ``u <= theta``; a played
-    arm whose event occurred pulls ``theta`` its way by ``gamma`` times
-    the remaining distance.  Steps above 1 would throw the iterate out
-    of [0, 1], so they are rejected."""
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError(f"step must lie in (0, 1], got {gamma}")
-    up = (1.0 - theta) if (u <= theta and a_occurred) else 0.0
-    down = theta if (u > theta and b_occurred) else 0.0
-    return theta + gamma * (up - down)
+def bandit_field(theta: float, y) -> float:
+    """Update field of the rewarding rule, ``y = (event A, event B,
+    coin)``.  Arm A is played when the coin is at most ``theta``; a
+    played arm whose event occurred pulls ``theta`` its way, so a step
+    ``theta - gamma * field`` moves ``gamma`` times the remaining
+    distance."""
+    a_occurred, b_occurred, u = y.tolist()
+    up = (1.0 - theta) if (u <= theta and a_occurred != 0.0) else 0.0
+    down = theta if (u > theta and b_occurred != 0.0) else 0.0
+    return down - up
+
+
+class _RoundSource(InnovationSource):
+    """The event stream and the coin stream side by side, one round per
+    row.  Each stream's output does not depend on how it is consumed, so
+    stacking them changes no row."""
+
+    kind = "bandit-rounds"
+
+    def __init__(self, events: InnovationSource, uniforms: InnovationSource):
+        super().__init__(3)
+        self._parts = (events, uniforms)
+
+    def _generate(self, count: int) -> np.ndarray:
+        return np.hstack([s.take_block(count) for s in self._parts])
 
 
 def classify_terminal(theta: float) -> str:
@@ -156,36 +168,12 @@ def bandit_run(
         raise ValueError("randomisation stream must be scalar")
     if not 0.0 <= theta0 <= 1.0:
         raise ValueError(f"initial play probability must lie in [0, 1], got {theta0}")
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if record_stride < 1:
-        raise ValueError("record_stride must be at least 1")
-
-    start = time.perf_counter()
-    gammas = schedule.gamma_array(horizon)
-    ns = [0]
-    path = [theta0]
-    theta = theta0
-    n = 0
-    while n < horizon:
-        m = min(1 << 14, horizon - n)
-        ev = events.take_block(m)
-        us = uniforms.take_block(m)[:, 0]
-        for i in range(m):
-            theta = bandit_step(
-                theta, us[i], ev[i, 0] != 0.0, ev[i, 1] != 0.0, gammas[n]
-            )
-            n += 1
-            if n % record_stride == 0 or n == horizon:
-                ns.append(n)
-                path.append(theta)
-
-    traj = Trajectory(
-        ns=np.asarray(ns, dtype=np.int64),
-        thetas=np.asarray(path, dtype=float).reshape(-1, 1),
-        monitors={},
-        final_theta=np.array([theta]),
-        horizon=horizon,
-        wall_time=time.perf_counter() - start,
+    gamma1 = schedule.gamma(1)
+    if not 0.0 < gamma1 <= 1.0:
+        # steps never increase, so the first one bounds them all
+        raise ValueError(f"step must lie in (0, 1], got {gamma1}")
+    traj = run(
+        theta0, _RoundSource(events, uniforms), bandit_field, schedule, horizon,
+        record_stride=record_stride,
     )
-    return BanditResult(traj, classify_terminal(theta))
+    return BanditResult(traj, classify_terminal(float(traj.final_theta[0])))

@@ -10,11 +10,7 @@ moving quantile estimate — no second optimisation is needed.
 
 from __future__ import annotations
 
-import time
-
-import numpy as np
-
-from avgsa.engine import StepSchedule, Trajectory
+from avgsa.engine import StepSchedule, Trajectory, run
 from avgsa.innovations import InnovationSource
 
 __all__ = [
@@ -58,54 +54,33 @@ def var_cvar_trajectory(
 ) -> Trajectory:
     """Joint quantile/expected-shortfall recursion over scalar losses.
 
-    The quantile iterate follows the indicator field under ``schedule``;
-    the CVaR channel is the running mean of tail values, accumulated as
-    a sum for numerical hygiene (identical to iterating
-    :func:`cvar_companion_step` from any starting point, since the first
-    step overwrites it).  The returned trajectory exposes the quantile
-    as ``theta_0`` and the shortfall as monitor ``cvar``.
+    The quantile iterate follows the indicator field under ``schedule``
+    through :func:`avgsa.engine.run`; the CVaR channel is the running
+    mean of tail values, accumulated as a sum for numerical hygiene
+    (identical to iterating :func:`cvar_companion_step` from any starting
+    point, since the first step overwrites it).  The returned trajectory
+    exposes the quantile as ``theta_0`` and the shortfall as monitor
+    ``cvar``, which reads ``theta0`` before the first observation.
     """
     if source.dimension != 1:
         raise ValueError("VaR/CVaR estimation needs a scalar loss source")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"confidence level must lie in (0, 1), got {alpha}")
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if record_stride < 1:
-        raise ValueError("record_stride must be at least 1")
 
-    start = time.perf_counter()
     tail = 1.0 / (1.0 - alpha)
-    gammas = schedule.gamma_array(horizon)
-
-    ns = [0]
-    thetas = [theta0]
-    cvars = [theta0]  # placeholder until the first observation lands
-
-    theta = theta0
     vsum = 0.0
-    n = 0
-    while n < horizon:
-        block = source.take_block(min(1 << 14, horizon - n))
-        for y in block[:, 0].tolist():
-            v = theta + (max(y - theta, 0.0)) * tail
-            h = 1.0 - (tail if y >= theta else 0.0)
-            theta -= gammas[n] * h
-            vsum += v
-            n += 1
-            if n % record_stride == 0 or n == horizon:
-                ns.append(n)
-                thetas.append(theta)
-                cvars.append(vsum / n)
 
-    arr = np.asarray(thetas, dtype=float).reshape(-1, 1)
-    return Trajectory(
-        ns=np.asarray(ns, dtype=np.int64),
-        thetas=arr,
-        monitors={"cvar": np.asarray(cvars, dtype=float)},
-        final_theta=np.array([theta]),
-        horizon=horizon,
-        wall_time=time.perf_counter() - start,
+    def field(theta: float, row) -> float:
+        # var_field and tail_value, with the division folded into ``tail``
+        nonlocal vsum
+        y = float(row[0])
+        vsum += theta + max(y - theta, 0.0) * tail
+        return 1.0 - (tail if y >= theta else 0.0)
+
+    return run(
+        theta0, source, field, schedule, horizon,
+        record_stride=record_stride,
+        monitors={"cvar": lambda n, th: vsum / n if n else theta0},
     )
 
 

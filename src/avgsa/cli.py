@@ -13,6 +13,7 @@ usage errors.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -57,7 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seeds", required=True, metavar="A..B",
                          help="inclusive seed range, e.g. 0..19")
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="replications to run in parallel (default 1)")
+                         help="replications to run in parallel, at most the number "
+                              "of CPUs (default 1)")
     return parser
 
 
@@ -143,8 +145,9 @@ def _cmd_sweep(args) -> int:
     if hi < lo:
         print(f"--seeds range is empty: {args.seeds}", file=sys.stderr)
         return 2
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
+    cap = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cap:
+        print(f"--jobs must lie in 1..{cap} (the number of CPUs)", file=sys.stderr)
         return 2
     try:
         with open(args.config, "r") as fh:

@@ -24,7 +24,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from avgsa.innovations import InnovationSource
+from avgsa.innovations import _BLOCK, InnovationSource
 
 __all__ = [
     "StepSchedule",
@@ -34,7 +34,6 @@ __all__ = [
     "admissible_qsa",
     "check_schedule_numeric",
     "DivergenceError",
-    "sa_step",
     "Trajectory",
     "run",
     "write_trajectory_csv",
@@ -324,19 +323,12 @@ class DivergenceError(RuntimeError):
         )
 
 
-def sa_step(theta, y, gamma: float, h: Callable, dm=None):
-    """One update ``theta - gamma * (H(theta, y) + dm)``; ``dm`` defaults
-    to zero.  Works for scalar and vector iterates alike."""
-    drift = h(theta, y)
-    if dm is not None:
-        drift = drift + dm
-    return theta - gamma * drift
-
-
 @dataclass
 class Trajectory:
     """Recorded path of a run: iterate snapshots plus optional monitor
-    channels evaluated at the same record times."""
+    channels evaluated at the same record times.  A diagnostic table
+    with no iterate is a trajectory with ``d = 0``: its columns are all
+    monitors."""
 
     ns: np.ndarray                      # record indices, always 0 and horizon
     thetas: np.ndarray                  # (records, d)
@@ -377,13 +369,20 @@ def run(
 ) -> Trajectory:
     """Run the recursion for ``horizon`` steps and record the path.
 
-    One innovation is consumed per step, in stream order.  ``martingale``,
-    when given, is called as ``martingale(n, theta, rng)`` and its return
-    value is added to the update field before the step — this is the hook
-    for genuinely random perturbations on top of a deterministic stream.
-    Iterates are recorded at ``record_stride`` spacing; the initial and
-    final iterates are always present.  A guard aborts the run loudly as
-    soon as the iterate norm exceeds ``divergence_bound``.
+    This is the one step loop of the package: correlation, VaR/CVaR,
+    investment, bandit and rate-fit runs all go through it.  The stream
+    is read with ``take_block``, one row per step in stream order, and
+    ``h`` receives the rows of each block one at a time, as
+    length-``dimension`` vectors.  The iterate is a plain float when it
+    is scalar and an array otherwise; ``h`` and the monitors receive it
+    in that form.  ``martingale``, when given, is called as
+    ``martingale(n, theta, rng)`` and its return value is added to the
+    update field before the step — this is the hook for genuinely random
+    perturbations on top of a deterministic stream.  Iterates are
+    recorded at ``record_stride`` spacing; the initial and final iterates
+    are always present.  A guard aborts the run loudly as soon as the
+    iterate norm exceeds ``divergence_bound`` or stops being finite; it
+    covers every run above, VaR/CVaR and the bandit included.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -393,59 +392,52 @@ def run(
         raise ValueError("a martingale hook needs an explicit generator")
 
     theta = np.atleast_1d(np.asarray(theta0, dtype=float)).copy()
-    d = theta.shape[0]
     mon_items = list((monitors or {}).items())
     gam = schedule.gamma_array(horizon)
+    if theta.shape[0] == 1:
+        # scalar path: plain float arithmetic in the hot loop
+        x = float(theta[0])
+        drift_of, norm, snap = h, abs, float
+    else:
+        x = theta
+        drift_of = lambda th, y: np.asarray(h(th, y), dtype=float)
+        norm = lambda th: np.max(np.abs(th))
+        snap = np.copy
 
     rec_n: list[int] = []
     rec_theta: list = []
     rec_mon: dict[str, list[float]] = {name: [] for name, _ in mon_items}
 
     def record(n: int, th) -> None:
-        # ``th`` is a plain float on the scalar path, an array otherwise;
-        # monitors receive it in that same form.
         rec_n.append(n)
-        rec_theta.append(np.atleast_1d(np.asarray(th, dtype=float)).copy())
+        rec_theta.append(snap(th))
         for name, fn in mon_items:
             rec_mon[name].append(float(fn(n, th)))
 
     t0 = time.perf_counter()
-    if d == 1:
-        # Scalar fast path: plain float arithmetic in the hot loop.
-        x = float(theta[0])
-        for n in range(horizon):
+    n = 0
+    while n < horizon:
+        m = min(_BLOCK, horizon - n)
+        # gammas go to Python floats one block at a time: converting the
+        # whole schedule at once would hold horizon float objects
+        for y, g in zip(source.take_block(m), gam[n:n + m].tolist()):
             if n % record_stride == 0:
                 record(n, x)
-            y = source.next()
-            drift = h(x, y)
+            drift = drift_of(x, y)
             if martingale is not None:
                 drift = drift + martingale(n, x, hook_rng)
-            x = x - gam[n] * drift
-            if not abs(x) <= divergence_bound:
-                raise DivergenceError(n + 1, x)
-        record(horizon, x)
-        final = np.array([x])
-    else:
-        x = theta
-        for n in range(horizon):
-            if n % record_stride == 0:
-                record(n, x)
-            y = source.next()
-            drift = np.asarray(h(x, y), dtype=float)
-            if martingale is not None:
-                drift = drift + martingale(n, x, hook_rng)
-            x = x - gam[n] * drift
-            if not np.max(np.abs(x)) <= divergence_bound:
-                raise DivergenceError(n + 1, x.copy())
-        record(horizon, x)
-        final = x.copy()
+            x = x - g * drift
+            n += 1
+            if not norm(x) <= divergence_bound:
+                raise DivergenceError(n, snap(x))
+    record(horizon, x)
     wall = time.perf_counter() - t0
 
     return Trajectory(
         ns=np.asarray(rec_n, dtype=np.int64),
-        thetas=np.vstack([np.atleast_1d(t) for t in rec_theta]),
+        thetas=np.asarray(rec_theta, dtype=float).reshape(len(rec_n), -1),
         monitors={k: np.asarray(v) for k, v in rec_mon.items()},
-        final_theta=final,
+        final_theta=np.atleast_1d(snap(x)),
         horizon=horizon,
         wall_time=wall,
     )

@@ -154,9 +154,7 @@ def _merge(schema: dict, given: dict, path: str) -> dict:
 class Outcome:
     """What a runner hands back to the artifact writer."""
 
-    trajectory: Trajectory | None = None
-    # suites that are not recursions emit a plain table instead
-    table: tuple[list[str], np.ndarray, list[np.ndarray]] | None = None
+    trajectory: Trajectory
     final: list | None = None
     target: list | None = None
     error: float | None = None
@@ -470,6 +468,7 @@ def _run_discrepancy(cfg: dict) -> Outcome:
     pr = cfg["params"]
     k0, k1 = pr["min_exponent"], pr["max_exponent"]
     dim = cfg["source"]["dimension"]
+    start = time.perf_counter()
     ns, d_halton, d_iid = [], [], []
     for k in range(k0, k1 + 1):
         n = 1 << k
@@ -480,8 +479,17 @@ def _run_discrepancy(cfg: dict) -> Outcome:
     ns_arr = np.asarray(ns, dtype=np.int64)
     hal = np.asarray(d_halton)
     ref = np.asarray(d_iid)
+    # a table with no iterate: zero theta columns, two monitor channels
+    table = Trajectory(
+        ns=ns_arr,
+        thetas=np.empty((ns_arr.size, 0)),
+        monitors={"dstar_halton": hal, "dstar_iid": ref},
+        final_theta=np.empty(0),
+        horizon=int(ns_arr[-1]),
+        wall_time=time.perf_counter() - start,
+    )
     return Outcome(
-        table=(["n", "dstar_halton", "dstar_iid"], ns_arr, [hal, ref]),
+        trajectory=table,
         final=[float(hal[-1])],
         fitted_rate=_fit_error_decay(ns_arr, hal),
         plot_channel="dstar_halton",
@@ -719,15 +727,6 @@ def validate_config(raw: dict) -> dict:
     return effective
 
 
-def _write_table_csv(path, names, ns, columns) -> None:
-    # same delimited format as the trajectory writer: exact round-trip floats
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(names) + "\n")
-        for i in range(len(ns)):
-            row = [str(int(ns[i]))] + [f"{float(col[i]):.17g}" for col in columns]
-            fh.write(",".join(row) + "\n")
-
-
 _SUMMARY_KEYS = (
     "experiment", "seed", "horizon", "status", "final", "target", "error",
     "fitted_rate", "runtime_seconds", "csv", "plot", "failure", "notes",
@@ -794,19 +793,12 @@ def run_experiment(config) -> RunArtifacts:
     runtime = round(time.perf_counter() - start, 6)
 
     csv_path = out_dir / "trajectory.csv"
-    if outcome.trajectory is not None:
-        engine.write_trajectory_csv(outcome.trajectory, csv_path)
-        xs = outcome.trajectory.ns
-        ys = outcome.trajectory.channel(outcome.plot_channel)
-    else:
-        names, ns, cols = outcome.table
-        _write_table_csv(csv_path, names, ns, cols)
-        xs = ns
-        ys = cols[names.index(outcome.plot_channel) - 1]
+    traj = outcome.trajectory
+    engine.write_trajectory_csv(traj, csv_path)
 
     plot_path = out_dir / f"{outcome.plot_channel}.svg"
     write_line_svg(
-        plot_path, xs, ys,
+        plot_path, traj.ns, traj.channel(outcome.plot_channel),
         title=f"{cfg['experiment']} (seed {cfg['seed']})",
         xlabel="n", ylabel=outcome.plot_channel,
         target=outcome.plot_target, logx=outcome.plot_logx,

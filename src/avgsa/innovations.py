@@ -34,7 +34,6 @@ __all__ = [
     "halton_block",
     "box_muller_pair",
     "star_discrepancy_exact",
-    "ar1_next",
     "euler_step",
     "DecreasingStepSchedule",
     "AveragingCheck",
@@ -49,7 +48,6 @@ __all__ = [
     "EulerDecreasingSource",
     "SOURCE_KINDS",
     "make_source",
-    "next_innovation",
 ]
 
 # Fixed internal buffer size.  Sources materialise their output in chunks of
@@ -249,13 +247,6 @@ def star_discrepancy_exact(points: np.ndarray) -> float:
 # Recursions used as innovation generators
 # ---------------------------------------------------------------------------
 
-def ar1_next(x: float, a: float, z: float) -> float:
-    """One transition of the linear autoregression ``x' = a x + z``."""
-    if not abs(a) < 1.0:
-        raise ValueError(f"autoregression coefficient must satisfy |a| < 1, got {a}")
-    return a * x + z
-
-
 def euler_step(
     y: float,
     gamma_bar: float,
@@ -438,11 +429,6 @@ class InnovationSource:
     def __iter__(self):
         while True:
             yield self.next()
-
-
-def next_innovation(source: InnovationSource) -> np.ndarray:
-    """Advance the stream by one element and return it."""
-    return source.next()
 
 
 class IidUniformSource(InnovationSource):

@@ -14,8 +14,8 @@ import pytest
 from avgsa.applications.bandit import (
     Ar1ThresholdEventSource,
     IidEventSource,
+    bandit_field,
     bandit_run,
-    bandit_step,
     classify_terminal,
     make_event_source,
 )
@@ -256,6 +256,37 @@ def test_var_cvar_trajectory_channels_match_run():
     assert float(tr.channel("cvar")[-1]) == pytest.approx(pair[1], abs=1e-15)
 
 
+@pytest.mark.parametrize("kind, stride", [
+    ("iid-gaussian", 1), ("iid-gaussian", 7), ("ar1-mixing", 1), ("ar1-mixing", 7),
+])
+def test_var_cvar_trajectory_matches_hand_loop(kind, stride):
+    # reference: the joint recursion written out by hand, quantile step and
+    # tail-value sum on plain floats, recorded every ``stride`` steps and at
+    # the horizon; the engine-driven run must match it bit for bit
+    horizon, alpha, theta0 = 5_000, 0.9, 0.25
+    sched = StepSchedule(c=4.0, a=0.75)
+    ys = make_source(kind, 1, 11).take_block(horizon)[:, 0].tolist()
+    gammas = sched.gamma_array(horizon)
+    tail = 1.0 / (1.0 - alpha)
+    ns, thetas, cvars = [0], [theta0], [theta0]
+    theta, vsum = theta0, 0.0
+    for n, y in enumerate(ys, start=1):
+        v = theta + (max(y - theta, 0.0)) * tail
+        theta -= gammas[n - 1] * (1.0 - (tail if y >= theta else 0.0))
+        vsum += v
+        if n % stride == 0 or n == horizon:
+            ns.append(n)
+            thetas.append(theta)
+            cvars.append(vsum / n)
+
+    tr = var_cvar_trajectory(make_source(kind, 1, 11), sched, horizon, alpha=alpha,
+                             theta0=theta0, record_stride=stride)
+    np.testing.assert_array_equal(tr.ns, ns)
+    np.testing.assert_array_equal(tr.channel("theta_0"), thetas)
+    np.testing.assert_array_equal(tr.channel("cvar"), cvars)
+    np.testing.assert_array_equal(tr.final_theta, [theta])
+
+
 def test_var_cvar_validation():
     src = make_source("iid-uniform", 1, 0)
     sched = StepSchedule(c=1.0, a=1.0)
@@ -410,21 +441,22 @@ def test_investment_run_both_modes_reach_target():
 # two-armed bandit
 # ---------------------------------------------------------------------------
 
-def test_bandit_step_hand_values():
-    assert bandit_step(0.5, 0.3, True, False, 0.1) == pytest.approx(0.55)
-    assert bandit_step(0.5, 0.7, False, True, 0.1) == pytest.approx(0.45)
+def _round(a: bool, b: bool, u: float) -> np.ndarray:
+    return np.array([float(a), float(b), u])
+
+
+def test_bandit_field_hand_values():
+    # a step is theta - gamma * field
+    assert 0.5 - 0.1 * bandit_field(0.5, _round(True, False, 0.3)) == pytest.approx(0.55)
+    assert 0.5 - 0.1 * bandit_field(0.5, _round(False, True, 0.7)) == pytest.approx(0.45)
     # A occurs but the coin lands above theta: nothing moves
-    assert bandit_step(0.5, 0.7, True, False, 0.1) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        bandit_step(0.5, 0.3, True, True, 1.5)
-    with pytest.raises(ValueError):
-        bandit_step(0.5, 0.3, True, True, 0.0)
+    assert bandit_field(0.5, _round(True, False, 0.7)) == 0.0
 
 
 def test_bandit_endpoints_absorb():
     for u, a, b in ((0.2, True, False), (0.9, False, True), (0.5, True, True)):
-        assert bandit_step(1.0, u, a, b, 0.5) == pytest.approx(1.0)
-        assert bandit_step(0.0, u, a, b, 0.5) == pytest.approx(0.0)
+        for theta in (1.0, 0.0):
+            assert theta - 0.5 * bandit_field(theta, _round(a, b, u)) == theta
 
 
 def test_bandit_run_monotone_when_only_a_pays():
@@ -452,6 +484,35 @@ def test_bandit_run_stays_in_unit_interval():
     res = bandit_run(events, uniforms, StepSchedule(c=1.0, a=0.9), 20_000)
     assert res.trajectory.thetas.min() >= 0.0
     assert res.trajectory.thetas.max() <= 1.0
+
+
+@pytest.mark.parametrize("kind, stride", [("iid", 1), ("iid", 7), ("ar1", 1), ("ar1", 7)])
+def test_bandit_run_matches_hand_loop(kind, stride):
+    # reference: the rewarding rule written out by hand over separate event
+    # and coin streams, theta + gamma * (up - down), recorded every
+    # ``stride`` rounds; the engine-driven run must match it bit for bit
+    horizon, theta0 = 5_000, 0.5
+    sched = StepSchedule(c=1.0, a=0.9)
+    ev = make_event_source(kind, 0.6, 0.4, 21).take_block(horizon)
+    us = make_source("iid-uniform", 1, 22).take_block(horizon)[:, 0]
+    gammas = sched.gamma_array(horizon)
+    ns, path = [0], [theta0]
+    theta = theta0
+    for n in range(1, horizon + 1):
+        u, a_occurred, b_occurred = us[n - 1], ev[n - 1, 0] != 0.0, ev[n - 1, 1] != 0.0
+        up = (1.0 - theta) if (u <= theta and a_occurred) else 0.0
+        down = theta if (u > theta and b_occurred) else 0.0
+        theta = theta + gammas[n - 1] * (up - down)
+        if n % stride == 0 or n == horizon:
+            ns.append(n)
+            path.append(theta)
+
+    res = bandit_run(make_event_source(kind, 0.6, 0.4, 21), make_source("iid-uniform", 1, 22),
+                     sched, horizon, theta0=theta0, record_stride=stride)
+    np.testing.assert_array_equal(res.trajectory.ns, ns)
+    np.testing.assert_array_equal(res.trajectory.channel("theta_0"), path)
+    assert res.final_theta == theta
+    assert res.classification == classify_terminal(theta)
 
 
 def test_classify_terminal_bands():
@@ -507,6 +568,17 @@ def test_bandit_run_validation():
             10,
             theta0=1.5,
         )
+    # a first step above 1 throws the iterate out of [0, 1]
+    with pytest.raises(ValueError, match="step must lie in"):
+        bandit_run(
+            IidEventSource(0.5, 0.5, 0),
+            make_source("iid-uniform", 1, 0),
+            StepSchedule(c=1.5, a=0.9),
+            10,
+        )
+    # a zero step never reaches the bandit: the schedule refuses it
+    with pytest.raises(ValueError):
+        StepSchedule(table=[0.0])
 
 
 # ---------------------------------------------------------------------------

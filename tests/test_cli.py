@@ -4,6 +4,8 @@ verbs."""
 from __future__ import annotations
 
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +115,14 @@ def test_validate_darkpool_shape_gate():
              "params": {"mix": [0.5, 0.5], "scale": [0.6],
                         "rebates": [0.02, 0.05]}}
         )
+
+
+def test_shipped_configs_validate_with_distinct_output_dirs():
+    # two shipped configs writing to one directory overwrite each other
+    paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
+    assert paths
+    dirs = {p.name: validate_config(yaml.safe_load(p.read_text()))["output_dir"] for p in paths}
+    assert len(set(dirs.values())) == len(dirs), dirs
 
 
 def test_split_seed_is_stable_and_spread():
@@ -384,7 +394,10 @@ def test_cli_sweep_rejects_bad_range(tmp_path, capsys):
     )
     assert main(["sweep", cfg, "--seeds", "5..2"]) == 2
     assert main(["sweep", cfg, "--seeds", "abc"]) == 2
-    capsys.readouterr()
+    # more workers than CPUs is refused before any pool is built
+    jobs = str((os.cpu_count() or 1) + 1)
+    assert main(["sweep", cfg, "--seeds", "0..1", "--jobs", jobs]) == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from avgsa.engine import (
     check_schedule_numeric,
     read_csv_columns,
     run,
-    sa_step,
     write_trajectory_csv,
 )
 from avgsa.innovations import HaltonSource, IidGaussianSource, IidUniformSource
@@ -145,12 +144,6 @@ def test_probe_never_contradicts_closed_form():
 # ---------------------------------------------------------------------------
 # the recursion
 # ---------------------------------------------------------------------------
-
-def test_sa_step_frozen_value():
-    h = lambda theta, y: theta - y
-    assert sa_step(2.0, 0.0, 0.1, h) == pytest.approx(1.8, abs=0)
-    assert sa_step(2.0, 0.0, 0.1, h, dm=1.0) == pytest.approx(1.7, abs=1e-15)
-
 
 def test_run_averaging_identity():
     # with H(theta, y) = theta - f(y) and steps 1/n the iterate IS the

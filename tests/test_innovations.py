@@ -30,7 +30,6 @@ from avgsa.innovations import (
     halton_block,
     halton_point,
     make_source,
-    next_innovation,
     radical_inverse,
     star_discrepancy_exact,
 )
@@ -230,7 +229,7 @@ def test_sources_deterministic_and_consumption_invariant(factory):
     a = factory()
     b = factory()
     left = a.take_block(700)
-    right = np.vstack([next_innovation(b) for _ in range(700)])
+    right = np.vstack([b.next() for _ in range(700)])
     np.testing.assert_array_equal(left, right)
     # interleaving block and single draws does not change the sequence
     c = factory()
