@@ -209,6 +209,11 @@ def darkpool_run(
     rho = _as_rebates(rebates)
     if d.ndim != 2 or d.shape[0] != v.size or d.shape[1] != rho.size:
         raise ValueError("need volumes (n,), capacities (n, pools), one rebate per pool")
+    for name, series in (("volumes", v), ("capacities", d)):
+        bad = np.argwhere(~np.isfinite(series))
+        if bad.size:
+            index = ", ".join(str(k) for k in bad[0])
+            raise ValueError(f"{name} must be finite; {name}[{index}] is not")
     if np.any(v <= 0.0):
         raise ValueError("volumes must be positive")
     horizon = v.size

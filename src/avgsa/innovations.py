@@ -21,6 +21,7 @@ how the consumer interleaves single draws and block draws.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -414,7 +415,13 @@ class InnovationSource:
         return row
 
     def take_block(self, count: int) -> np.ndarray:
-        """Next ``count`` innovations as an ``(count, dimension)`` array."""
+        """Next ``count`` innovations as an ``(count, dimension)`` array.
+        ``take_block(0)`` returns an empty array and leaves the stream
+        where it is."""
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
+        if count == 0:
+            return np.empty((0, self.dimension))
         parts = []
         need = count
         while need > 0:
@@ -534,12 +541,15 @@ class Ar1MixingSource(InnovationSource):
     def _generate(self, count: int) -> np.ndarray:
         z = self._noise.take_block(count)
         out = np.empty_like(z)
-        x = self._state
-        a = self.a
-        for i in range(count):
-            x = a * x + z[i]
-            out[i] = x
-        self._state = x
+        a = float(self.a)
+        for j in range(self.dimension):
+            x = float(self._state[j])
+            col = []
+            for zi in z[:, j].tolist():
+                x = a * x + zi
+                col.append(x)
+            out[:, j] = col
+        self._state = out[-1].copy()
         return out
 
 
@@ -591,17 +601,17 @@ class FiniteMarkovChainSource(InnovationSource):
         return pi / pi.sum()
 
     def _generate(self, count: int) -> np.ndarray:
-        out = np.empty((count, self.dimension))
-        u = self._rng.random(count)
+        rows = self._P_cum.tolist()
+        states = []
         s = self._state
-        for i in range(count):
+        for ui in self._rng.random(count).tolist():
             if not self._emitted_initial:
                 self._emitted_initial = True
             else:
-                s = int(np.searchsorted(self._P_cum[s], u[i], side="right"))
-            out[i] = self._values[s]
+                s = bisect.bisect_right(rows[s], ui)
+            states.append(s)
         self._state = s
-        return out
+        return self._values[states]
 
 
 class EulerDecreasingSource(InnovationSource):
@@ -634,21 +644,23 @@ class EulerDecreasingSource(InnovationSource):
         self._noise = IidGaussianSource(1, seed)
 
     def _generate(self, count: int) -> np.ndarray:
-        out = np.empty((count, 1))
         z = self._noise.take_block(count)
+        ys = []
         y = self._y
         n = self._n
         g0 = self.schedule.gamma0
         r = self.schedule.exponent
         drift, diffusion = self._drift, self._diffusion
-        for i in range(count):
+        for zi in z[:, 0].tolist():
             if not self._emitted_initial:
                 self._emitted_initial = True
             else:
                 n += 1
                 gam = g0 * n ** (-r)
-                y = y + gam * drift(y) + math.sqrt(gam) * diffusion(y) * z[i, 0]
-            out[i, 0] = y
+                y = y + gam * drift(y) + math.sqrt(gam) * diffusion(y) * zi
+            ys.append(y)
+        out = np.empty((count, 1))
+        out[:, 0] = ys
         self._y = y
         self._n = n
         return out

@@ -742,3 +742,17 @@ def test_darkpool_run_validation():
         darkpool_run(v, d, np.array([0.02, 1.0]), sched)
     with pytest.raises(ValueError):
         darkpool_run(v, d, reb, sched, r0=np.array([0.7, 0.7]))
+
+
+def test_darkpool_run_rejects_non_finite_series():
+    # unchecked, one NaN volume runs through and ends in a NaN allocation
+    v, d = synthetic_darkpool_series(2000, 0, mix=[0.5, 0.5], scale=[0.6, 0.15])
+    reb = np.array([0.02, 0.05])
+    sched = StepSchedule(c=1.0, a=1.0)
+    v[100] = np.nan
+    with pytest.raises(ValueError, match=r"volumes\[100\]"):
+        darkpool_run(v, d, reb, sched)
+    v[100] = 1.0
+    d[7, 1] = np.inf
+    with pytest.raises(ValueError, match=r"capacities\[7, 1\]"):
+        darkpool_run(v, d, reb, sched)

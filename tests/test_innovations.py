@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from avgsa.applications.investment import CirParams, cir_innovation_source
 from avgsa.innovations import (
     Ar1MixingSource,
     DecreasingStepSchedule,
@@ -339,6 +340,132 @@ def test_euler_source_ornstein_uhlenbeck_invariant_variance():
     x = s.take_block(200_000)[:, 0]
     assert abs(x.mean()) < 0.02
     assert abs(x.var() - 1.0) < 0.05
+
+
+# ---------------------------------------------------------------------------
+# stateful sources against their per-row loops written out by hand
+# ---------------------------------------------------------------------------
+
+# More rows than one internal buffer (4096 rows), so every comparison
+# crosses refills and the state carried from one buffer to the next.
+HAND_ROWS = 10_000
+
+
+def consume(source, interleaved: bool) -> np.ndarray:
+    """HAND_ROWS rows in one block, or in a mix of block and single draws
+    whose boundaries straddle the buffer edges."""
+    if not interleaved:
+        return source.take_block(HAND_ROWS)
+    parts = [
+        source.take_block(1),
+        np.vstack([source.next() for _ in range(5)]),
+        source.take_block(4089),
+        source.next()[None, :],
+        source.take_block(3000),
+        np.vstack([source.next() for _ in range(7)]),
+    ]
+    parts.append(source.take_block(HAND_ROWS - sum(len(p) for p in parts)))
+    return np.vstack(parts)
+
+
+def ar1_by_hand(dimension, seed, a, x0):
+    z = IidGaussianSource(dimension, seed).take_block(HAND_ROWS)
+    out = np.empty_like(z)
+    x = np.broadcast_to(np.asarray(x0, dtype=float), (dimension,)).copy()
+    for i in range(HAND_ROWS):
+        x = a * x + z[i]
+        out[i] = x
+    return out
+
+
+def markov_by_hand(transition, values, seed, initial_state):
+    cum = np.cumsum(np.asarray(transition, dtype=float), axis=1)
+    vals = np.asarray(values, dtype=float)
+    # the source draws one uniform per row; the first row's goes unused
+    u = np.random.default_rng(np.random.SeedSequence(seed)).random(HAND_ROWS)
+    out = np.empty((HAND_ROWS, vals.shape[1]))
+    s = initial_state
+    out[0] = vals[s]
+    for i in range(1, HAND_ROWS):
+        s = int(np.searchsorted(cum[s], u[i], side="right"))
+        out[i] = vals[s]
+    return out
+
+
+def euler_by_hand(drift, diffusion, schedule, y0, seed):
+    # the source draws one normal per row; the first row's goes unused
+    z = IidGaussianSource(1, seed).take_block(HAND_ROWS)
+    out = np.empty((HAND_ROWS, 1))
+    y = float(y0)
+    out[0, 0] = y
+    for n in range(1, HAND_ROWS):
+        gam = schedule.gamma0 * n ** (-schedule.exponent)
+        y = y + gam * drift(y) + math.sqrt(gam) * diffusion(y) * z[n, 0]
+        out[n, 0] = y
+    return out
+
+
+@pytest.mark.parametrize("interleaved", [False, True], ids=["block", "interleaved"])
+@pytest.mark.parametrize(
+    "dimension, a, x0",
+    [
+        (1, -0.9, [2.5]),
+        (2, -0.7, [1.5, -2.0]),
+        (5, 0.95, [-3.0, -1.0, 0.0, 1.0, 3.0]),
+    ],
+    ids=["d1", "d2", "d5"],
+)
+def test_ar1_matches_hand_loop(dimension, a, x0, interleaved):
+    got = consume(Ar1MixingSource(dimension, seed=17, a=a, x0=x0), interleaved)
+    np.testing.assert_array_equal(got, ar1_by_hand(dimension, 17, a, x0))
+
+
+@pytest.mark.parametrize("interleaved", [False, True], ids=["block", "interleaved"])
+def test_markov_chain_matches_hand_loop(interleaved):
+    # mostly a rotation 0 -> 1 -> 2 -> 0, so a state lost at a buffer
+    # refill shows in the next row
+    P = [[0.1, 0.8, 0.1], [0.05, 0.15, 0.8], [0.7, 0.2, 0.1]]
+    values = [[1.0, -2.0], [0.5, 0.25], [3.0, 7.0]]
+    got = consume(FiniteMarkovChainSource(P, values, seed=8, initial_state=2), interleaved)
+    np.testing.assert_array_equal(got, markov_by_hand(P, values, 8, 2))
+
+
+@pytest.mark.parametrize("interleaved", [False, True], ids=["block", "interleaved"])
+@pytest.mark.parametrize("preset", ["cir", "linear"])
+def test_euler_matches_hand_loop(preset, interleaved):
+    if preset == "cir":
+        # the shipped ergodic-investment parameters; Feller fails, so the
+        # path visits negative values and |y| in the diffusion matters
+        with pytest.warns(UserWarning):
+            p = CirParams(kappa=1.0, vartheta=1.0, sigma=1.5)
+        source = cir_innovation_source(p, step0=1.0, exponent=1.0 / 3.0, seed=9)
+        want = euler_by_hand(
+            lambda y: 1.0 * (1.0 - y), lambda y: 1.5 * math.sqrt(abs(y)),
+            DecreasingStepSchedule(1.0, 1.0 / 3.0), 1.0, 9,
+        )
+    else:
+        sched = DecreasingStepSchedule(0.5, 0.4)
+        drift, diffusion = (lambda y: 0.3 - 2.0 * y), (lambda y: 0.7)
+        source = EulerDecreasingSource(drift, diffusion, sched, y0=-0.4, seed=10)
+        want = euler_by_hand(drift, diffusion, sched, -0.4, 10)
+    np.testing.assert_array_equal(consume(source, interleaved), want)
+
+
+def test_take_block_zero_leaves_stream_in_place():
+    a = Ar1MixingSource(2, seed=3, a=0.5)
+    b = Ar1MixingSource(2, seed=3, a=0.5)
+    empty = a.take_block(0)
+    assert empty.shape == (0, 2)
+    np.testing.assert_array_equal(a.take_block(10), b.take_block(10))
+    # also mid-buffer
+    assert a.take_block(0).shape == (0, 2)
+    np.testing.assert_array_equal(a.take_block(10), b.take_block(10))
+
+
+def test_take_block_rejects_negative_count():
+    s = IidUniformSource(1, seed=0)
+    with pytest.raises(ValueError):
+        s.take_block(-1)
 
 
 # ---------------------------------------------------------------------------
