@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import logging
 import math
-import time
 
 import numpy as np
 
@@ -227,7 +226,6 @@ def darkpool_run(
     if record_stride < 1 or renorm_every < 1:
         raise ValueError("record_stride and renorm_every must be at least 1")
 
-    start = time.perf_counter()
     gammas = schedule.gamma_array(horizon)
     ns = [0]
     path = [r.copy()]
@@ -268,6 +266,4 @@ def darkpool_run(
             "safeguard_count": np.asarray(clip_counts),
         },
         final_theta=r.copy(),
-        horizon=horizon,
-        wall_time=time.perf_counter() - start,
     )

@@ -2,12 +2,11 @@
 
 A run iterates
 
-    theta_{n+1} = theta_n - gamma_{n+1} * (H(theta_n, Y_n) + dM_{n+1})
+    theta_{n+1} = theta_n - gamma_{n+1} * H(theta_n, Y_n)
 
 over an innovation stream (Y_n), where H is the update field whose mean
-under the stream's limiting law vanishes exactly at the target, and dM is
-an optional externally supplied martingale-increment hook (zero for purely
-deterministic quasi-Monte Carlo runs).
+under the stream's limiting law vanishes exactly at the target.  All the
+randomness of a run, if any, comes from the stream itself.
 
 Whether a step schedule is usable depends on how fast the innovation
 stream averages.  That bookkeeping lives here too: closed-form rules for
@@ -18,7 +17,6 @@ finite-horizon numerical probe for schedules with no closed form.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -76,18 +74,6 @@ class StepSchedule:
             self.a = float(a)
             self.table = None
 
-    @classmethod
-    def power(cls, c: float, a: float) -> "StepSchedule":
-        return cls(c=c, a=a)
-
-    @classmethod
-    def tabulated(cls, values) -> "StepSchedule":
-        return cls(table=values)
-
-    @property
-    def is_power(self) -> bool:
-        return self.table is None
-
     def gamma(self, n: int) -> float:
         """Step used for the n-th update, n >= 1."""
         if n < 1:
@@ -109,11 +95,6 @@ class StepSchedule:
                 )
             return self.table[:horizon].copy()
         return self.c * np.arange(1, horizon + 1, dtype=float) ** (-self.a)
-
-    def describe(self) -> str:
-        if self.table is not None:
-            return f"tabulated[{self.table.size}]"
-        return f"{self.c:g} * n^(-{self.a:g})"
 
 
 @dataclass(frozen=True)
@@ -330,12 +311,10 @@ class Trajectory:
     with no iterate is a trajectory with ``d = 0``: its columns are all
     monitors."""
 
-    ns: np.ndarray                      # record indices, always 0 and horizon
+    ns: np.ndarray                      # record indices; a run's hold 0 and, last, its horizon
     thetas: np.ndarray                  # (records, d)
     monitors: dict[str, np.ndarray]
     final_theta: np.ndarray             # iterate after the last step, shape (d,)
-    horizon: int
-    wall_time: float
 
     @property
     def dimension(self) -> int:
@@ -361,11 +340,8 @@ def run(
     schedule: StepSchedule,
     horizon: int,
     *,
-    martingale: Callable | None = None,
-    hook_rng: np.random.Generator | None = None,
     record_stride: int = 1,
     monitors: Mapping[str, Callable] | None = None,
-    divergence_bound: float = DIVERGENCE_BOUND,
 ) -> Trajectory:
     """Run the recursion for ``horizon`` steps and record the path.
 
@@ -375,21 +351,16 @@ def run(
     ``h`` receives the rows of each block one at a time, as
     length-``dimension`` vectors.  The iterate is a plain float when it
     is scalar and an array otherwise; ``h`` and the monitors receive it
-    in that form.  ``martingale``, when given, is called as
-    ``martingale(n, theta, rng)`` and its return value is added to the
-    update field before the step — this is the hook for genuinely random
-    perturbations on top of a deterministic stream.  Iterates are
-    recorded at ``record_stride`` spacing; the initial and final iterates
-    are always present.  A guard aborts the run loudly as soon as the
-    iterate norm exceeds ``divergence_bound`` or stops being finite; it
-    covers every run above, VaR/CVaR and the bandit included.
+    in that form.  Iterates are recorded at ``record_stride`` spacing;
+    the initial and final iterates are always present.  A guard aborts
+    the run loudly as soon as the iterate norm exceeds
+    ``DIVERGENCE_BOUND`` or stops being finite; it covers every run
+    above, VaR/CVaR and the bandit included.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if record_stride < 1:
         raise ValueError("record stride must be >= 1")
-    if martingale is not None and hook_rng is None:
-        raise ValueError("a martingale hook needs an explicit generator")
 
     theta = np.atleast_1d(np.asarray(theta0, dtype=float)).copy()
     mon_items = list((monitors or {}).items())
@@ -414,7 +385,6 @@ def run(
         for name, fn in mon_items:
             rec_mon[name].append(float(fn(n, th)))
 
-    t0 = time.perf_counter()
     n = 0
     while n < horizon:
         m = min(_BLOCK, horizon - n)
@@ -423,23 +393,17 @@ def run(
         for y, g in zip(source.take_block(m), gam[n:n + m].tolist()):
             if n % record_stride == 0:
                 record(n, x)
-            drift = drift_of(x, y)
-            if martingale is not None:
-                drift = drift + martingale(n, x, hook_rng)
-            x = x - g * drift
+            x = x - g * drift_of(x, y)
             n += 1
-            if not norm(x) <= divergence_bound:
+            if not norm(x) <= DIVERGENCE_BOUND:
                 raise DivergenceError(n, snap(x))
     record(horizon, x)
-    wall = time.perf_counter() - t0
 
     return Trajectory(
         ns=np.asarray(rec_n, dtype=np.int64),
         thetas=np.asarray(rec_theta, dtype=float).reshape(len(rec_n), -1),
         monitors={k: np.asarray(v) for k, v in rec_mon.items()},
         final_theta=np.atleast_1d(snap(x)),
-        horizon=horizon,
-        wall_time=wall,
     )
 
 

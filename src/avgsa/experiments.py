@@ -197,16 +197,11 @@ def _split_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((int(seed), int(index))).generate_state(1)[0])
 
 
-# innovation-averaging decay exponents used by the pre-run admissibility
-# gate; low-discrepancy streams go through the dimension-aware rule instead
-_POWER_RATE_BETA = {
-    "iid-uniform": 0.5,
-    "iid-gaussian": 0.5,
-    "ar1-mixing": 0.5,
-    "synthetic-lognormal": 0.5,
-    "iid": 0.5,
-    "ar1": 0.5,
-}
+# innovation-averaging decay exponent the pre-run admissibility gate uses
+# for every independent or geometrically mixing stream; low-discrepancy
+# streams go through the dimension-aware rule and the Euler path through
+# its own step exponent instead
+_POWER_RATE_BETA = 0.5
 
 
 def _gate_admissibility(kind: str, dimension: int, step_cfg: dict, source_cfg: dict) -> None:
@@ -216,7 +211,7 @@ def _gate_admissibility(kind: str, dimension: int, step_cfg: dict, source_cfg: d
     elif kind == "cir-euler":
         report = engine.admissible_power_pair(a, source_cfg["exponent"], c)
     else:
-        report = engine.admissible_power_pair(a, _POWER_RATE_BETA[kind], c)
+        report = engine.admissible_power_pair(a, _POWER_RATE_BETA, c)
     if not report.ok:
         raise ConfigError(
             f"step schedule c={c:g}, a={a:g} is not admissible for source "
@@ -468,7 +463,6 @@ def _run_discrepancy(cfg: dict) -> Outcome:
     pr = cfg["params"]
     k0, k1 = pr["min_exponent"], pr["max_exponent"]
     dim = cfg["source"]["dimension"]
-    start = time.perf_counter()
     ns, d_halton, d_iid = [], [], []
     for k in range(k0, k1 + 1):
         n = 1 << k
@@ -485,8 +479,6 @@ def _run_discrepancy(cfg: dict) -> Outcome:
         thetas=np.empty((ns_arr.size, 0)),
         monitors={"dstar_halton": hal, "dstar_iid": ref},
         final_theta=np.empty(0),
-        horizon=int(ns_arr[-1]),
-        wall_time=time.perf_counter() - start,
     )
     return Outcome(
         trajectory=table,
@@ -644,12 +636,14 @@ _register(Experiment(
 _register(Experiment(
     name="discrepancy",
     description="diagnostic: star-discrepancy decay of the low-discrepancy stream vs i.i.d.",
-    schema=_schema(
-        horizon=4_096,          # implied by max_exponent; kept for uniformity
-        step={"c": (1.0, _float_pos), "a": (1.0, _float_any)},
-        source={"kind": ("halton", _str_caster), "dimension": (2, _int_pos)},
-        params={"min_exponent": (6, _int_pos), "max_exponent": (12, _int_pos)},
-    ),
+    # no horizon, record stride or step: the table's sizes are the powers
+    # of two from min_exponent to max_exponent, and nothing is stepped
+    schema={
+        "seed": _COMMON_SCHEMA["seed"],
+        "output_dir": _COMMON_SCHEMA["output_dir"],
+        "source": {"kind": ("halton", _str_caster), "dimension": (2, _int_pos)},
+        "params": {"min_exponent": (6, _int_pos), "max_exponent": (12, _int_pos)},
+    },
     source_kinds=("halton",),
     runner=_run_discrepancy,
     preflight=_preflight_discrepancy,
@@ -718,7 +712,7 @@ def validate_config(raw: dict) -> dict:
     if cfg["output_dir"] is None:
         cfg["output_dir"] = f"runs/{name}"
     dim = 2 if name == "implicit-correlation" else cfg["source"].get("dimension", 1)
-    if name != "discrepancy":   # the suite averages nothing; no rule applies
+    if "step" in cfg:   # only a stepped recursion has a schedule to gate
         _gate_admissibility(kind, dim, cfg["step"], cfg["source"])
     if exp.preflight is not None:
         exp.preflight(cfg)
@@ -768,7 +762,7 @@ def run_experiment(config) -> RunArtifacts:
     summary = {
         "experiment": cfg["experiment"],
         "seed": cfg["seed"],
-        "horizon": cfg["horizon"],
+        "horizon": cfg.get("horizon"),
         "status": "ok",
         "failure": None,
         "notes": {},
@@ -805,8 +799,8 @@ def run_experiment(config) -> RunArtifacts:
     )
 
     summary.update(
-        final=outcome.final, target=outcome.target, error=outcome.error,
-        fitted_rate=outcome.fitted_rate, runtime_seconds=runtime,
+        horizon=int(traj.ns[-1]), final=outcome.final, target=outcome.target,
+        error=outcome.error, fitted_rate=outcome.fitted_rate, runtime_seconds=runtime,
         csv=csv_path.name, plot=plot_path.name, notes=outcome.notes,
     )
     summary = _write_summary(summary_path, summary)

@@ -433,10 +433,6 @@ class InnovationSource:
             need -= take
         return np.concatenate(parts) if len(parts) > 1 else parts[0].copy()
 
-    def __iter__(self):
-        while True:
-            yield self.next()
-
 
 class IidUniformSource(InnovationSource):
     """Independent uniforms on ``[0, 1)^q`` from a PCG64 generator."""

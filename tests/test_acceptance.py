@@ -379,7 +379,7 @@ def test_gate_6_property_suites():
     for a, b in grid:
         closed = admissible_power_pair(a, b).verdict
         probe = check_schedule_numeric(
-            StepSchedule.power(1.0, a), RateSpec(b), 2 * 10**5
+            StepSchedule(c=1.0, a=a), RateSpec(b), 2 * 10**5
         ).verdict
         if probe == "not-admissible" and closed != "not-admissible":
             failures.append(f"probe rejects admissible pair (a={a}, beta={b})")

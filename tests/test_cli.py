@@ -276,6 +276,13 @@ def test_run_discrepancy_table_and_rate(tmp_path):
     # the low-discrepancy stream beats independent sampling at the end
     assert cols["dstar_halton"][-1] < cols["dstar_iid"][-1]
     assert arts.summary["fitted_rate"] > 0.5
+    # the summary horizon is the table's last size, not a config default
+    assert arts.summary["horizon"] == 256
+    # the table has no horizon and steps nothing: those keys are refused
+    for key, value in (("horizon", 7), ("step", {"c": 123.0})):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            run_experiment({"experiment": "discrepancy", "seed": 0, key: value,
+                            "output_dir": str(tmp_path / "bad")})
 
 
 def test_run_rate_fit_recovers_running_mean_rate(tmp_path):

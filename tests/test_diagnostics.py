@@ -157,7 +157,7 @@ def test_lyapunov_monitor_settles_on_contraction():
     src = IidGaussianSource(1, seed=6)
     traj = run(
         4.0, src, lambda th, y: th - 0.05 * float(y[0]),
-        StepSchedule.power(1.0, 1.0), 20_000, record_stride=100,
+        StepSchedule(c=1.0, a=1.0), 20_000, record_stride=100,
     )
     chan = lyapunov_monitor(traj, lambda th: float(th[0] ** 2), tolerance=1e-2)
     assert chan.settled
@@ -169,7 +169,7 @@ def test_lyapunov_monitor_flags_drift():
     # steps too fat to settle: theta keeps moving by ~0.5 per record
     traj = run(
         0.0, src, lambda th, y: -1.0,
-        StepSchedule.power(0.5, 0.1), 2_000, record_stride=10,
+        StepSchedule(c=0.5, a=0.1), 2_000, record_stride=10,
     )
     chan = lyapunov_monitor(traj, lambda th: float(th[0]), tolerance=1e-3)
     assert not chan.settled
