@@ -104,7 +104,7 @@ def bandit_field(theta: float, y) -> float:
     played arm whose event occurred pulls ``theta`` its way, so a step
     ``theta - gamma * field`` moves ``gamma`` times the remaining
     distance."""
-    a_occurred, b_occurred, u = y.tolist()
+    a_occurred, b_occurred, u = y
     up = (1.0 - theta) if (u <= theta and a_occurred != 0.0) else 0.0
     down = theta if (u > theta and b_occurred != 0.0) else 0.0
     return down - up

@@ -73,7 +73,7 @@ def var_cvar_trajectory(
     def field(theta: float, row) -> float:
         # var_field and tail_value, with the division folded into ``tail``
         nonlocal vsum
-        y = float(row[0])
+        y = row[0]
         vsum += theta + max(y - theta, 0.0) * tail
         return 1.0 - (tail if y >= theta else 0.0)
 

@@ -347,12 +347,13 @@ def run(
 
     This is the one step loop of the package: correlation, VaR/CVaR,
     investment, bandit and rate-fit runs all go through it.  The stream
-    is read with ``take_block``, one row per step in stream order, and
-    ``h`` receives the rows of each block one at a time, as
-    length-``dimension`` vectors.  The iterate is a plain float when it
-    is scalar and an array otherwise; ``h`` and the monitors receive it
-    in that form.  Iterates are recorded at ``record_stride`` spacing;
-    the initial and final iterates are always present.  A guard aborts
+    is read with ``take_block``, one row per step in stream order.  When
+    the iterate is scalar it is a plain float, and ``h`` receives each
+    row as a list of ``dimension`` Python floats; otherwise the iterate
+    is an array and each row a length-``dimension`` numpy vector.  ``h``
+    and the monitors receive the iterate in that form.  Iterates are
+    recorded at ``record_stride`` spacing; the initial and final
+    iterates are always present.  A guard aborts
     the run loudly as soon as the iterate norm exceeds
     ``DIVERGENCE_BOUND`` or stops being finite; it covers every run
     above, VaR/CVaR and the bandit included.
@@ -369,11 +370,13 @@ def run(
         # scalar path: plain float arithmetic in the hot loop
         x = float(theta[0])
         drift_of, norm, snap = h, abs, float
+        rows_of = lambda block: block.tolist()
     else:
         x = theta
         drift_of = lambda th, y: np.asarray(h(th, y), dtype=float)
         norm = lambda th: np.max(np.abs(th))
         snap = np.copy
+        rows_of = lambda block: block
 
     rec_n: list[int] = []
     rec_theta: list = []
@@ -390,7 +393,7 @@ def run(
         m = min(_BLOCK, horizon - n)
         # gammas go to Python floats one block at a time: converting the
         # whole schedule at once would hold horizon float objects
-        for y, g in zip(source.take_block(m), gam[n:n + m].tolist()):
+        for y, g in zip(rows_of(source.take_block(m)), gam[n:n + m].tolist()):
             if n % record_stride == 0:
                 record(n, x)
             x = x - g * drift_of(x, y)
@@ -415,15 +418,17 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write the recorded path as CSV: column ``n``, one column per iterate
     coordinate, one per monitor channel.  Floats carry 17 significant
     digits so a file round-trips to the exact binary values; reruns of the
-    same configuration produce byte-identical files."""
+    same configuration produce byte-identical files.  Rows are formatted
+    and written in blocks of 4096, so memory stays flat in the number of
+    records."""
     names = ["n"] + traj.channel_names()
     cols = [traj.ns] + [traj.channel(c) for c in traj.channel_names()]
+    row_fmt = "%d" + ",%.17g" * (len(cols) - 1) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(names) + "\n")
-        for i in range(len(traj.ns)):
-            row = [str(int(traj.ns[i]))]
-            row += [f"{float(col[i]):.17g}" for col in cols[1:]]
-            fh.write(",".join(row) + "\n")
+        for i in range(0, len(traj.ns), _BLOCK):
+            block = [col[i:i + _BLOCK].tolist() for col in cols]
+            fh.write("".join([row_fmt % row for row in zip(*block)]))
 
 
 def read_csv_columns(path) -> dict[str, np.ndarray]:

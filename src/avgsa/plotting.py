@@ -15,6 +15,10 @@ import numpy as np
 
 __all__ = ["render_line_svg", "write_line_svg"]
 
+# polyline points formatted per block: only one block's point texts are
+# alive at a time
+_BLOCK = 4096
+
 # canvas geometry (pixels)
 _W, _H = 720, 440
 _ML, _MR, _MT, _MB = 76, 20, 34, 48
@@ -62,6 +66,8 @@ def render_line_svg(
     ys = np.asarray(y, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1:
         raise ValueError("x and y must be one-dimensional and of equal length")
+    if target is not None and not math.isfinite(float(target)):
+        raise ValueError(f"target must be finite, got {target}")
     keep = np.isfinite(xs) & np.isfinite(ys)
     if logx:
         keep &= xs > 0.0
@@ -84,10 +90,10 @@ def render_line_svg(
         pad = 0.04 * (y1 - y0)
         y0, y1 = y0 - pad, y1 + pad
 
-    def px(v: float) -> float:
+    def px(v):
         return _ML + (v - x0) / (x1 - x0) * (_W - _ML - _MR)
 
-    def py(v: float) -> float:
+    def py(v):
         return _H - _MB - (v - y0) / (y1 - y0) * (_H - _MT - _MB)
 
     parts: list[str] = []
@@ -141,9 +147,9 @@ def render_line_svg(
         )
 
     # the series itself
-    pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(xs, ys))
     parts.append(
-        f'<polyline points="{pts}" fill="none" stroke="{_LINE}" stroke-width="1.5"/>'
+        f'<polyline points="{_points(px, py, xs, ys)}" fill="none" stroke="{_LINE}" '
+        f'stroke-width="1.5"/>'
     )
 
     # labels
@@ -162,8 +168,22 @@ def render_line_svg(
         f'font-size="13" {font} fill="{_FG}" '
         f'transform="rotate(-90 16 {(_MT + _H - _MB) / 2:.0f})">{_escape(ylabel)}</text>'
     )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    # the closing newline rides on the last part, so the document text
+    # is copied once, not twice
+    parts.append("</svg>\n")
+    return "\n".join(parts)
+
+
+def _points(px, py, xs: np.ndarray, ys: np.ndarray) -> str:
+    """Polyline coordinates as space-separated ``x,y`` pairs.  ``px`` and
+    ``py`` map whole slices, which is the same float arithmetic in the
+    same order as mapping each point; the pairs are formatted a block at
+    a time, so the text of every point is never held at once."""
+    return " ".join([
+        " ".join(map("%.2f,%.2f".__mod__, zip(px(xs[i:i + _BLOCK]).tolist(),
+                                              py(ys[i:i + _BLOCK]).tolist())))
+        for i in range(0, xs.size, _BLOCK)
+    ])
 
 
 def _escape(s: str) -> str:

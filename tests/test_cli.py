@@ -358,6 +358,18 @@ def test_cli_plot_rejects_malformed_csv_with_row_number(tmp_path, capsys):
     assert ":3:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
+def test_cli_plot_rejects_non_finite_target(tmp_path, capsys, target):
+    csv = tmp_path / "t.csv"
+    csv.write_text("n,theta_0\n0,1.0\n100,2.0\n")
+    out = tmp_path / "t.svg"
+    assert main(["plot", str(csv), "--channel", "theta_0", f"--target={target}",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot plot" in err and "target" in err
+    assert not out.exists()
+
+
 def test_cli_run_config_error_exit_code(tmp_path, capsys):
     cfg = _write_cfg(tmp_path / "c.yaml", "experiment: var-cvar\n")
     assert main(["run", cfg]) == 2
@@ -435,6 +447,10 @@ def test_render_svg_logx_and_validation():
     # all points dropped on a log axis
     with pytest.raises(ValueError):
         render_line_svg([-1.0, -2.0], [1.0, 2.0], logx=True)
+    # a target line needs a finite height
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="target"):
+            render_line_svg([1.0, 2.0], [3.0, 4.0], target=bad)
 
 
 def test_render_svg_escapes_labels():

@@ -1,0 +1,199 @@
+"""The CSV and SVG writers against their row-by-row reference forms, and
+their memory use on long trajectories.
+
+The references below are the writers as they were before formatting went
+block-wise: one Python conversion per cell and per point.  The block-wise
+writers must produce the same bytes, non-finite values, signed zeros and
+subnormals included."""
+
+from __future__ import annotations
+
+import re
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from avgsa.engine import StepSchedule, Trajectory, run, write_trajectory_csv
+from avgsa.innovations import IidUniformSource
+from avgsa.plotting import _H, _MB, _ML, _MR, _MT, _W, render_line_svg
+
+
+# ---------------------------------------------------------------------------
+# reference forms
+# ---------------------------------------------------------------------------
+
+def reference_csv(traj: Trajectory) -> bytes:
+    names = ["n"] + traj.channel_names()
+    cols = [traj.ns] + [traj.channel(c) for c in traj.channel_names()]
+    lines = [",".join(names) + "\n"]
+    for i in range(len(traj.ns)):
+        row = [str(int(traj.ns[i]))]
+        row += [f"{float(col[i]):.17g}" for col in cols[1:]]
+        lines.append(",".join(row) + "\n")
+    return "".join(lines).encode()
+
+
+def reference_points(x, y, *, target=None, logx=False) -> str:
+    """The polyline's ``points`` attribute, one point at a time."""
+    xs = np.asarray(x, dtype=float)
+    ys = np.asarray(y, dtype=float)
+    keep = np.isfinite(xs) & np.isfinite(ys)
+    if logx:
+        keep &= xs > 0.0
+    xs, ys = xs[keep], ys[keep]
+    if logx:
+        xs = np.log10(xs)
+    x0, x1 = float(xs.min()), float(xs.max())
+    if x1 <= x0:
+        x1 = x0 + 1.0
+    y0, y1 = float(ys.min()), float(ys.max())
+    if target is not None:
+        y0, y1 = min(y0, float(target)), max(y1, float(target))
+    if y1 <= y0:
+        pad = max(abs(y0) * 0.1, 1e-12)
+        y0, y1 = y0 - pad, y1 + pad
+    else:
+        pad = 0.04 * (y1 - y0)
+        y0, y1 = y0 - pad, y1 + pad
+
+    def px(v: float) -> float:
+        return _ML + (v - x0) / (x1 - x0) * (_W - _ML - _MR)
+
+    def py(v: float) -> float:
+        return _H - _MB - (v - y0) / (y1 - y0) * (_H - _MT - _MB)
+
+    return " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(xs, ys))
+
+
+def _csv_bytes(traj, tmp_path) -> bytes:
+    path = tmp_path / "t.csv"
+    write_trajectory_csv(traj, path)
+    return path.read_bytes()
+
+
+def _points(doc: str) -> str:
+    return re.search(r'<polyline points="([^"]*)"', doc).group(1)
+
+
+# ---------------------------------------------------------------------------
+# CSV
+# ---------------------------------------------------------------------------
+
+def test_csv_matches_reference_over_partial_blocks(tmp_path):
+    # 10 001 records: two full 4096-row blocks and a partial third
+    traj = run(
+        0.25, IidUniformSource(1, seed=4), lambda th, y: th - y[0],
+        StepSchedule(c=1.0, a=0.7), 10_000,
+        monitors={"sq": lambda n, th: th * th, "n_half": lambda n, th: n / 2},
+    )
+    assert len(traj.ns) == 10_001
+    assert _csv_bytes(traj, tmp_path) == reference_csv(traj)
+
+
+def test_csv_matches_reference_for_vector_iterate(tmp_path):
+    traj = run(
+        np.zeros(3), IidUniformSource(3, seed=5), lambda th, y: th - y,
+        StepSchedule(c=1.0, a=1.0), 5_000, record_stride=3,
+    )
+    assert _csv_bytes(traj, tmp_path) == reference_csv(traj)
+
+
+def test_csv_matches_reference_on_edge_values(tmp_path):
+    edge = [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e300,
+            -1e-300, 0.1, 1.0 / 3.0, 2.0**53 + 1.0]
+    k = len(edge)
+    traj = Trajectory(
+        ns=np.arange(k, dtype=np.int64) * 10**12,
+        thetas=np.array(edge[::-1]).reshape(k, 1),
+        monitors={"edge": np.array(edge)},
+        final_theta=np.array([edge[0]]),
+    )
+    data = _csv_bytes(traj, tmp_path)
+    assert data == reference_csv(traj)
+    assert data.splitlines()[1] == b"0,9007199254740992,-0"
+    for text in (b",nan", b",inf", b",-inf", b",4.9406564584124654e-324",
+                 b",1.0000000000000001e+300"):
+        assert text in data
+
+
+def test_csv_matches_reference_for_table_without_iterate(tmp_path):
+    # shaped like the discrepancy run: zero theta columns, two monitors
+    ns = np.asarray([1 << k for k in range(4, 9)], dtype=np.int64)
+    table = Trajectory(
+        ns=ns,
+        thetas=np.empty((ns.size, 0)),
+        monitors={"dstar_halton": np.log(ns) / ns, "dstar_iid": 1.0 / np.sqrt(ns)},
+        final_theta=np.empty(0),
+    )
+    data = _csv_bytes(table, tmp_path)
+    assert data == reference_csv(table)
+    assert data.startswith(b"n,dstar_halton,dstar_iid\n16,")
+
+
+# ---------------------------------------------------------------------------
+# SVG polyline
+# ---------------------------------------------------------------------------
+
+def _long_series():
+    # more than two blocks of points, with points the renderer drops
+    n = 9_001
+    x = np.arange(n, dtype=float)            # x = 0 is dropped on a log axis
+    y = np.sin(x / 300.0) * np.exp(-x / 4000.0)
+    y[[5, 4096, 8191]] = [np.nan, np.inf, -np.inf]
+    x[[17, 6000]] = [np.nan, np.inf]
+    return x, y
+
+
+@pytest.mark.parametrize(
+    "target, logx", [(None, False), (0.5, False), (None, True), (-0.25, True)],
+)
+def test_svg_polyline_matches_reference(target, logx):
+    x, y = _long_series()
+    doc = render_line_svg(x, y, target=target, logx=logx)
+    pts = _points(doc)
+    assert pts == reference_points(x, y, target=target, logx=logx)
+    kept = np.isfinite(x) & np.isfinite(y) & ((x > 0.0) if logx else True)
+    assert pts.count(",") == int(kept.sum()) > 2 * 4096
+
+
+def test_svg_polyline_matches_reference_on_flat_and_tiny_series():
+    for x, y in (([1.0, 2.0], [-0.0, -0.0]), ([3.0, 3.0], [5e-324, 1e300]),
+                 ([1.0, 10.0, 100.0], [1e-300, -1e-300, 0.0])):
+        assert _points(render_line_svg(x, y)) == reference_points(x, y)
+
+
+# ---------------------------------------------------------------------------
+# memory: block-wise writing keeps the peak far below a whole-file join
+# ---------------------------------------------------------------------------
+
+# A whole-file join of either output at this size holds every row's text
+# object and every cell's Python float at once, which peaks well above
+# this; the block-wise writers stay at a few MB.
+_PEAK_LIMIT = 8 * 2**20
+_ROWS = 100_001
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_writer_memory_is_flat_in_rows(tmp_path):
+    ns = np.arange(_ROWS, dtype=np.int64)
+    theta = np.sin(ns * 0.001)
+    traj = Trajectory(ns=ns, thetas=theta.reshape(-1, 1),
+                      monitors={"sq": theta * theta}, final_theta=theta[-1:])
+    peak = _peak_bytes(lambda: write_trajectory_csv(traj, tmp_path / "big.csv"))
+    assert peak < _PEAK_LIMIT, f"CSV writer peaked at {peak / 2**20:.1f} MB"
+
+
+def test_svg_renderer_memory_is_flat_in_points():
+    x = np.arange(1, _ROWS + 1, dtype=float)
+    y = 1.0 / np.sqrt(x)
+    peak = _peak_bytes(lambda: render_line_svg(x, y, target=0.0, logx=True))
+    assert peak < _PEAK_LIMIT, f"SVG renderer peaked at {peak / 2**20:.1f} MB"
