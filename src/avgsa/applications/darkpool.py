@@ -27,7 +27,6 @@ from avgsa.innovations import Ar1MixingSource
 __all__ = [
     "darkpool_field",
     "simplex_safeguard",
-    "darkpool_step",
     "synthetic_capacities",
     "synthetic_darkpool_series",
     "relative_cost_reduction",
@@ -72,20 +71,6 @@ def simplex_safeguard(candidate: np.ndarray, total: float = 1.0) -> tuple[np.nda
         # every component clipped or zero: fall back to the uniform split
         return np.full(candidate.shape, total / candidate.size), True
     return repaired * (total / pos_sum), True
-
-
-def darkpool_step(r, volume: float, capacities, rebates, gamma: float) -> np.ndarray:
-    """One allocation update ``r + gamma * field`` followed by the
-    nonnegativity safeguard.  The field sums to zero, so the component
-    sum is preserved to roundoff; callers renormalise periodically."""
-    r = np.asarray(r, dtype=float)
-    candidate = r + gamma * darkpool_field(r, volume, capacities, rebates)
-    repaired, clipped = simplex_safeguard(candidate, float(r.sum()))
-    if clipped:
-        logger.warning(
-            "allocation safeguard clipped negative components at gamma=%g", gamma
-        )
-    return repaired
 
 
 def synthetic_capacities(volumes, substitutes, mix, scale) -> np.ndarray:
@@ -146,33 +131,22 @@ def relative_cost_reduction(r, volume: float, capacities, rebates) -> float:
     return float(np.dot(rho, filled) / volume)
 
 
-def _simplex_grid(pools: int, resolution: float) -> np.ndarray:
-    steps = round(1.0 / resolution)
-    if pools == 2:
-        r1 = np.linspace(0.0, 1.0, steps + 1)
-        return np.column_stack([r1, 1.0 - r1])
-    if pools == 3:
-        pts = []
-        for i in range(steps + 1):
-            for j in range(steps + 1 - i):
-                pts.append((i / steps, j / steps, (steps - i - j) / steps))
-        return np.asarray(pts)
-    raise ValueError("grid search supports 2 or 3 pools only")
-
-
 def brute_force_allocation(
     volumes, capacities, rebates, resolution: float = 0.01
 ) -> np.ndarray:
     """Reference optimiser: evaluate the empirical rebate objective
-    ``mean_t sum_i rho_i min(r_i V_t, D_it)`` on a simplex grid and
-    return the best grid point.  Only practical for 2 or 3 venues; this
-    is the measuring stick the recursion is judged against."""
+    ``mean_t sum_i rho_i min(r_i V_t, D_it)`` on a grid of the two-venue
+    simplex and return the best grid point.  This is the measuring stick
+    the recursion is judged against."""
     v = np.asarray(volumes, dtype=float)
     d = np.asarray(capacities, dtype=float)
     rho = _as_rebates(rebates)
     if d.ndim != 2 or d.shape[0] != v.size or d.shape[1] != rho.size:
         raise ValueError("need volumes (n,), capacities (n, pools), one rebate per pool")
-    grid = _simplex_grid(rho.size, resolution)
+    if rho.size != 2:
+        raise ValueError(f"grid search supports 2 pools only, got {rho.size}")
+    r1 = np.linspace(0.0, 1.0, round(1.0 / resolution) + 1)
+    grid = np.column_stack([r1, 1.0 - r1])
     best_value = -math.inf
     best = grid[0]
     for point in grid:

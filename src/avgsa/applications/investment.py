@@ -20,7 +20,6 @@ from avgsa.engine import StepSchedule, Trajectory, run
 from avgsa.innovations import EulerDecreasingSource, DecreasingStepSchedule
 
 __all__ = [
-    "gamma_function",
     "CirParams",
     "cir_innovation_source",
     "invariant_moment",
@@ -30,38 +29,6 @@ __all__ = [
     "theta_star_closed_form",
     "investment_run",
 ]
-
-
-# Lanczos coefficients (g = 7, 9 terms) — accurate to ~1e-13 in relative
-# terms on the positive axis, far beyond what the closed-form target needs.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma_function(x: float) -> float:
-    """Gamma function on the reals (poles at 0, -1, -2, ... excluded),
-    via the Lanczos approximation with reflection for small arguments."""
-    if x <= 0.0 and x == math.floor(x):
-        raise ValueError(f"gamma function pole at {x}")
-    if x < 0.5:
-        # reflection: gamma(x) * gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * gamma_function(1.0 - x))
-    x -= 1.0
-    acc = _LANCZOS[0]
-    for i, c in enumerate(_LANCZOS[1:], start=1):
-        acc += c / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * acc
 
 
 @dataclass(frozen=True)
@@ -98,13 +65,10 @@ class CirParams:
 
 def invariant_moment(p: CirParams, order: float) -> float:
     """Fractional moment ``E[Y^order]`` under the invariant Gamma law."""
-    if p.gamma_shape + order <= 0.0:
+    shape = p.gamma_shape
+    if shape + order <= 0.0:
         raise ValueError(f"moment of order {order} does not exist")
-    return (
-        gamma_function(p.gamma_shape + order)
-        / gamma_function(p.gamma_shape)
-        * p.gamma_scale**order
-    )
+    return math.exp(math.lgamma(shape + order) - math.lgamma(shape)) * p.gamma_scale**order
 
 
 def cir_innovation_source(
@@ -202,8 +166,15 @@ def cobb_douglas_grad(
 
 def theta_star_closed_form(p: CirParams, q: CobbDouglasParams) -> float:
     """Optimal capacity under the invariant law:
-    ``(beta * E[Y^alpha] / cost)^{1/(1-beta)}``."""
-    return (q.beta * invariant_moment(p, q.alpha) / q.cost) ** (1.0 / (1.0 - q.beta))
+    ``(beta * E[Y^alpha] / cost)^{1/(1-beta)}``.  Raises ValueError when
+    it lies beyond the float range."""
+    try:
+        return (q.beta * invariant_moment(p, q.alpha) / q.cost) ** (1.0 / (1.0 - q.beta))
+    except OverflowError:
+        raise ValueError(
+            f"beta={q.beta:g} and cost={q.cost:g} put the optimal capacity "
+            "beyond the float range"
+        ) from None
 
 
 def investment_run(

@@ -3,30 +3,23 @@
 Averaging quality is an empirical matter: how fast does the running mean
 of a test function along the stream approach its limit, and does the
 decay match the rate the theory attaches to the stream family?  The
-helpers here measure exactly that, plus a weighted occupation-measure
-average for decreasing-step Euler schemes and a Lyapunov channel for
-recorded trajectories.
+helpers here measure exactly that.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from avgsa.engine import Trajectory
 from avgsa.innovations import InnovationSource
 
 __all__ = [
     "ErrorPath",
     "RateFit",
-    "LyapunovChannel",
     "empirical_average_path",
     "fit_rate",
-    "weighted_empirical_average",
-    "lyapunov_monitor",
 ]
 
 
@@ -51,17 +44,6 @@ class RateFit:
     log_constant: float
     r_squared: float
     points_used: int
-
-
-@dataclass(frozen=True)
-class LyapunovChannel:
-    """A scalar criterion evaluated along a recorded trajectory, with a
-    tail-stability summary."""
-
-    ns: np.ndarray
-    values: np.ndarray
-    tail_range: float
-    settled: bool
 
 
 def empirical_average_path(
@@ -101,15 +83,9 @@ def fit_rate(path: ErrorPath) -> RateFit:
     coordinates.
 
     Exact zero errors carry no rate information on a log scale; they are
-    dropped with a warning.  At least five usable points are required.
+    dropped.  At least five usable points are required.
     """
     mask = path.errors > 0.0
-    dropped = int((~mask).sum())
-    if dropped:
-        warnings.warn(
-            f"fit_rate: dropped {dropped} exact-zero error value(s) before fitting",
-            stacklevel=2,
-        )
     ns = path.ns[mask].astype(float)
     errs = path.errors[mask]
     if ns.size < 5:
@@ -125,55 +101,4 @@ def fit_rate(path: ErrorPath) -> RateFit:
         log_constant=float(intercept),
         r_squared=r2,
         points_used=int(ns.size),
-    )
-
-
-def weighted_empirical_average(
-    source: InnovationSource,
-    f: Callable[[np.ndarray], float],
-    n: int,
-    weights: Callable[[int], float] | None = None,
-) -> float:
-    """Weighted occupation-measure average
-    ``sum_k eta_k f(Y_{k-1}) / sum_k eta_k`` over the first ``n``
-    emissions (k = 1..n); unit weights by default."""
-    if n < 1:
-        raise ValueError("need at least one emission")
-    num = 0.0
-    den = 0.0
-    k = 0
-    while k < n:
-        block = source.take_block(min(4096, n - k))
-        for row in block:
-            k += 1
-            w = 1.0 if weights is None else float(weights(k))
-            if w < 0.0:
-                raise ValueError("weights must be nonnegative")
-            num += w * f(row)
-            den += w
-    if den == 0.0:
-        raise ValueError("all weights vanished")
-    return num / den
-
-
-def lyapunov_monitor(
-    traj: Trajectory,
-    criterion: Callable[[np.ndarray], float],
-    tolerance: float,
-    tail_fraction: float = 0.2,
-) -> LyapunovChannel:
-    """Evaluate a scalar criterion on every recorded iterate and report
-    whether its tail has settled (range of the last ``tail_fraction`` of
-    records below ``tolerance``)."""
-    if not 0.0 < tail_fraction <= 1.0:
-        raise ValueError("tail fraction must lie in (0, 1]")
-    vals = np.array([float(criterion(th)) for th in traj.thetas])
-    k = max(1, int(round(tail_fraction * vals.size)))
-    tail = vals[-k:]
-    tail_range = float(tail.max() - tail.min())
-    return LyapunovChannel(
-        ns=traj.ns.copy(),
-        values=vals,
-        tail_range=tail_range,
-        settled=bool(tail_range <= tolerance),
     )

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import NormalDist
@@ -79,6 +78,8 @@ def _seed_caster(path: str, v) -> int:
 def _float_any(path: str, v) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {v!r}")
+    if not math.isfinite(v):
+        raise ConfigError(f"{path}: must be finite, got {v}")
     return float(v)
 
 
@@ -104,12 +105,7 @@ def _bool_caster(path: str, v) -> bool:
 def _floats_caster(path: str, v) -> list:
     if not isinstance(v, (list, tuple)) or not v:
         raise ConfigError(f"{path}: expected a nonempty list of numbers, got {v!r}")
-    out = []
-    for i, x in enumerate(v):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ConfigError(f"{path}[{i}]: expected a number, got {x!r}")
-        out.append(float(x))
-    return out
+    return [_float_any(f"{path}[{i}]", x) for i, x in enumerate(v)]
 
 
 def _optional(caster):
@@ -226,11 +222,7 @@ def _fit_error_decay(ns: np.ndarray, errors: np.ndarray) -> float | None:
     if int(mask.sum()) < 5:
         return None
     try:
-        # an absorbed path hits the target exactly; the fit's zero-drop
-        # warning is routine here, not actionable
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            fit = fit_rate(ErrorPath(ns=ns[mask].astype(np.int64), errors=errors[mask]))
+        fit = fit_rate(ErrorPath(ns=ns[mask].astype(np.int64), errors=errors[mask]))
     except ValueError:
         return None
     return fit.beta_hat + 0.0  # fold -0.0 into 0.0 for clean reporting
@@ -344,13 +336,13 @@ def _run_investment(cfg: dict) -> Outcome:
     pr = cfg["params"]
     p = inv.CirParams(kappa=pr["kappa"], vartheta=pr["vartheta"], sigma=pr["sigma"])
     q = inv.CobbDouglasParams(alpha=pr["alpha"], beta=pr["beta"], cost=pr["cost"])
+    star = inv.theta_star_closed_form(p, q)
     traj = inv.investment_run(
         p, q, StepSchedule(c=cfg["step"]["c"], a=cfg["step"]["a"]), cfg["horizon"],
         step0=cfg["source"]["step0"], exponent=cfg["source"]["exponent"],
         seed=_split_seed(cfg["seed"], 0), theta_tilde0=pr["theta_tilde0"],
         chain_rule=pr["chain_rule"], record_stride=cfg["record_stride"],
     )
-    star = inv.theta_star_closed_form(p, q)
     errs = np.abs(traj.channel("capacity") - star)
     return Outcome(
         trajectory=traj,

@@ -11,8 +11,8 @@ noise.  We provide the stream families used throughout the package
 * decreasing-step Euler schemes whose weighted occupation measure
   approximates the invariant law of a diffusion,
 
-together with the quality measures attached to them (exact star
-discrepancy, averaging checks for step/weight systems).
+together with the exact star discrepancy that measures the quality of a
+low-discrepancy point set.
 
 Every source is deterministic given its construction arguments: the same
 seed always reproduces the same stream, element for element, regardless of
@@ -35,10 +35,7 @@ __all__ = [
     "halton_block",
     "box_muller_pair",
     "star_discrepancy_exact",
-    "euler_step",
     "DecreasingStepSchedule",
-    "AveragingCheck",
-    "averaging_system_check",
     "InnovationSource",
     "IidUniformSource",
     "IidGaussianSource",
@@ -245,22 +242,8 @@ def star_discrepancy_exact(points: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Recursions used as innovation generators
+# Step schedule of the decreasing-step Euler scheme
 # ---------------------------------------------------------------------------
-
-def euler_step(
-    y: float,
-    gamma_bar: float,
-    drift: Callable[[float], float],
-    diffusion: Callable[[float], float],
-    u: float,
-) -> float:
-    """One update of the decreasing-step Euler scheme
-    ``y' = y + gamma_bar * b(y) + sqrt(gamma_bar) * sigma(y) * u``."""
-    if gamma_bar <= 0.0:
-        raise ValueError(f"step must be positive, got {gamma_bar}")
-    return y + gamma_bar * drift(y) + math.sqrt(gamma_bar) * diffusion(y) * u
-
 
 @dataclass(frozen=True)
 class DecreasingStepSchedule:
@@ -282,97 +265,6 @@ class DecreasingStepSchedule:
     def step(self, n: int) -> float:
         """Step used for the n-th transition, n >= 1."""
         return self.gamma0 * n ** (-self.exponent)
-
-
-@dataclass(frozen=True)
-class AveragingCheck:
-    """Outcome of an averaging step/weight system check.
-
-    ``verdict`` is 'averaging', 'not-averaging' or 'inconclusive'.  The
-    partial sums are reported so a caller can judge borderline cases.
-    """
-
-    verdict: str
-    closed_form_rule: str | None
-    weight_sum: float
-    positive_variation_sum: float
-    weighted_square_sum: float
-    final_step: float
-
-
-def averaging_system_check(
-    schedule: DecreasingStepSchedule,
-    horizon: int,
-    eta: Callable[[int], float] | None = None,
-) -> AveragingCheck:
-    """Decide whether a step/weight pair is an averaging system.
-
-    The defining requirements for weights ``eta_n`` with partial sums
-    ``H_n`` are: the weight series diverges, the steps vanish, the series
-    ``sum (1/H_n) (d(eta_n/gamma_n))_+`` and ``sum (eta_n/(H_n sqrt(gamma_n)))**2``
-    both converge.  With unit weights and a power schedule the answer is
-    closed form — exponent strictly between 0 and 1 — and that rule is
-    used for the verdict; the partial sums are still evaluated up to
-    ``horizon`` and reported.  For custom weights the verdict falls back
-    to a trend heuristic and reports 'inconclusive' unless the evidence is
-    decisive.
-    """
-    if horizon < 100:
-        raise ValueError("need a horizon of at least 100 to say anything")
-    ns = np.arange(1, horizon + 1, dtype=float)
-    gam = schedule.gamma0 * ns ** (-schedule.exponent)
-    if eta is None:
-        w = np.ones_like(ns)
-    else:
-        w = np.array([float(eta(int(k))) for k in range(1, horizon + 1)])
-        if np.any(w < 0.0):
-            raise ValueError("weights must be nonnegative")
-    H = np.cumsum(w)
-    ratio = w / gam
-    dplus = np.clip(np.diff(ratio), 0.0, None)
-    s_var = float(np.sum(dplus / H[1:]))
-    s_sq = float(np.sum((w / (H * np.sqrt(gam))) ** 2))
-    out = dict(
-        weight_sum=float(H[-1]),
-        positive_variation_sum=s_var,
-        weighted_square_sum=s_sq,
-        final_step=float(gam[-1]),
-    )
-
-    if eta is None:
-        ok = 0.0 < schedule.exponent < 1.0
-        rule = "unit weights, power steps: averaging iff exponent in (0, 1)"
-        return AveragingCheck(
-            verdict="averaging" if ok else "not-averaging",
-            closed_form_rule=rule,
-            **out,
-        )
-
-    # Custom weights: judge each series by whether its last-decade
-    # increment is still as large as the one before (divergent-looking)
-    # or has collapsed relative to the total (convergent-looking).
-    def trend(series_terms: np.ndarray) -> str:
-        total = float(np.sum(series_terms))
-        if total <= 0.0:
-            return "convergent"
-        i8, i9 = int(0.8 * horizon), int(0.9 * horizon)
-        prev10 = float(np.sum(series_terms[i8:i9]))
-        last10 = float(np.sum(series_terms[i9:]))
-        if prev10 > 0.0 and last10 >= 0.999 * prev10:
-            return "divergent"
-        if last10 / total < 1e-3:
-            return "convergent"
-        return "unclear"
-
-    t_var = trend(dplus / H[1:])
-    t_sq = trend((w / (H * np.sqrt(gam))) ** 2)
-    if "divergent" in (t_var, t_sq):
-        verdict = "not-averaging"
-    elif t_var == t_sq == "convergent":
-        verdict = "averaging"
-    else:
-        verdict = "inconclusive"
-    return AveragingCheck(verdict=verdict, closed_form_rule=None, **out)
 
 
 # ---------------------------------------------------------------------------
@@ -585,16 +477,6 @@ class FiniteMarkovChainSource(InnovationSource):
         self._state = initial_state
         self._emitted_initial = False
         self._rng = np.random.default_rng(np.random.SeedSequence(seed))
-
-    def stationary_distribution(self) -> np.ndarray:
-        """Left eigenvector of the transition matrix for eigenvalue 1,
-        normalised to a probability vector."""
-        P = np.diff(self._P_cum, axis=1, prepend=0.0)
-        w, v = np.linalg.eig(P.T)
-        i = int(np.argmin(np.abs(w - 1.0)))
-        pi = np.real(v[:, i])
-        pi = np.abs(pi)
-        return pi / pi.sum()
 
     def _generate(self, count: int) -> np.ndarray:
         rows = self._P_cum.tolist()

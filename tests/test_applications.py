@@ -30,7 +30,6 @@ from avgsa.applications.darkpool import (
     brute_force_allocation,
     darkpool_field,
     darkpool_run,
-    darkpool_step,
     relative_cost_reduction,
     simplex_safeguard,
     synthetic_capacities,
@@ -42,7 +41,6 @@ from avgsa.applications.investment import (
     capacity_transform,
     cir_innovation_source,
     cobb_douglas_grad,
-    gamma_function,
     invariant_moment,
     investment_run,
     theta_star_closed_form,
@@ -302,19 +300,6 @@ def test_var_cvar_validation():
 # ergodic investment
 # ---------------------------------------------------------------------------
 
-def test_gamma_function_reference_points():
-    assert gamma_function(1.0) == pytest.approx(1.0, abs=1e-12)
-    assert gamma_function(0.5) == pytest.approx(math.sqrt(math.pi), abs=1e-12)
-    for x in (0.888, 1.688, 2.5, 4.0, 7.3):
-        assert gamma_function(x) == pytest.approx(math.gamma(x), rel=1e-8)
-        # recurrence Gamma(x+1) = x Gamma(x)
-        assert gamma_function(x + 1.0) == pytest.approx(x * gamma_function(x), rel=1e-10)
-    with pytest.raises(ValueError):
-        gamma_function(0.0)
-    with pytest.raises(ValueError):
-        gamma_function(-2.0)
-
-
 def test_cir_params_feller_warning():
     with pytest.warns(UserWarning):
         CirParams(1.0, 1.0, 1.5)
@@ -337,6 +322,15 @@ def test_invariant_moment_matches_gamma_composition():
     assert invariant_moment(p, 1.0) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_invariant_moment_and_target_at_large_gamma_shape():
+    # sigma = 0.05 puts the Gamma shape at 800, where Gamma(800) itself is
+    # beyond the float range; the moment and the target stay finite
+    p = CirParams(1.0, 1.0, 0.05)
+    assert p.gamma_shape == pytest.approx(800.0)
+    assert invariant_moment(p, 1.0) == pytest.approx(p.vartheta, rel=1e-12)
+    assert math.isfinite(theta_star_closed_form(p, CobbDouglasParams(0.8, 0.7, 0.5)))
+
+
 def test_theta_star_closed_form_cases():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -348,6 +342,9 @@ def test_theta_star_closed_form_cases():
     c = 0.7 * invariant_moment(p, 0.8)
     q1 = CobbDouglasParams(0.8, 0.7, c)
     assert theta_star_closed_form(p, q1) == pytest.approx(1.0, rel=1e-12)
+    # (0.7 * 0.92 / 1e-4)^1000 is beyond the float range
+    with pytest.raises(ValueError, match="beta=0.999 and cost=0.0001"):
+        theta_star_closed_form(p, CobbDouglasParams(0.8, 0.999, 1e-4))
 
 
 def test_theta_star_monotone_in_output_elasticity():
@@ -617,6 +614,14 @@ def test_darkpool_field_sums_to_zero():
     assert worst <= 1e-14
 
 
+def darkpool_step(r, volume, capacities, rebates, gamma):
+    """Reference composition of one allocation update: ``r + gamma *
+    field``, then the nonnegativity safeguard at the current total."""
+    r = np.asarray(r, dtype=float)
+    candidate = r + gamma * darkpool_field(r, volume, capacities, rebates)
+    return simplex_safeguard(candidate, float(r.sum()))[0]
+
+
 def test_darkpool_step_hand_value_and_sum_preservation():
     r = np.array([0.5, 0.5])
     caps = np.array([1.0, 0.2])
@@ -688,6 +693,9 @@ def test_brute_force_allocation_cases():
     np.testing.assert_allclose(
         brute_force_allocation(v, caps2, np.array([0.03, 0.05])), [1.0, 0.0]
     )
+    # the grid covers the two-venue simplex only
+    with pytest.raises(ValueError, match="2 pools"):
+        brute_force_allocation(v, np.zeros((4_000, 3)), np.full(3, 0.1))
     with pytest.raises(ValueError):
         brute_force_allocation(v, np.zeros((4_000, 4)), np.full(4, 0.1))
 

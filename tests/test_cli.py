@@ -378,6 +378,58 @@ def test_cli_run_config_error_exit_code(tmp_path, capsys):
     assert main(["run", missing]) == 2
 
 
+@pytest.mark.parametrize(
+    "experiment, body, key",
+    [
+        ("implicit-correlation", "params: {target_rho: .nan}", "params.target_rho"),
+        ("var-cvar", "step: {c: .inf}", "step.c"),
+        ("rate-fit", "params: {theta0: -.inf}", "params.theta0"),
+        ("dark-pool", "params: {mix: [.nan, 0.5]}", "params.mix[0]"),
+    ],
+    ids=["target_rho-nan", "c-inf", "theta0-minus-inf", "mix-nan"],
+)
+def test_cli_run_refuses_non_finite_numbers(tmp_path, capsys, experiment, body, key):
+    out = tmp_path / "out"
+    cfg = _write_cfg(
+        tmp_path / "c.yaml",
+        f"experiment: {experiment}\nseed: 0\n{body}\noutput_dir: {out}\n",
+    )
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err and "finite" in err
+    assert not out.exists()
+
+
+def test_cli_run_refuses_target_beyond_float_range(tmp_path, capsys):
+    # the closed-form capacity (0.7 E[Y^0.8] / 1e-4)^1000 overflows; the
+    # run stops before the recursion instead of crashing after it
+    out = tmp_path / "out"
+    cfg = _write_cfg(
+        tmp_path / "c.yaml",
+        "experiment: ergodic-investment\nseed: 0\nhorizon: 2000\n"
+        f"params: {{beta: 0.999, cost: 0.0001}}\noutput_dir: {out}\n",
+    )
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "beta=0.999" in err and "cost=0.0001" in err
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_cli_run_investment_at_large_gamma_shape(tmp_path, capsys):
+    # sigma = 0.05 meets the Feller condition with an invariant Gamma shape
+    # of 800, whose Gamma function is beyond the float range
+    out = tmp_path / "out"
+    cfg = _write_cfg(
+        tmp_path / "c.yaml",
+        "experiment: ergodic-investment\nseed: 0\nhorizon: 2000\n"
+        f"params: {{sigma: 0.05}}\noutput_dir: {out}\n",
+    )
+    assert main(["run", cfg]) == 0
+    capsys.readouterr()
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "ok" and np.isfinite(summary["target"][0])
+
+
 def test_cli_run_abort_exit_code(tmp_path, capsys):
     cfg = _write_cfg(
         tmp_path / "c.yaml",

@@ -1,5 +1,4 @@
-"""Diagnostics unit tests: error paths, rate fitting, weighted averages,
-Lyapunov channels."""
+"""Diagnostics unit tests: error paths and rate fitting."""
 
 from __future__ import annotations
 
@@ -13,16 +12,12 @@ from avgsa.diagnostics import (
     ErrorPath,
     empirical_average_path,
     fit_rate,
-    lyapunov_monitor,
-    weighted_empirical_average,
 )
-from avgsa.engine import StepSchedule, run
 from avgsa.innovations import (
     Ar1MixingSource,
     DecreasingStepSchedule,
     EulerDecreasingSource,
     HaltonSource,
-    IidGaussianSource,
     IidUniformSource,
 )
 
@@ -70,11 +65,12 @@ def test_fit_rate_exact_on_power_law():
     assert fit.points_used == ns.size
 
 
-def test_fit_rate_drops_zero_errors_with_warning():
+def test_fit_rate_drops_zero_errors():
     ns = np.array([10, 20, 40, 80, 160, 320, 640], dtype=np.int64)
     errors = 2.0 * ns.astype(float) ** (-0.5)
     errors[2] = 0.0
-    with pytest.warns(UserWarning, match="zero"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         fit = fit_rate(ErrorPath(ns=ns, errors=errors))
     assert fit.points_used == ns.size - 1
     assert fit.beta_hat == pytest.approx(0.5, abs=1e-10)
@@ -103,23 +99,8 @@ def test_ar1_mixing_rate_near_one_half():
 
 
 # ---------------------------------------------------------------------------
-# weighted occupation averages
+# decreasing-step Euler occupation averages
 # ---------------------------------------------------------------------------
-
-def test_weighted_average_unit_weights_is_plain_mean():
-    src = IidGaussianSource(1, seed=9)
-    got = weighted_empirical_average(src, lambda r: float(r[0]), 5000)
-    replay = IidGaussianSource(1, seed=9).take_block(5000)[:, 0]
-    assert got == pytest.approx(replay.mean(), abs=1e-13)
-
-
-def test_weighted_average_polynomial_weights():
-    src = IidUniformSource(1, seed=2)
-    got = weighted_empirical_average(src, lambda r: float(r[0]), 4000, weights=lambda k: float(k))
-    replay = IidUniformSource(1, seed=2).take_block(4000)[:, 0]
-    w = np.arange(1, 4001, dtype=float)
-    assert got == pytest.approx(float(np.sum(w * replay) / w.sum()), abs=1e-13)
-
 
 def test_square_root_diffusion_moment_recovered():
     # invariant law of dY = kappa(vtheta - Y)dt + sigma sqrt(|Y|) dW is a
@@ -136,42 +117,5 @@ def test_square_root_diffusion_moment_recovered():
         y0=vtheta,
         seed=0,
     )
-    est = weighted_empirical_average(src, lambda r: abs(r[0]) ** alpha, 100_000)
+    est = float(np.mean(np.abs(src.take_block(100_000)[:, 0]) ** alpha))
     assert abs(est - target) / target < 0.05
-
-
-def test_weighted_average_rejects_bad_input():
-    with pytest.raises(ValueError):
-        weighted_empirical_average(HaltonSource(1), lambda r: 0.0, 0)
-    with pytest.raises(ValueError):
-        weighted_empirical_average(
-            HaltonSource(1), lambda r: 0.0, 10, weights=lambda k: -1.0
-        )
-
-
-# ---------------------------------------------------------------------------
-# Lyapunov channel
-# ---------------------------------------------------------------------------
-
-def test_lyapunov_monitor_settles_on_contraction():
-    src = IidGaussianSource(1, seed=6)
-    traj = run(
-        4.0, src, lambda th, y: th - 0.05 * float(y[0]),
-        StepSchedule(c=1.0, a=1.0), 20_000, record_stride=100,
-    )
-    chan = lyapunov_monitor(traj, lambda th: float(th[0] ** 2), tolerance=1e-2)
-    assert chan.settled
-    assert chan.values.shape == traj.ns.shape
-
-
-def test_lyapunov_monitor_flags_drift():
-    src = IidGaussianSource(1, seed=6)
-    # steps too fat to settle: theta keeps moving by ~0.5 per record
-    traj = run(
-        0.0, src, lambda th, y: -1.0,
-        StepSchedule(c=0.5, a=0.1), 2_000, record_stride=10,
-    )
-    chan = lyapunov_monitor(traj, lambda th: float(th[0]), tolerance=1e-3)
-    assert not chan.settled
-    with pytest.raises(ValueError):
-        lyapunov_monitor(traj, lambda th: 0.0, 1e-3, tail_fraction=0.0)

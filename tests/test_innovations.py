@@ -24,9 +24,7 @@ from avgsa.innovations import (
     HaltonSource,
     IidGaussianSource,
     IidUniformSource,
-    averaging_system_check,
     box_muller_pair,
-    euler_step,
     first_primes,
     halton_block,
     halton_point,
@@ -298,8 +296,7 @@ def test_markov_chain_deterministic_cycle():
 def test_markov_chain_stationary_distribution_and_average():
     P = [[0.9, 0.1], [0.4, 0.6]]
     s = FiniteMarkovChainSource(P, [0.0, 1.0], seed=21)
-    pi = s.stationary_distribution()
-    np.testing.assert_allclose(pi, [0.8, 0.2], atol=1e-12)
+    # pi P = pi gives pi = [0.8, 0.2], so the emitted values average to 0.2
     x = s.take_block(200_000)[:, 0]
     assert abs(x.mean() - 0.2) < 5e-3
 
@@ -309,16 +306,6 @@ def test_markov_chain_validates_matrix():
         FiniteMarkovChainSource([[0.5, 0.4], [0.5, 0.5]], [0.0, 1.0])
     with pytest.raises(ValueError):
         FiniteMarkovChainSource([[1.0]], [0.0, 1.0])
-
-
-def test_euler_step_frozen_value():
-    # square-root diffusion coefficients kappa=1, vartheta=1, sigma=1.5
-    drift = lambda y: 1.0 * (1.0 - y)
-    diff = lambda y: 1.5 * math.sqrt(abs(y))
-    got = euler_step(1.0, 0.1, drift, diff, 1.0)
-    assert got == pytest.approx(1.0 + math.sqrt(0.1) * 1.5, abs=1e-15)
-    with pytest.raises(ValueError):
-        euler_step(1.0, 0.0, drift, diff, 1.0)
 
 
 def test_euler_source_emits_initial_condition_first():
@@ -469,7 +456,7 @@ def test_take_block_rejects_negative_count():
 
 
 # ---------------------------------------------------------------------------
-# step schedules for averaging
+# decreasing Euler step schedule
 # ---------------------------------------------------------------------------
 
 def test_decreasing_schedule_validation():
@@ -481,30 +468,6 @@ def test_decreasing_schedule_validation():
         DecreasingStepSchedule(-1.0, 0.5)
     s = DecreasingStepSchedule(2.0, 0.5)
     assert s.step(4) == pytest.approx(1.0, abs=0)
-
-
-def test_averaging_check_unit_weights_power_steps():
-    rep = averaging_system_check(DecreasingStepSchedule(0.5, 1.0 / 3.0), 10_000)
-    assert rep.verdict == "averaging"
-    assert rep.closed_form_rule is not None
-    assert rep.positive_variation_sum < math.inf
-    assert rep.weighted_square_sum < math.inf
-
-
-def test_averaging_check_polynomial_weights():
-    rep = averaging_system_check(
-        DecreasingStepSchedule(0.5, 1.0 / 3.0), 20_000, eta=lambda n: float(n)
-    )
-    assert rep.verdict == "averaging"
-
-
-def test_averaging_check_bad_weights_flagged():
-    # geometric weights keep eta_n/H_n bounded away from zero, so the
-    # square series has growing terms: decisively not an averaging system
-    rep = averaging_system_check(
-        DecreasingStepSchedule(0.5, 1.0 / 3.0), 5_000, eta=lambda n: 1.02**n
-    )
-    assert rep.verdict == "not-averaging"
 
 
 # ---------------------------------------------------------------------------
