@@ -168,10 +168,9 @@ def bandit_run(
         raise ValueError("randomisation stream must be scalar")
     if not 0.0 <= theta0 <= 1.0:
         raise ValueError(f"initial play probability must lie in [0, 1], got {theta0}")
-    gamma1 = schedule.gamma(1)
-    if not 0.0 < gamma1 <= 1.0:
-        # steps never increase, so the first one bounds them all
-        raise ValueError(f"step must lie in (0, 1], got {gamma1}")
+    if schedule.c > 1.0:
+        # steps never increase, so the first one, c, bounds them all
+        raise ValueError(f"step must lie in (0, 1], got {schedule.c}")
     traj = run(
         theta0, _RoundSource(events, uniforms), bandit_field, schedule, horizon,
         record_stride=record_stride,

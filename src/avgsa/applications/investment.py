@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 from avgsa.engine import StepSchedule, Trajectory, run
-from avgsa.innovations import EulerDecreasingSource, DecreasingStepSchedule
+from avgsa.innovations import EulerDecreasingSource
 
 __all__ = [
     "CirParams",
@@ -97,7 +97,8 @@ def cir_innovation_source(
     return EulerDecreasingSource(
         drift=lambda y: p.kappa * (p.vartheta - y),
         diffusion=lambda y: p.sigma * math.sqrt(abs(y)),
-        schedule=DecreasingStepSchedule(step0, exponent),
+        step0=step0,
+        exponent=exponent,
         y0=start,
         seed=seed,
     )

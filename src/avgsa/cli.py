@@ -80,8 +80,9 @@ def _print_run_report(arts: RunArtifacts) -> None:
 def _cmd_run(args) -> int:
     try:
         arts = run_experiment(args.config)
-    except ValueError as exc:
-        # ConfigError and parameter-domain errors from the applications
+    except (ValueError, yaml.YAMLError) as exc:
+        # malformed YAML, ConfigError and parameter-domain errors from the
+        # applications
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
@@ -153,7 +154,7 @@ def _cmd_sweep(args) -> int:
         with open(args.config, "r") as fh:
             raw = yaml.safe_load(fh)
         base = validate_config(raw)
-    except ValueError as exc:
+    except (ValueError, yaml.YAMLError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -11,7 +11,7 @@ randomness of a run, if any, comes from the stream itself.
 Whether a step schedule is usable depends on how fast the innovation
 stream averages.  That bookkeeping lives here too: closed-form rules for
 power-law schedule/rate pairs and for the low-discrepancy setting, plus a
-finite-horizon numerical probe for schedules with no closed form.
+finite-horizon numerical probe that cross-checks them.
 """
 
 from __future__ import annotations
@@ -45,55 +45,23 @@ DIVERGENCE_BOUND = 1e12
 # Step schedules and rate labels
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, kw_only=True)
 class StepSchedule:
-    """Gain sequence gamma_n, n >= 1, either a power law ``c * n**(-a)``
-    or an explicit non-increasing positive table."""
+    """Power-law gain sequence gamma_n = ``c * n**(-a)``, n >= 1."""
 
-    def __init__(self, *, c: float | None = None, a: float | None = None,
-                 table: np.ndarray | None = None):
-        if table is not None:
-            if c is not None or a is not None:
-                raise ValueError("give either a power law or a table, not both")
-            t = np.asarray(table, dtype=float)
-            if t.ndim != 1 or t.size == 0:
-                raise ValueError("table must be a non-empty vector")
-            if np.any(t <= 0.0):
-                raise ValueError("tabulated steps must be positive")
-            if np.any(np.diff(t) > 0.0):
-                raise ValueError("tabulated steps must be non-increasing")
-            self.table: np.ndarray | None = t
-            self.c = self.a = None
-        else:
-            if c is None or a is None:
-                raise ValueError("power schedule needs both c and a")
-            if c <= 0.0:
-                raise ValueError(f"scale c must be positive, got {c}")
-            if a < 0.0:
-                raise ValueError(f"exponent a must be nonnegative, got {a}")
-            self.c = float(c)
-            self.a = float(a)
-            self.table = None
+    c: float
+    a: float
 
-    def gamma(self, n: int) -> float:
-        """Step used for the n-th update, n >= 1."""
-        if n < 1:
-            raise ValueError("steps are 1-indexed")
-        if self.table is not None:
-            if n > self.table.size:
-                raise ValueError(
-                    f"tabulated schedule has {self.table.size} entries, asked for step {n}"
-                )
-            return float(self.table[n - 1])
-        return self.c * n ** (-self.a)
+    def __post_init__(self) -> None:
+        if not 0.0 < self.c < math.inf:
+            raise ValueError(f"scale c must be positive and finite, got {self.c}")
+        if not 0.0 <= self.a < math.inf:
+            raise ValueError(f"exponent a must be nonnegative and finite, got {self.a}")
+        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "a", float(self.a))
 
     def gamma_array(self, horizon: int) -> np.ndarray:
         """Vector (gamma_1, ..., gamma_horizon)."""
-        if self.table is not None:
-            if horizon > self.table.size:
-                raise ValueError(
-                    f"tabulated schedule has {self.table.size} entries, asked for {horizon}"
-                )
-            return self.table[:horizon].copy()
         return self.c * np.arange(1, horizon + 1, dtype=float) ** (-self.a)
 
 
@@ -146,12 +114,10 @@ class AdmissibilityReport:
         return self.verdict in ("admissible", "consistent-with-admissible")
 
 
-def admissible_power_pair(a: float, beta: float, c: float = 1.0) -> AdmissibilityReport:
-    """Closed-form rule for a power step ``c * n**(-a)`` against a power
-    averaging rate ``n**(-beta)``: admissible iff ``beta`` lies in (0, 1]
-    and ``1 - beta < a <= 1``."""
-    if c <= 0.0:
-        raise ValueError("step scale must be positive")
+def admissible_power_pair(a: float, beta: float) -> AdmissibilityReport:
+    """Closed-form rule for a power step ``c * n**(-a)``, any ``c > 0``,
+    against a power averaging rate ``n**(-beta)``: admissible iff ``beta``
+    lies in (0, 1] and ``1 - beta < a <= 1``."""
     rule = "power/power rule: beta in (0,1] and 1-beta < a <= 1"
     if not 0.0 < beta <= 1.0:
         return AdmissibilityReport("not-admissible", rule, failed_condition="beta outside (0, 1]")
@@ -200,7 +166,8 @@ def check_schedule_numeric(
     rate: RateSpec,
     horizon: int = 10**6,
 ) -> AdmissibilityReport:
-    """Finite-horizon probe of the three admissibility requirements.
+    """Finite-horizon probe of the three admissibility requirements, a
+    numerical cross-check of ``admissible_power_pair``.
 
     Evaluates, up to ``horizon``, the partial sums of gamma_n, the
     sequence ``n * eps_n * gamma_n`` and the partial sums of
@@ -219,10 +186,6 @@ def check_schedule_numeric(
     """
     if horizon < 10**4:
         raise ValueError("probe needs a horizon of at least 1e4")
-    if schedule.table is not None and schedule.table.size < horizon + 1:
-        horizon = schedule.table.size - 1
-        if horizon < 10**4:
-            raise ValueError("tabulated schedule too short for a meaningful probe")
 
     gam = schedule.gamma_array(horizon + 1)
     eps = rate.eps_array(horizon)

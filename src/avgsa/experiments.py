@@ -78,9 +78,13 @@ def _seed_caster(path: str, v) -> int:
 def _float_any(path: str, v) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {v!r}")
-    if not math.isfinite(v):
-        raise ConfigError(f"{path}: must be finite, got {v}")
-    return float(v)
+    try:
+        x = float(v)
+    except OverflowError:
+        raise ConfigError(f"{path}: must be finite, got an integer too big for a float") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{path}: must be finite, got {x}")
+    return x
 
 
 def _float_pos(path: str, v) -> float:
@@ -205,9 +209,9 @@ def _gate_admissibility(kind: str, dimension: int, step_cfg: dict, source_cfg: d
     if kind in ("halton", "halton-gaussian"):
         report = engine.admissible_qsa("finite-variation", dimension, a)
     elif kind == "cir-euler":
-        report = engine.admissible_power_pair(a, source_cfg["exponent"], c)
+        report = engine.admissible_power_pair(a, source_cfg["exponent"])
     else:
-        report = engine.admissible_power_pair(a, _POWER_RATE_BETA, c)
+        report = engine.admissible_power_pair(a, _POWER_RATE_BETA)
     if not report.ok:
         raise ConfigError(
             f"step schedule c={c:g}, a={a:g} is not admissible for source "
@@ -259,7 +263,7 @@ def _run_correlation(cfg: dict) -> Outcome:
     )
     src = make_source(cfg["source"]["kind"], 2, _split_seed(cfg["seed"], 0))
     traj = corr.calibrate_correlation(
-        p, src, StepSchedule(c=cfg["step"]["c"], a=cfg["step"]["a"]),
+        p, src, StepSchedule(**cfg["step"]),
         cfg["horizon"], theta0=pr["theta0"], record_stride=cfg["record_stride"],
     )
     rho = float(traj.channel("rho")[-1])
@@ -308,7 +312,7 @@ def _run_var_cvar(cfg: dict) -> Outcome:
     src = make_source(kind, 1, _split_seed(cfg["seed"], 0), **kwargs)
     alpha = cfg["params"]["alpha"]
     traj = vc.var_cvar_trajectory(
-        src, StepSchedule(c=cfg["step"]["c"], a=cfg["step"]["a"]), cfg["horizon"],
+        src, StepSchedule(**cfg["step"]), cfg["horizon"],
         alpha=alpha, theta0=cfg["params"]["theta0"],
         record_stride=cfg["record_stride"],
     )
@@ -338,7 +342,7 @@ def _run_investment(cfg: dict) -> Outcome:
     q = inv.CobbDouglasParams(alpha=pr["alpha"], beta=pr["beta"], cost=pr["cost"])
     star = inv.theta_star_closed_form(p, q)
     traj = inv.investment_run(
-        p, q, StepSchedule(c=cfg["step"]["c"], a=cfg["step"]["a"]), cfg["horizon"],
+        p, q, StepSchedule(**cfg["step"]), cfg["horizon"],
         step0=cfg["source"]["step0"], exponent=cfg["source"]["exponent"],
         seed=_split_seed(cfg["seed"], 0), theta_tilde0=pr["theta_tilde0"],
         chain_rule=pr["chain_rule"], record_stride=cfg["record_stride"],
@@ -375,7 +379,7 @@ def _run_bandit(cfg: dict) -> Outcome:
     )
     uniforms = make_source("iid-uniform", 1, _split_seed(cfg["seed"], 1))
     res = bd.bandit_run(
-        events, uniforms, StepSchedule(c=cfg["step"]["c"], a=cfg["step"]["a"]),
+        events, uniforms, StepSchedule(**cfg["step"]),
         cfg["horizon"], theta0=pr["theta0"], record_stride=cfg["record_stride"],
     )
     traj = res.trajectory
@@ -418,7 +422,7 @@ def _run_darkpool(cfg: dict) -> Outcome:
     )
     traj = dp.darkpool_run(
         volumes, capacities, rebates,
-        StepSchedule(c=cfg["step"]["c"], a=cfg["step"]["a"]),
+        StepSchedule(**cfg["step"]),
         record_stride=cfg["record_stride"], renorm_every=pr["renorm_every"],
     )
     out = Outcome(
@@ -501,7 +505,7 @@ def _run_rate_fit(cfg: dict) -> Outcome:
     mean = _RATE_FIT_MEANS[kind]
     traj = engine.run(
         cfg["params"]["theta0"], src, lambda th, y: th - float(y[0]),
-        StepSchedule(c=cfg["step"]["c"], a=cfg["step"]["a"]), cfg["horizon"],
+        StepSchedule(**cfg["step"]), cfg["horizon"],
         record_stride=cfg["record_stride"],
         monitors={"abs_error": lambda n, th: abs(th - mean)},
     )

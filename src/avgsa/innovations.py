@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,7 +34,6 @@ __all__ = [
     "halton_block",
     "box_muller_pair",
     "star_discrepancy_exact",
-    "DecreasingStepSchedule",
     "InnovationSource",
     "IidUniformSource",
     "IidGaussianSource",
@@ -239,32 +237,6 @@ def star_discrepancy_exact(points: np.ndarray) -> float:
     d_closed = np.max(closed / n - vol)
     d_open = np.max(vol - open_ / n)
     return float(max(d_closed, d_open))
-
-
-# ---------------------------------------------------------------------------
-# Step schedule of the decreasing-step Euler scheme
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DecreasingStepSchedule:
-    """Power schedule ``gamma_bar_n = gamma0 * n**(-exponent)`` for Euler
-    discretisation, with exponent in ``(0, 1)`` so that the steps vanish
-    while their partial sums diverge."""
-
-    gamma0: float
-    exponent: float
-
-    def __post_init__(self) -> None:
-        if self.gamma0 <= 0.0:
-            raise ValueError(f"gamma0 must be positive, got {self.gamma0}")
-        if not 0.0 < self.exponent < 1.0:
-            raise ValueError(
-                f"exponent must lie in (0, 1), got {self.exponent}"
-            )
-
-    def step(self, n: int) -> float:
-        """Step used for the n-th transition, n >= 1."""
-        return self.gamma0 * n ** (-self.exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +468,10 @@ class EulerDecreasingSource(InnovationSource):
     """Decreasing-step Euler scheme of a scalar diffusion, emitted as an
     innovation stream starting from the initial condition.
 
-    The n-th transition uses step ``schedule.step(n)`` and an independent
-    standard normal; the occupation measure of the emitted sequence
-    approximates the invariant law of the diffusion.
+    The n-th transition uses step ``step0 * n**(-exponent)`` and an
+    independent standard normal.  With ``exponent`` in (0, 1) the steps
+    vanish while their partial sums diverge, and the occupation measure of
+    the emitted sequence approximates the invariant law of the diffusion.
     """
 
     kind = "euler-decreasing"
@@ -507,13 +480,19 @@ class EulerDecreasingSource(InnovationSource):
         self,
         drift: Callable[[float], float],
         diffusion: Callable[[float], float],
-        schedule: DecreasingStepSchedule,
+        step0: float,
+        exponent: float,
         y0: float = 0.0,
         seed: int = 0,
     ):
+        if not 0.0 < step0 < math.inf:
+            raise ValueError(f"step0 must be positive and finite, got {step0}")
+        if not 0.0 < exponent < 1.0:
+            raise ValueError(f"exponent must lie in (0, 1), got {exponent}")
         super().__init__(1)
         self.seed = seed
-        self.schedule = schedule
+        self._step0 = step0
+        self._exponent = exponent
         self._drift = drift
         self._diffusion = diffusion
         self._y = float(y0)
@@ -526,8 +505,7 @@ class EulerDecreasingSource(InnovationSource):
         ys = []
         y = self._y
         n = self._n
-        g0 = self.schedule.gamma0
-        r = self.schedule.exponent
+        g0, r = self._step0, self._exponent
         drift, diffusion = self._drift, self._diffusion
         for zi in z[:, 0].tolist():
             if not self._emitted_initial:

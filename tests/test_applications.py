@@ -575,7 +575,7 @@ def test_bandit_run_validation():
         )
     # a zero step never reaches the bandit: the schedule refuses it
     with pytest.raises(ValueError):
-        StepSchedule(table=[0.0])
+        StepSchedule(c=0.0, a=0.9)
 
 
 # ---------------------------------------------------------------------------

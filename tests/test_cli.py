@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -385,8 +386,9 @@ def test_cli_run_config_error_exit_code(tmp_path, capsys):
         ("var-cvar", "step: {c: .inf}", "step.c"),
         ("rate-fit", "params: {theta0: -.inf}", "params.theta0"),
         ("dark-pool", "params: {mix: [.nan, 0.5]}", "params.mix[0]"),
+        ("rate-fit", "params: {theta0: " + "9" * 400 + "}", "params.theta0"),
     ],
-    ids=["target_rho-nan", "c-inf", "theta0-minus-inf", "mix-nan"],
+    ids=["target_rho-nan", "c-inf", "theta0-minus-inf", "mix-nan", "theta0-huge-int"],
 )
 def test_cli_run_refuses_non_finite_numbers(tmp_path, capsys, experiment, body, key):
     out = tmp_path / "out"
@@ -397,6 +399,20 @@ def test_cli_run_refuses_non_finite_numbers(tmp_path, capsys, experiment, body, 
     assert main(["run", cfg]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and key in err and "finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--seeds", "0..1"]],
+                         ids=["run", "sweep"])
+def test_cli_malformed_yaml_is_a_config_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    cfg = _write_cfg(
+        tmp_path / "c.yaml",
+        f"experiment: rate-fit\noutput_dir: {out}\nseed: [0,\n",
+    )
+    assert main([command[0], cfg, *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and re.search(r"line \d+, column \d+", err)
     assert not out.exists()
 
 

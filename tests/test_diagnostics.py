@@ -15,7 +15,6 @@ from avgsa.diagnostics import (
 )
 from avgsa.innovations import (
     Ar1MixingSource,
-    DecreasingStepSchedule,
     EulerDecreasingSource,
     HaltonSource,
     IidUniformSource,
@@ -113,7 +112,8 @@ def test_square_root_diffusion_moment_recovered():
     src = EulerDecreasingSource(
         lambda y: kappa * (vtheta - y),
         lambda y: sigma * math.sqrt(abs(y)),
-        DecreasingStepSchedule(0.5, 1.0 / 3.0),
+        0.5,
+        1.0 / 3.0,
         y0=vtheta,
         seed=0,
     )

@@ -17,7 +17,6 @@ import pytest
 from avgsa.applications.investment import CirParams, cir_innovation_source
 from avgsa.innovations import (
     Ar1MixingSource,
-    DecreasingStepSchedule,
     EulerDecreasingSource,
     FiniteMarkovChainSource,
     HaltonGaussianSource,
@@ -217,7 +216,7 @@ def test_star_discrepancy_guard_and_domain():
         lambda: Ar1MixingSource(1, seed=7, a=0.5),
         lambda: FiniteMarkovChainSource([[0.5, 0.5], [0.2, 0.8]], [0.0, 1.0], seed=7),
         lambda: EulerDecreasingSource(
-            lambda y: -y, lambda y: 1.0, DecreasingStepSchedule(0.5, 1.0 / 3.0), y0=0.3, seed=7
+            lambda y: -y, lambda y: 1.0, 0.5, 1.0 / 3.0, y0=0.3, seed=7
         ),
     ],
     ids=["iid-uniform", "iid-gaussian", "halton", "halton-gaussian",
@@ -309,21 +308,21 @@ def test_markov_chain_validates_matrix():
 
 
 def test_euler_source_emits_initial_condition_first():
-    sched = DecreasingStepSchedule(0.5, 1.0 / 3.0)
-    s = EulerDecreasingSource(lambda y: -y, lambda y: 1.0, sched, y0=0.3, seed=1)
+    s = EulerDecreasingSource(lambda y: -y, lambda y: 1.0, 0.5, 1.0 / 3.0, y0=0.3, seed=1)
     first = s.next()
     assert first[0] == 0.3
-    # second emission is one Euler transition with step sched.step(1)
+    # second emission is one Euler transition with step 0.5 * 1**(-1/3) = 0.5
     noise = IidGaussianSource(1, seed=1).take_block(2)[1, 0]
-    want = 0.3 + sched.step(1) * (-0.3) + math.sqrt(sched.step(1)) * noise
+    want = 0.3 + 0.5 * (-0.3) + math.sqrt(0.5) * noise
     assert s.next()[0] == pytest.approx(want, abs=1e-15)
 
 
 def test_euler_source_ornstein_uhlenbeck_invariant_variance():
     # dY = -Y dt + sqrt(2) dW has invariant law N(0, 1); the decreasing-step
     # scheme's occupation measure approximates it.
-    sched = DecreasingStepSchedule(0.5, 1.0 / 3.0)
-    s = EulerDecreasingSource(lambda y: -y, lambda y: math.sqrt(2.0), sched, y0=0.0, seed=42)
+    s = EulerDecreasingSource(
+        lambda y: -y, lambda y: math.sqrt(2.0), 0.5, 1.0 / 3.0, y0=0.0, seed=42
+    )
     x = s.take_block(200_000)[:, 0]
     assert abs(x.mean()) < 0.02
     assert abs(x.var() - 1.0) < 0.05
@@ -379,14 +378,14 @@ def markov_by_hand(transition, values, seed, initial_state):
     return out
 
 
-def euler_by_hand(drift, diffusion, schedule, y0, seed):
+def euler_by_hand(drift, diffusion, step0, exponent, y0, seed):
     # the source draws one normal per row; the first row's goes unused
     z = IidGaussianSource(1, seed).take_block(HAND_ROWS)
     out = np.empty((HAND_ROWS, 1))
     y = float(y0)
     out[0, 0] = y
     for n in range(1, HAND_ROWS):
-        gam = schedule.gamma0 * n ** (-schedule.exponent)
+        gam = step0 * n ** (-exponent)
         y = y + gam * drift(y) + math.sqrt(gam) * diffusion(y) * z[n, 0]
         out[n, 0] = y
     return out
@@ -428,13 +427,12 @@ def test_euler_matches_hand_loop(preset, interleaved):
         source = cir_innovation_source(p, step0=1.0, exponent=1.0 / 3.0, seed=9)
         want = euler_by_hand(
             lambda y: 1.0 * (1.0 - y), lambda y: 1.5 * math.sqrt(abs(y)),
-            DecreasingStepSchedule(1.0, 1.0 / 3.0), 1.0, 9,
+            1.0, 1.0 / 3.0, 1.0, 9,
         )
     else:
-        sched = DecreasingStepSchedule(0.5, 0.4)
         drift, diffusion = (lambda y: 0.3 - 2.0 * y), (lambda y: 0.7)
-        source = EulerDecreasingSource(drift, diffusion, sched, y0=-0.4, seed=10)
-        want = euler_by_hand(drift, diffusion, sched, -0.4, 10)
+        source = EulerDecreasingSource(drift, diffusion, 0.5, 0.4, y0=-0.4, seed=10)
+        want = euler_by_hand(drift, diffusion, 0.5, 0.4, -0.4, 10)
     np.testing.assert_array_equal(consume(source, interleaved), want)
 
 
@@ -460,14 +458,9 @@ def test_take_block_rejects_negative_count():
 # ---------------------------------------------------------------------------
 
 def test_decreasing_schedule_validation():
-    with pytest.raises(ValueError):
-        DecreasingStepSchedule(0.5, 0.0)
-    with pytest.raises(ValueError):
-        DecreasingStepSchedule(0.5, 1.0)
-    with pytest.raises(ValueError):
-        DecreasingStepSchedule(-1.0, 0.5)
-    s = DecreasingStepSchedule(2.0, 0.5)
-    assert s.step(4) == pytest.approx(1.0, abs=0)
+    for step0, exponent in [(0.5, 0.0), (0.5, 1.0), (-1.0, 0.5), (math.inf, 0.5)]:
+        with pytest.raises(ValueError):
+            EulerDecreasingSource(lambda y: -y, lambda y: 1.0, step0, exponent)
 
 
 # ---------------------------------------------------------------------------
