@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -48,15 +49,40 @@ class BestOfCallParams:
             raise ValueError("volatilities must be nonnegative")
 
 
+def _bestof_kernel(p: BestOfCallParams) -> Callable[[float, float, float], float]:
+    """Build ``payoff(theta, z1, z2)``, the discounted best-of-call payoff
+    for one Gaussian pair, with the second asset driven by
+    ``z1 cos(theta) + z2 sin(theta)``.
+
+    Everything that does not depend on the draw (``sqrt(T)``, the two
+    log-drifts and volatilities, the discount factor) is computed once
+    here, so a run builds the kernel once and each step only pays for the
+    two exponentials and the angle.  The conditionals give ``max``'s
+    results, ties, NaN and ``-0.0`` included.
+    """
+    t = p.maturity
+    sq = math.sqrt(t)
+    x1, x2, strike = p.x1, p.x2, p.strike
+    mu1 = (p.rate - 0.5 * p.sigma1**2) * t
+    mu2 = (p.rate - 0.5 * p.sigma2**2) * t
+    v1 = p.sigma1 * sq
+    v2 = p.sigma2 * sq
+    disc = math.exp(-p.rate * t)
+    exp, cos, sin = math.exp, math.cos, math.sin
+
+    def payoff(theta: float, z1: float, z2: float) -> float:
+        s1 = x1 * exp(mu1 + v1 * z1)
+        s2 = x2 * exp(mu2 + v2 * (z1 * cos(theta) + z2 * sin(theta)))
+        pay = (s2 if s2 > s1 else s1) - strike
+        return disc * (0.0 if 0.0 > pay else pay)
+
+    return payoff
+
+
 def bestof_payoff(theta: float, z1: float, z2: float, p: BestOfCallParams) -> float:
     """Discounted best-of-call payoff for one Gaussian pair, with the
     second asset driven by ``z1 cos(theta) + z2 sin(theta)``."""
-    t = p.maturity
-    sq = math.sqrt(t)
-    s1 = p.x1 * math.exp((p.rate - 0.5 * p.sigma1**2) * t + p.sigma1 * sq * z1)
-    w2 = z1 * math.cos(theta) + z2 * math.sin(theta)
-    s2 = p.x2 * math.exp((p.rate - 0.5 * p.sigma2**2) * t + p.sigma2 * sq * w2)
-    return math.exp(-p.rate * t) * max(max(s1, s2) - p.strike, 0.0)
+    return _bestof_kernel(p)(theta, z1, z2)
 
 
 def bestof_field(theta: float, z, p: BestOfCallParams) -> float:
@@ -83,13 +109,16 @@ def bs_bestof_price(
         raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
     if source.dimension != 2:
         raise ValueError("pricing needs a 2-dimensional Gaussian source")
+    if n < 1:
+        raise ValueError(f"need at least one payoff, got n = {n}")
     theta = math.acos(rho)
+    payoff = _bestof_kernel(p)
     total = 0.0
     left = n
     while left > 0:
         z = source.take_block(min(1 << 14, left))
         for z1, z2 in z.tolist():
-            total += bestof_payoff(theta, z1, z2, p)
+            total += payoff(theta, z1, z2)
         left -= len(z)
     return total / n
 
@@ -106,10 +135,12 @@ def calibrate_correlation(
     ``rho = cos(theta)`` alongside the angle itself."""
     if source.dimension != 2:
         raise ValueError("calibration needs a 2-dimensional Gaussian source")
+    payoff = _bestof_kernel(p)
+    quote = p.market_price
     return run(
         theta0,
         source,
-        lambda th, z: bestof_field(th, z, p),
+        lambda th, z: payoff(th, z[0], z[1]) - quote,
         schedule,
         horizon,
         record_stride=record_stride,

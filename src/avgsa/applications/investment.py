@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from avgsa.engine import StepSchedule, Trajectory, run
 from avgsa.innovations import EulerDecreasingSource
@@ -86,6 +87,10 @@ def cir_innovation_source(
     moments of every order but the scheme's weighted averages are only
     guaranteed to settle when the step decays no faster than ``n^{-1/3}``
     relative to its square-summability trade-off.
+
+    The first row of the stream is the initial productivity ``y0``
+    (``vartheta`` by default); :class:`EulerDecreasingSource` emits it once,
+    ahead of its per-row loop, and the first transition follows it.
     """
     if not 0.0 < exponent <= 1.0 / 3.0:
         raise ValueError(
@@ -94,9 +99,10 @@ def cir_innovation_source(
     start = p.vartheta if y0 is None else y0
     if start <= 0.0:
         raise ValueError("initial productivity must be positive")
+    kappa, vartheta, sigma, sqrt = p.kappa, p.vartheta, p.sigma, math.sqrt
     return EulerDecreasingSource(
-        drift=lambda y: p.kappa * (p.vartheta - y),
-        diffusion=lambda y: p.sigma * math.sqrt(abs(y)),
+        drift=lambda y: kappa * (vartheta - y),
+        diffusion=lambda y: sigma * sqrt(abs(y)),
         step0=step0,
         exponent=exponent,
         y0=start,
@@ -121,6 +127,47 @@ class CobbDouglasParams:
             raise ValueError(f"cost coefficient must be positive, got {self.cost}")
 
 
+def _transform_kernel(beta: float) -> Callable[[float], float]:
+    """Build ``transform(theta_tilde)`` for :func:`capacity_transform`,
+    with the left-branch exponent ``1/(1-beta)`` computed once."""
+    left = 1.0 / (1.0 - beta)
+    sqrt = math.sqrt
+
+    def transform(theta_tilde: float) -> float:
+        base = theta_tilde + sqrt(theta_tilde**2 + 1.0)
+        return base**left if theta_tilde < 0.0 else base
+
+    return transform
+
+
+def _grad_field(
+    q: CobbDouglasParams, chain_rule: bool
+) -> Callable[[float, Sequence[float]], float]:
+    """Build the capacity step field ``field(theta_tilde, row)``, which is
+    :func:`cobb_douglas_grad` at the productivity ``row[0]``.  The
+    exponents and the cost are computed once and ``chain_rule`` picks the
+    field here, so a run pays per step only for the arithmetic that
+    depends on the step."""
+    alpha, beta, cost = q.alpha, q.beta, q.cost
+    bm1 = beta - 1.0
+    left = 1.0 / (1.0 - beta)
+    transform = _transform_kernel(beta)
+    sqrt = math.sqrt
+
+    def marginal(theta: float, y: float) -> float:
+        return -(beta * abs(y) ** alpha * theta**bm1 - cost)
+
+    if not chain_rule:
+        return lambda theta_tilde, row: marginal(transform(theta_tilde), row[0])
+
+    def chained(theta_tilde: float, row: Sequence[float]) -> float:
+        theta = transform(theta_tilde)
+        rho = left if theta_tilde < 0.0 else 1.0
+        return marginal(theta, row[0]) * (rho * theta / sqrt(theta_tilde**2 + 1.0))
+
+    return chained
+
+
 def capacity_transform(theta_tilde: float, beta: float) -> float:
     """Map the free iterate onto a positive capacity.
 
@@ -131,10 +178,7 @@ def capacity_transform(theta_tilde: float, beta: float) -> float:
     left fast enough to tame the ``theta^{beta-1}`` singularity of the
     marginal profit.
     """
-    base = theta_tilde + math.sqrt(theta_tilde**2 + 1.0)
-    if theta_tilde < 0.0:
-        return base ** (1.0 / (1.0 - beta))
-    return base
+    return _transform_kernel(beta)(theta_tilde)
 
 
 def cobb_douglas_grad(
@@ -157,12 +201,7 @@ def cobb_douglas_grad(
     convention as the diffusion coefficient (``|y|^alpha``), so brief
     negative excursions perturb rather than poison the recursion.
     """
-    theta = capacity_transform(theta_tilde, q.beta)
-    g = -(q.beta * abs(y) ** q.alpha * theta ** (q.beta - 1.0) - q.cost)
-    if chain_rule:
-        rho = 1.0 / (1.0 - q.beta) if theta_tilde < 0.0 else 1.0
-        g *= rho * theta / math.sqrt(theta_tilde**2 + 1.0)
-    return g
+    return _grad_field(q, chain_rule)(theta_tilde, (y,))
 
 
 def theta_star_closed_form(p: CirParams, q: CobbDouglasParams) -> float:
@@ -197,12 +236,13 @@ def investment_run(
     estimate to compare against :func:`theta_star_closed_form`.
     """
     source = cir_innovation_source(p, step0, exponent, seed)
+    transform = _transform_kernel(q.beta)
     return run(
         theta_tilde0,
         source,
-        lambda th, y: cobb_douglas_grad(th, float(y[0]), q, chain_rule),
+        _grad_field(q, chain_rule),
         schedule,
         horizon,
         record_stride=record_stride,
-        monitors={"capacity": lambda n, th: capacity_transform(th, q.beta)},
+        monitors={"capacity": lambda n, th: transform(th)},
     )

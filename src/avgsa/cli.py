@@ -25,6 +25,7 @@ from avgsa.engine import read_csv_columns
 from avgsa.experiments import (
     RunArtifacts,
     describe_experiments,
+    load_config,
     run_experiment,
     validate_config,
 )
@@ -151,9 +152,7 @@ def _cmd_sweep(args) -> int:
         print(f"--jobs must lie in 1..{cap} (the number of CPUs)", file=sys.stderr)
         return 2
     try:
-        with open(args.config, "r") as fh:
-            raw = yaml.safe_load(fh)
-        base = validate_config(raw)
+        base = validate_config(load_config(args.config))
     except (ValueError, yaml.YAMLError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -42,6 +42,7 @@ __all__ = [
     "REGISTRY",
     "experiment_names",
     "describe_experiments",
+    "load_config",
     "validate_config",
     "run_experiment",
 ]
@@ -504,7 +505,7 @@ def _run_rate_fit(cfg: dict) -> Outcome:
     src = make_source(kind, 1, _split_seed(cfg["seed"], 0), **kwargs)
     mean = _RATE_FIT_MEANS[kind]
     traj = engine.run(
-        cfg["params"]["theta0"], src, lambda th, y: th - float(y[0]),
+        cfg["params"]["theta0"], src, lambda th, y: th - y[0],
         StepSchedule(**cfg["step"]), cfg["horizon"],
         record_stride=cfg["record_stride"],
         monitors={"abs_error": lambda n, th: abs(th - mean)},
@@ -672,6 +673,36 @@ def describe_experiments() -> list:
 # config validation and the run pipeline
 # ---------------------------------------------------------------------------
 
+class _ConfigLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that refuses a key repeated within one mapping,
+    which ``safe_load`` would resolve by keeping the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        first_line: dict = {}
+        for key_node, _ in node.value:
+            key = self.construct_object(key_node, deep=deep)
+            line = key_node.start_mark.line + 1
+            try:
+                seen = key in first_line
+            except TypeError:   # unhashable: the base class reports it
+                continue
+            if seen:
+                raise ConfigError(
+                    f"{key}: repeated key at line {line} "
+                    f"(first at line {first_line[key]})"
+                )
+            first_line[key] = line
+        return super().construct_mapping(node, deep=deep)
+
+
+def load_config(path) -> dict:
+    """Read a YAML config file.  A key repeated within one mapping is a
+    ``ConfigError`` naming the key and its line; malformed YAML raises
+    ``yaml.YAMLError``."""
+    with open(path, "r") as fh:
+        return yaml.load(fh, Loader=_ConfigLoader)
+
+
 def validate_config(raw: dict) -> dict:
     """Merge a raw config mapping over the experiment's defaults.
 
@@ -742,9 +773,7 @@ def run_experiment(config) -> RunArtifacts:
     guard aborts the run, with the failure cause in place of results.
     """
     if isinstance(config, (str, Path)):
-        with open(config, "r") as fh:
-            raw = yaml.safe_load(fh)
-        cfg = validate_config(raw)
+        cfg = validate_config(load_config(config))
     else:
         cfg = validate_config(dict(config))
 

@@ -452,13 +452,17 @@ class FiniteMarkovChainSource(InnovationSource):
 
     def _generate(self, count: int) -> np.ndarray:
         rows = self._P_cum.tolist()
+        us = self._rng.random(count).tolist()
         states = []
         s = self._state
-        for ui in self._rng.random(count).tolist():
-            if not self._emitted_initial:
-                self._emitted_initial = True
-            else:
-                s = bisect.bisect_right(rows[s], ui)
+        if not self._emitted_initial:
+            # the first row is the initial state; its uniform goes unused
+            self._emitted_initial = True
+            states.append(s)
+            us = us[1:]
+        bisect_right = bisect.bisect_right
+        for ui in us:
+            s = bisect_right(rows[s], ui)
             states.append(s)
         self._state = s
         return self._values[states]
@@ -472,6 +476,11 @@ class EulerDecreasingSource(InnovationSource):
     independent standard normal.  With ``exponent`` in (0, 1) the steps
     vanish while their partial sums diverge, and the occupation measure of
     the emitted sequence approximates the invariant law of the diffusion.
+
+    The first row is ``y0`` itself.  It is emitted once, at the head of the
+    first generated block and ahead of the per-row loop, and the normal
+    drawn for that row goes unused, so row ``n`` always pairs with normal
+    ``n`` of the underlying stream.
     """
 
     kind = "euler-decreasing"
@@ -501,19 +510,21 @@ class EulerDecreasingSource(InnovationSource):
         self._noise = IidGaussianSource(1, seed)
 
     def _generate(self, count: int) -> np.ndarray:
-        z = self._noise.take_block(count)
+        zs = self._noise.take_block(count)[:, 0].tolist()
         ys = []
         y = self._y
         n = self._n
-        g0, r = self._step0, self._exponent
-        drift, diffusion = self._drift, self._diffusion
-        for zi in z[:, 0].tolist():
-            if not self._emitted_initial:
-                self._emitted_initial = True
-            else:
-                n += 1
-                gam = g0 * n ** (-r)
-                y = y + gam * drift(y) + math.sqrt(gam) * diffusion(y) * zi
+        if not self._emitted_initial:
+            # the first row is the initial condition; its normal goes unused
+            self._emitted_initial = True
+            ys.append(y)
+            zs = zs[1:]
+        g0, neg_r = self._step0, -self._exponent
+        drift, diffusion, sqrt = self._drift, self._diffusion, math.sqrt
+        for zi in zs:
+            n += 1
+            gam = g0 * n**neg_r
+            y = y + gam * drift(y) + sqrt(gam) * diffusion(y) * zi
             ys.append(y)
         out = np.empty((count, 1))
         out[:, 0] = ys

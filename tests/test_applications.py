@@ -130,6 +130,14 @@ def test_bs_price_validation():
         bs_bestof_price(p, 1.5, make_source("halton-gaussian", 2, 0), 100)
     with pytest.raises(ValueError):
         bs_bestof_price(p, 0.0, make_source("halton-gaussian", 1, 0), 100)
+    # no payoffs to average: refused before the source is read
+    for n in (0, -5):
+        src = make_source("halton-gaussian", 2, 0)
+        with pytest.raises(ValueError):
+            bs_bestof_price(p, 0.0, src, n)
+        np.testing.assert_array_equal(
+            src.take_block(3), make_source("halton-gaussian", 2, 0).take_block(3)
+        )
 
 
 def test_calibration_recovers_quoted_correlation():
@@ -166,6 +174,66 @@ def test_calibration_iid_seed_average():
         )
         vals.append(math.cos(float(tr.final_theta[0])))
     assert abs(float(np.mean(vals)) + 0.5) <= 0.05
+
+
+def _bestof_payoff_reference(theta, z1, z2, p):
+    # the payoff as a per-call expression over the parameters, kept as the
+    # reference the hoisted kernel must reproduce bit for bit
+    t = p.maturity
+    sq = math.sqrt(t)
+    s1 = p.x1 * math.exp((p.rate - 0.5 * p.sigma1**2) * t + p.sigma1 * sq * z1)
+    w2 = z1 * math.cos(theta) + z2 * math.sin(theta)
+    s2 = p.x2 * math.exp((p.rate - 0.5 * p.sigma2**2) * t + p.sigma2 * sq * w2)
+    return math.exp(-p.rate * t) * max(max(s1, s2) - p.strike, 0.0)
+
+
+def test_bestof_payoff_matches_reference_expression():
+    params = [
+        BestOfCallParams(),
+        BestOfCallParams(x1=95.0, x2=110.0, rate=0.03, sigma1=0.25, sigma2=0.45,
+                         maturity=0.7, strike=90.0),
+        BestOfCallParams(strike=0.0),   # deep underflow leaves 0.0 - 0.0
+        BestOfCallParams(sigma2=0.0),
+    ]
+    zs = np.random.default_rng(5).standard_normal((200, 2)).tolist()
+    # equal assets at theta = 0 tie s1 and s2; a NaN draw must come
+    # through as max() passes it; -800 underflows both exponentials
+    zs += [[0.3, 0.0], [0.0, 0.0], [math.nan, 0.5], [0.5, math.nan], [-800.0, -800.0]]
+    for p in params:
+        for theta in (0.0, 0.4, 2.0, math.pi, -1.3):
+            for z1, z2 in zs:
+                got = bestof_payoff(theta, z1, z2, p)
+                want = _bestof_payoff_reference(theta, z1, z2, p)
+                assert np.array([got]).tobytes() == np.array([want]).tobytes(), (p, theta, z1, z2)
+
+
+@pytest.mark.parametrize("kind", ["halton-gaussian", "iid-gaussian"])
+@pytest.mark.parametrize("stride", [1, 100])
+def test_calibrate_correlation_matches_hand_loop(kind, stride):
+    # reference: the angle recursion written out by hand over the public
+    # payoff, recorded every ``stride`` steps and at the horizon; the
+    # engine-driven run must match it bit for bit
+    horizon, theta0 = 10_001, 0.3
+    p = BestOfCallParams(x1=95.0, x2=105.0, rate=0.05, sigma1=0.25, sigma2=0.4,
+                         maturity=0.75, strike=100.0, market_price=14.0)
+    sched = StepSchedule(c=8.0, a=1.0)
+    zs = make_source(kind, 2, 3).take_block(horizon).tolist()
+    gammas = sched.gamma_array(horizon).tolist()
+    ns, thetas, rhos = [0], [theta0], [math.cos(theta0)]
+    theta = theta0
+    for n, ((z1, z2), g) in enumerate(zip(zs, gammas), start=1):
+        theta = theta - g * (bestof_payoff(theta, z1, z2, p) - p.market_price)
+        if n % stride == 0 or n == horizon:
+            ns.append(n)
+            thetas.append(theta)
+            rhos.append(math.cos(theta))
+
+    tr = calibrate_correlation(p, make_source(kind, 2, 3), sched, horizon,
+                               theta0=theta0, record_stride=stride)
+    np.testing.assert_array_equal(tr.ns, ns)
+    np.testing.assert_array_equal(tr.channel("theta_0"), thetas)
+    np.testing.assert_array_equal(tr.channel("rho"), rhos)
+    np.testing.assert_array_equal(tr.final_theta, [theta])
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +500,73 @@ def test_investment_run_both_modes_reach_target():
         tr = investment_run(p, q, sched, 50_000, seed=0, chain_rule=mode)
         cap = float(tr.channel("capacity")[-1])
         assert abs(cap - star) / star <= 0.15
+
+
+def _capacity_reference(theta_tilde, beta):
+    base = theta_tilde + math.sqrt(theta_tilde**2 + 1.0)
+    if theta_tilde < 0.0:
+        return base ** (1.0 / (1.0 - beta))
+    return base
+
+
+def _cobb_douglas_reference(theta_tilde, y, q, chain_rule):
+    # the gradient as a per-call expression over the parameters, kept as
+    # the reference the hoisted kernel must reproduce bit for bit
+    theta = _capacity_reference(theta_tilde, q.beta)
+    g = -(q.beta * abs(y) ** q.alpha * theta ** (q.beta - 1.0) - q.cost)
+    if chain_rule:
+        rho = 1.0 / (1.0 - q.beta) if theta_tilde < 0.0 else 1.0
+        g *= rho * theta / math.sqrt(theta_tilde**2 + 1.0)
+    return g
+
+
+def test_cobb_douglas_kernel_matches_reference_expression():
+    tts = np.linspace(-6.0, 6.0, 121).tolist() + [-0.0, 1e-300, -1e-300, 1e8, math.nan]
+    ys = [1.3, 0.0, -0.4, 2.7, 1e-12, math.nan]
+    for q in (CobbDouglasParams(0.8, 0.7, 0.5), CobbDouglasParams(0.3, 0.2, 1.7)):
+        for tt in tts:
+            got = capacity_transform(tt, q.beta)
+            want = _capacity_reference(tt, q.beta)
+            assert np.array([got]).tobytes() == np.array([want]).tobytes(), (q, tt)
+            for y in ys:
+                for chain_rule in (False, True):
+                    got = cobb_douglas_grad(tt, y, q, chain_rule)
+                    want = _cobb_douglas_reference(tt, y, q, chain_rule)
+                    assert np.array([got]).tobytes() == np.array([want]).tobytes(), (
+                        q, tt, y, chain_rule)
+
+
+@pytest.mark.parametrize("chain_rule", [False, True], ids=["plain", "chain"])
+@pytest.mark.parametrize("stride", [1, 100])
+def test_investment_run_matches_hand_loop(stride, chain_rule):
+    # reference: the capacity recursion written out by hand over the public
+    # gradient and transform along the same Euler path, recorded every
+    # ``stride`` steps and at the horizon.  From theta_tilde = -1 with small
+    # early steps, both modes take steps on the left branch of the
+    # transform before the path crosses zero.
+    horizon, theta0 = 10_001, -1.0
+    p = CirParams(1.0, 1.0, 1.2)
+    q = CobbDouglasParams(0.8, 0.7, 0.5)
+    sched = StepSchedule(c=0.2, a=0.6)
+    ys = cir_innovation_source(p, 0.8, 0.3, 14).take_block(horizon)[:, 0].tolist()
+    gammas = sched.gamma_array(horizon).tolist()
+    ns, thetas, caps = [0], [theta0], [capacity_transform(theta0, q.beta)]
+    theta, left_steps = theta0, 0
+    for n, (y, g) in enumerate(zip(ys, gammas), start=1):
+        left_steps += theta < 0.0
+        theta = theta - g * cobb_douglas_grad(theta, y, q, chain_rule)
+        if n % stride == 0 or n == horizon:
+            ns.append(n)
+            thetas.append(theta)
+            caps.append(capacity_transform(theta, q.beta))
+
+    tr = investment_run(p, q, sched, horizon, step0=0.8, exponent=0.3, seed=14,
+                        theta_tilde0=theta0, chain_rule=chain_rule, record_stride=stride)
+    assert left_steps >= 5 and theta > 0.0
+    np.testing.assert_array_equal(tr.ns, ns)
+    np.testing.assert_array_equal(tr.channel("theta_0"), thetas)
+    np.testing.assert_array_equal(tr.channel("capacity"), caps)
+    np.testing.assert_array_equal(tr.final_theta, [theta])
 
 
 # ---------------------------------------------------------------------------

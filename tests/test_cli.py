@@ -416,6 +416,29 @@ def test_cli_malformed_yaml_is_a_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--seeds", "0..1"]],
+                         ids=["run", "sweep"])
+@pytest.mark.parametrize(
+    "body, key, line",
+    [
+        # safe_load would keep the second block and run with c = 1.0
+        ("step: {c: 0.5}\nstep: {a: 0.9}\n", "step", 5),
+        ("step:\n  c: 0.5\n  c: 0.6\n", "c", 6),
+    ],
+    ids=["top-level", "nested"],
+)
+def test_cli_repeated_key_is_a_config_error(tmp_path, capsys, command, body, key, line):
+    out = tmp_path / "out"
+    cfg = _write_cfg(
+        tmp_path / "c.yaml",
+        f"experiment: rate-fit\nseed: 0\nhorizon: 2000\n{body}output_dir: {out}\n",
+    )
+    assert main([command[0], cfg, *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: repeated key at line {line}")
+    assert not out.exists()
+
+
 def test_cli_run_refuses_target_beyond_float_range(tmp_path, capsys):
     # the closed-form capacity (0.7 E[Y^0.8] / 1e-4)^1000 overflows; the
     # run stops before the recursion instead of crashing after it
