@@ -117,7 +117,7 @@ def bs_bestof_price(
     left = n
     while left > 0:
         z = source.take_block(min(1 << 14, left))
-        for z1, z2 in z.tolist():
+        for z1, z2 in zip(*z.T.tolist()):
             total += payoff(theta, z1, z2)
         left -= len(z)
     return total / n

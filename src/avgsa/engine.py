@@ -312,8 +312,11 @@ def run(
     investment, bandit and rate-fit runs all go through it.  The stream
     is read with ``take_block``, one row per step in stream order.  When
     the iterate is scalar it is a plain float, and ``h`` receives each
-    row as a list of ``dimension`` Python floats; otherwise the iterate
-    is an array and each row a length-``dimension`` numpy vector.  ``h``
+    row as a tuple of ``dimension`` Python floats, made from the block's
+    columns as the step reaches it and freed after it, so no per-row
+    container outlives its step and the loop sets off no garbage
+    collections; otherwise the iterate is an array and each row a
+    length-``dimension`` numpy vector.  ``h``
     and the monitors receive the iterate in that form.  Iterates are
     recorded at ``record_stride`` spacing; the initial and final
     iterates are always present.  A guard aborts
@@ -333,7 +336,7 @@ def run(
         # scalar path: plain float arithmetic in the hot loop
         x = float(theta[0])
         drift_of, norm, snap = h, abs, float
-        rows_of = lambda block: block.tolist()
+        rows_of = lambda block: zip(*block.T.tolist())
     else:
         x = theta
         drift_of = lambda th, y: np.asarray(h(th, y), dtype=float)

@@ -22,6 +22,7 @@ how the consumer interleaves single draws and block draws.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from typing import Callable, Sequence
 
@@ -103,22 +104,70 @@ def halton_point(n: int, q: int) -> np.ndarray:
     return np.array([radical_inverse(n, b) for b in first_primes(q)])
 
 
+# Digit tables have at most this many entries: k base-b digits are read
+# per numpy pass, with b**k <= _DIGIT_TABLE.
+_DIGIT_TABLE = 4096
+
+
+@functools.cache
+def _reversed_digits(base: int) -> tuple[int, np.ndarray]:
+    """``(k, table)`` with k the largest count of base-b digits whose
+    ``base**k`` entries fit in ``_DIGIT_TABLE`` (at least 1):
+    ``table[i]`` is the integer whose k base-b digits are those of ``i``
+    in reverse order, leading zeros included.  The table is read-only;
+    every caller shares it."""
+    k = 1
+    while base ** (k + 1) <= _DIGIT_TABLE:
+        k += 1
+    i = np.arange(base**k, dtype=np.int64)
+    table = np.zeros(base**k, dtype=np.int64)
+    for _ in range(k):
+        table = table * base + i % base
+        i //= base
+    table.flags.writeable = False
+    return k, table
+
+
 def halton_block(start: int, count: int, q: int) -> np.ndarray:
     """Halton points for indices ``start, ..., start+count-1`` as an
-    ``(count, q)`` array.  Vectorised digit extraction; exact."""
+    ``(count, q)`` array.
+
+    Digits are mirrored k at a time through a table of reversed k-digit
+    strings, then each coordinate is the integer ratio ``rev / b**K``,
+    where K is the number of base-b digits of the last index: the same
+    correctly rounded double as :func:`radical_inverse`.  That needs both
+    integers exact in double precision, so a block whose last index has
+    ``b**K > 2**53`` in one of its bases raises ``ValueError``.
+    """
     if start < 1:
         raise ValueError("Halton indices start at 1")
+    last = start + count - 1
+    bases = first_primes(q)
+    ndigits = []
+    for b in bases:
+        K, power = 0, 1
+        while power <= last:
+            K, power = K + 1, power * b
+        if power > 2**53:
+            raise ValueError(
+                f"Halton index {last} has {K} base-{b} digits and {b}**{K} > 2**53: "
+                "its point is not exact in double precision"
+            )
+        ndigits.append(K)
     idx0 = np.arange(start, start + count, dtype=np.int64)
     out = np.empty((count, q))
-    for j, b in enumerate(first_primes(q)):
-        idx = idx0.copy()
+    for j, (b, K) in enumerate(zip(bases, ndigits)):
+        k, table = _reversed_digits(b)
+        chunks, rest = divmod(K, k)
+        idx = idx0
         rev = np.zeros(count, dtype=np.int64)
-        denom = 1
-        while idx.any():
-            rev = rev * b + idx % b
-            idx //= b
-            denom *= b
-        out[:, j] = rev / denom
+        for _ in range(chunks):
+            idx, low = np.divmod(idx, b**k)
+            rev = rev * b**k + table[low]
+        if rest:
+            # idx < b**rest now: its k-digit reversal ends in k-rest zeros
+            rev = rev * b**rest + table[idx] // b ** (k - rest)
+        out[:, j] = rev / b**K
     return out
 
 

@@ -140,6 +140,19 @@ def test_bs_price_validation():
         )
 
 
+@pytest.mark.parametrize("kind", ["halton-gaussian", "iid-gaussian"])
+def test_bs_price_matches_hand_loop(kind):
+    # 20 000 payoffs span a full 16 384-row block and a partial one
+    p = BestOfCallParams(x2=110.0, rate=0.03, sigma1=0.25, maturity=0.7, strike=95.0)
+    n = 20_000
+    price = bs_bestof_price(p, -0.4, make_source(kind, 2, 3), n)
+    theta = math.acos(-0.4)
+    total = 0.0
+    for z1, z2 in make_source(kind, 2, 3).take_block(n).tolist():
+        total += bestof_payoff(theta, z1, z2, p)
+    assert price == total / n
+
+
 def test_calibration_recovers_quoted_correlation():
     p = BestOfCallParams()
     tr = calibrate_correlation(

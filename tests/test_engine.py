@@ -3,6 +3,7 @@ itself, and the delimited output."""
 
 from __future__ import annotations
 
+import gc
 import math
 
 import numpy as np
@@ -162,6 +163,43 @@ def test_run_records_and_monitors():
     assert list(traj.ns[:3]) == [0, 10, 20]
     np.testing.assert_allclose(traj.monitors["double"], 2.0 * traj.thetas[:, 0])
     assert "double" in traj.channel_names()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_run_scalar_rows_are_float_tuples(d):
+    rows = []
+    run(0.0, IidUniformSource(d, seed=2), lambda th, y: rows.append(y) or th,
+        StepSchedule(c=1.0, a=1.0), 5_000)
+    assert all(type(y) is tuple and len(y) == d for y in rows)
+    assert all(type(v) is float for y in rows for v in y)
+    np.testing.assert_array_equal(np.array(rows), IidUniformSource(d, seed=2).take_block(5_000))
+
+
+def test_run_vector_rows_are_numpy_rows():
+    rows = []
+    run(np.zeros(2), IidUniformSource(2, seed=2), lambda th, y: rows.append(y) or th,
+        StepSchedule(c=1.0, a=1.0), 5_000)
+    assert all(isinstance(y, np.ndarray) and y.shape == (2,) for y in rows)
+    np.testing.assert_array_equal(np.array(rows), IidUniformSource(2, seed=2).take_block(5_000))
+
+
+def test_run_scalar_loop_sets_off_no_collections():
+    # a row that outlived its step (a list per row, say) would trip the
+    # generation-0 threshold every few hundred steps
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    src = IidUniformSource(3, seed=0)
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        run(0.0, src, lambda th, y: th - y[0], StepSchedule(c=1.0, a=1.0), 200_000)
+    finally:
+        gc.callbacks.remove(count)
+    assert len(collections) < 5, collections
 
 
 # the scalar iterate is guarded with abs, the vector one with the max norm

@@ -108,6 +108,59 @@ def test_halton_block_agrees_with_pointwise():
         np.testing.assert_array_equal(blk[i], halton_point(7 + i, 3))
 
 
+def _halton_block_digit_loop(start: int, count: int, q: int) -> np.ndarray:
+    # one base-b digit per numpy pass, as halton_block extracted them before
+    # its digit tables: the reference the tables must reproduce bit for bit
+    idx0 = np.arange(start, start + count, dtype=np.int64)
+    out = np.empty((count, q))
+    for j, b in enumerate(first_primes(q)):
+        idx = idx0.copy()
+        rev = np.zeros(count, dtype=np.int64)
+        denom = 1
+        while idx.any():
+            rev = rev * b + idx % b
+            idx //= b
+            denom *= b
+        out[:, j] = rev / denom
+    return out
+
+
+@pytest.mark.parametrize("start", [1, 4095, 4096, 4097, 12_345, 2**20, 2**31, 2**40])
+def test_halton_block_matches_digit_loop(start):
+    # q up to 8 takes the bases up to 19, whose tables hold 1 to 3 digits
+    for q in range(1, 9):
+        for count in (1, 4095, 4096, 4097):
+            np.testing.assert_array_equal(
+                halton_block(start, count, q), _halton_block_digit_loop(start, count, q)
+            )
+
+
+@pytest.mark.parametrize(
+    "start, count, q, base",
+    [
+        (2**52 - 2, 4, 3, 5),   # 5**23 > 2**53; bases 2 and 3 are still exact
+        (2**53 - 2, 1, 2, 3),   # 3**34 > 2**53; base 2 is still exact
+        (2**62, 4, 2, 2),       # the int64 digits overflowed to a negative point
+        (2**63 - 2, 4, 1, 2),   # the index wrapped negative and the loop never ended
+    ],
+)
+def test_halton_block_refuses_inexact_indices(start, count, q, base):
+    with pytest.raises(ValueError, match=rf"base-{base} digits .* > 2\*\*53"):
+        halton_block(start, count, q)
+
+
+@pytest.mark.parametrize("q", range(1, 9))
+def test_halton_block_exact_up_to_the_bound(q):
+    # the last index with b**K <= 2**53 in every base, K its digit count
+    bases = first_primes(q)
+    last = min(b ** max(k for k in range(60) if b**k <= 2**53) for b in bases) - 1
+    blk = halton_block(last - 63, 64, q)
+    expected = [[radical_inverse(n, b) for b in bases] for n in range(last - 63, last + 1)]
+    np.testing.assert_array_equal(blk, np.array(expected))
+    with pytest.raises(ValueError):
+        halton_block(last - 63, 65, q)
+
+
 def test_halton_coordinates_strictly_inside_unit_cube():
     blk = halton_block(1, 2048, 4)
     assert np.all(blk > 0.0) and np.all(blk < 1.0)
