@@ -36,6 +36,10 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+# darkpool_run renormalises the allocation's component sum to exactly 1
+# this often, so roundoff cannot accumulate over long series
+_RENORM_EVERY = 10_000
+
 
 def _as_rebates(rebates) -> np.ndarray:
     rho = np.asarray(rebates, dtype=float)
@@ -164,7 +168,6 @@ def darkpool_run(
     schedule: StepSchedule,
     r0=None,
     record_stride: int = 100,
-    renorm_every: int = 10_000,
 ) -> Trajectory:
     """Run the allocation recursion once through a (volume, capacity)
     series.
@@ -174,8 +177,7 @@ def darkpool_run(
     columns), the running mean of the per-order relative cost reduction
     (monitor ``mean_cost_reduction``), and the cumulative safeguard
     trigger count (monitor ``safeguard_count``).  The component sum is
-    renormalised to exactly 1 every ``renorm_every`` steps so roundoff
-    cannot accumulate over long series.
+    renormalised to exactly 1 every ``_RENORM_EVERY`` (10 000) steps.
     """
     v = np.asarray(volumes, dtype=float)
     d = np.asarray(capacities, dtype=float)
@@ -197,8 +199,8 @@ def darkpool_run(
         r = np.asarray(r0, dtype=float).copy()
         if r.shape != (pools,) or np.any(r < 0.0) or abs(r.sum() - 1.0) > 1e-9:
             raise ValueError("initial allocation must be a simplex point")
-    if record_stride < 1 or renorm_every < 1:
-        raise ValueError("record_stride and renorm_every must be at least 1")
+    if record_stride < 1:
+        raise ValueError("record_stride must be at least 1")
 
     gammas = schedule.gamma_array(horizon)
     ns = [0]
@@ -224,7 +226,7 @@ def darkpool_run(
             else:
                 logger.debug("allocation safeguard clipped at step %d", t + 1)
         n = t + 1
-        if n % renorm_every == 0:
+        if n % _RENORM_EVERY == 0:
             r /= r.sum()
         if n % record_stride == 0 or n == horizon:
             ns.append(n)

@@ -48,7 +48,7 @@ class RateFit:
 
 def empirical_average_path(
     source: InnovationSource,
-    f: Callable[[np.ndarray], float],
+    f: Callable[[tuple], float],
     target: float,
     checkpoints: Sequence[int],
 ) -> ErrorPath:
@@ -56,7 +56,9 @@ def empirical_average_path(
     sample sizes.
 
     Single pass, constant memory: the stream is consumed once up to the
-    largest checkpoint and only the running sum is kept.
+    largest checkpoint and only the running sum is kept.  ``f`` gets each
+    row as a tuple of ``dimension`` Python floats, as the scalar fields of
+    ``engine.run`` do.
     """
     cps = sorted(int(c) for c in checkpoints)
     if not cps or cps[0] < 1:
@@ -66,10 +68,10 @@ def empirical_average_path(
     seen = 0
     it = iter(cps)
     nxt = next(it)
-    # consume in blocks; evaluate f per element (f need not be vectorised)
+    # consume in blocks; evaluate f per row (f need not be vectorised)
     while seen < cps[-1]:
         block = source.take_block(min(4096, cps[-1] - seen))
-        for row in block:
+        for row in zip(*block.T.tolist()):
             total += f(row)
             seen += 1
             if seen == nxt:

@@ -120,6 +120,15 @@ def _optional(caster):
     return cast
 
 
+def _choice(*options: str):
+    def cast(path: str, v) -> str:
+        if v not in options:
+            raise ConfigError(f"{path}: {v!r} not supported; choose one of " + ", ".join(options))
+        return v
+
+    return cast
+
+
 def _merge(schema: dict, given: dict, path: str) -> dict:
     out: dict = {}
     unknown = set(given) - set(schema)
@@ -153,16 +162,22 @@ def _merge(schema: dict, given: dict, path: str) -> dict:
 
 @dataclass
 class Outcome:
-    """What a runner hands back to the artifact writer."""
+    """What a runner hands back; ``run_experiment`` derives every summary
+    number from it.
+
+    ``channel`` is the plotted trajectory column.  Given a ``target`` and
+    no ``errors``, the error path is ``|channel - target[0]|`` and the plot
+    draws ``target[0]``; a runner with another error measure passes its
+    path as ``errors``.  The summary ``error`` is the path's last value
+    when there is a target, and ``fitted_rate`` the power-law fit of the
+    path whenever there is one.
+    """
 
     trajectory: Trajectory
-    final: list | None = None
+    channel: str
     target: list | None = None
-    error: float | None = None
-    fitted_rate: float | None = None
-    plot_channel: str = "theta_0"
-    plot_target: float | None = None
-    plot_logx: bool = False
+    errors: np.ndarray | None = None
+    logx: bool = False
     notes: dict = field(default_factory=dict)
 
 
@@ -171,7 +186,6 @@ class Experiment:
     name: str
     description: str
     schema: dict
-    source_kinds: tuple
     runner: Callable
     # extra config checks beyond the schema, run at validation time so a
     # bad config is refused before any computation starts
@@ -246,12 +260,16 @@ _COMMON_SCHEMA = {
 
 
 def _schema(horizon: int, step: dict, source: dict, params: dict) -> dict:
-    out = dict(_COMMON_SCHEMA)
-    out["horizon"] = (horizon, _int_pos)
-    out["step"] = step
-    out["source"] = source
-    out["params"] = params
-    return out
+    return {**_COMMON_SCHEMA, "horizon": (horizon, _int_pos),
+            "step": step, "source": source, "params": params}
+
+
+def _scalar_source(cfg: dict):
+    """The one-dimensional stream of ``source.kind``, with its mixing
+    coefficient for the AR(1) chain."""
+    kind = cfg["source"]["kind"]
+    kwargs = {"a": cfg["source"]["mixing"]} if kind == "ar1-mixing" else {}
+    return make_source(kind, 1, _split_seed(cfg["seed"], 0), **kwargs)
 
 
 def _run_correlation(cfg: dict) -> Outcome:
@@ -267,21 +285,11 @@ def _run_correlation(cfg: dict) -> Outcome:
         p, src, StepSchedule(**cfg["step"]),
         cfg["horizon"], theta0=pr["theta0"], record_stride=cfg["record_stride"],
     )
-    rho = float(traj.channel("rho")[-1])
-    out = Outcome(
-        trajectory=traj,
-        final=[float(traj.final_theta[0])],
-        plot_channel="rho",
-        notes={"rho_final": rho},
-    )
     tgt = pr["target_rho"]
-    if tgt is not None:
-        errs = np.abs(traj.channel("rho") - tgt)
-        out.target = [tgt]
-        out.error = float(errs[-1])
-        out.fitted_rate = _fit_error_decay(traj.ns, errs)
-        out.plot_target = tgt
-    return out
+    return Outcome(
+        traj, "rho", target=None if tgt is None else [tgt],
+        notes={"rho_final": float(traj.channel("rho")[-1])},
+    )
 
 
 def _var_cvar_targets(kind: str, alpha: float, mixing: float):
@@ -307,33 +315,17 @@ def _preflight_var_cvar(cfg: dict) -> None:
 
 
 def _run_var_cvar(cfg: dict) -> Outcome:
-    kind = cfg["source"]["kind"]
-    mixing = cfg["source"]["mixing"]
-    kwargs = {"a": mixing} if kind == "ar1-mixing" else {}
-    src = make_source(kind, 1, _split_seed(cfg["seed"], 0), **kwargs)
     alpha = cfg["params"]["alpha"]
     traj = vc.var_cvar_trajectory(
-        src, StepSchedule(**cfg["step"]), cfg["horizon"],
+        _scalar_source(cfg), StepSchedule(**cfg["step"]), cfg["horizon"],
         alpha=alpha, theta0=cfg["params"]["theta0"],
         record_stride=cfg["record_stride"],
     )
-    q, es = _var_cvar_targets(kind, alpha, mixing)
-    theta = float(traj.final_theta[0])
+    q, es = _var_cvar_targets(cfg["source"]["kind"], alpha, cfg["source"]["mixing"])
     zeta = float(traj.channel("cvar")[-1])
-    errs = np.abs(traj.channel("theta_0") - q)
     return Outcome(
-        trajectory=traj,
-        final=[theta],
-        target=[q],
-        error=float(errs[-1]),
-        fitted_rate=_fit_error_decay(traj.ns, errs),
-        plot_channel="theta_0",
-        plot_target=q,
-        notes={
-            "cvar_final": zeta,
-            "cvar_target": es,
-            "cvar_error": abs(zeta - es),
-        },
+        traj, "theta_0", target=[q],
+        notes={"cvar_final": zeta, "cvar_target": es, "cvar_error": abs(zeta - es)},
     )
 
 
@@ -348,15 +340,8 @@ def _run_investment(cfg: dict) -> Outcome:
         seed=_split_seed(cfg["seed"], 0), theta_tilde0=pr["theta_tilde0"],
         chain_rule=pr["chain_rule"], record_stride=cfg["record_stride"],
     )
-    errs = np.abs(traj.channel("capacity") - star)
     return Outcome(
-        trajectory=traj,
-        final=[float(traj.final_theta[0])],
-        target=[star],
-        error=float(errs[-1]),
-        fitted_rate=_fit_error_decay(traj.ns, errs),
-        plot_channel="capacity",
-        plot_target=star,
+        traj, "capacity", target=[star],
         notes={
             "capacity_final": float(traj.channel("capacity")[-1]),
             "feller_condition": bool(2.0 * pr["kappa"] * pr["vartheta"] > pr["sigma"] ** 2),
@@ -383,21 +368,13 @@ def _run_bandit(cfg: dict) -> Outcome:
         events, uniforms, StepSchedule(**cfg["step"]),
         cfg["horizon"], theta0=pr["theta0"], record_stride=cfg["record_stride"],
     )
-    traj = res.trajectory
-    out = Outcome(
-        trajectory=traj,
-        final=[float(traj.final_theta[0])],
-        plot_channel="theta_0",
+    target = None
+    if pr["freq_a"] != pr["freq_b"]:
+        target = [1.0 if pr["freq_a"] > pr["freq_b"] else 0.0]
+    return Outcome(
+        res.trajectory, "theta_0", target=target,
         notes={"classification": res.classification},
     )
-    if pr["freq_a"] != pr["freq_b"]:
-        tgt = 1.0 if pr["freq_a"] > pr["freq_b"] else 0.0
-        errs = np.abs(traj.channel("theta_0") - tgt)
-        out.target = [tgt]
-        out.error = float(errs[-1])
-        out.fitted_rate = _fit_error_decay(traj.ns, errs)
-        out.plot_target = tgt
-    return out
 
 
 def _preflight_darkpool(cfg: dict) -> None:
@@ -414,37 +391,27 @@ def _preflight_darkpool(cfg: dict) -> None:
 
 def _run_darkpool(cfg: dict) -> Outcome:
     pr = cfg["params"]
-    mix = np.asarray(pr["mix"], dtype=float)
-    scale = np.asarray(pr["scale"], dtype=float)
-    rebates = np.asarray(pr["rebates"], dtype=float)
+    mix, scale, rebates = (np.asarray(pr[k], dtype=float) for k in ("mix", "scale", "rebates"))
     volumes, capacities = dp.synthetic_darkpool_series(
         cfg["horizon"], seed=_split_seed(cfg["seed"], 0), mix=mix, scale=scale,
         mixing=cfg["source"]["mixing"], log_sigma=cfg["source"]["log_sigma"],
     )
     traj = dp.darkpool_run(
         volumes, capacities, rebates,
-        StepSchedule(**cfg["step"]),
-        record_stride=cfg["record_stride"], renorm_every=pr["renorm_every"],
+        StepSchedule(**cfg["step"]), record_stride=cfg["record_stride"],
     )
     out = Outcome(
-        trajectory=traj,
-        final=[float(v) for v in traj.final_theta],
-        plot_channel="mean_cost_reduction",
-        notes={"safeguard_count": int(traj.channel("safeguard_count")[-1])},
+        traj, "mean_cost_reduction",
+        notes={"safeguard_count": int(traj.channel("safeguard_count")[-1]),
+               "oracle_allocation": None},
     )
     if mix.size == 2:
-        # the brute-force reference is cheap for two pools; it is the
-        # yardstick the summary error reports against
-        oracle = dp.brute_force_allocation(
-            volumes, capacities, rebates, resolution=pr["oracle_resolution"]
-        )
-        errs = np.abs(traj.thetas - oracle).max(axis=1)
-        out.target = [float(v) for v in oracle]
-        out.error = float(errs[-1])
-        out.fitted_rate = _fit_error_decay(traj.ns, errs)
-        out.notes["oracle_allocation"] = [float(v) for v in oracle]
-    else:
-        out.notes["oracle_allocation"] = None
+        # the brute-force reference is cheap for two pools; the summary
+        # error is the sup-norm distance of the allocation path to it
+        oracle = dp.brute_force_allocation(volumes, capacities, rebates)
+        out.target = oracle.tolist()
+        out.notes["oracle_allocation"] = oracle.tolist()
+        out.errors = np.abs(traj.thetas - oracle).max(axis=1)
     return out
 
 
@@ -458,68 +425,40 @@ def _preflight_discrepancy(cfg: dict) -> None:
 
 def _run_discrepancy(cfg: dict) -> Outcome:
     pr = cfg["params"]
-    k0, k1 = pr["min_exponent"], pr["max_exponent"]
     dim = cfg["source"]["dimension"]
-    ns, d_halton, d_iid = [], [], []
-    for k in range(k0, k1 + 1):
-        n = 1 << k
-        ns.append(n)
-        d_halton.append(star_discrepancy_exact(make_source("halton", dim, 0).take_block(n)))
-        iid = make_source("iid-uniform", dim, _split_seed(cfg["seed"], k))
-        d_iid.append(star_discrepancy_exact(iid.take_block(n)))
-    ns_arr = np.asarray(ns, dtype=np.int64)
-    hal = np.asarray(d_halton)
-    ref = np.asarray(d_iid)
+    ks = range(pr["min_exponent"], pr["max_exponent"] + 1)
+
+    def dstar(kind: str, seed: int, k: int) -> float:
+        return star_discrepancy_exact(make_source(kind, dim, seed).take_block(1 << k))
+
+    hal = np.asarray([dstar("halton", 0, k) for k in ks])
+    ref = np.asarray([dstar("iid-uniform", _split_seed(cfg["seed"], k), k) for k in ks])
     # a table with no iterate: zero theta columns, two monitor channels
     table = Trajectory(
-        ns=ns_arr,
-        thetas=np.empty((ns_arr.size, 0)),
+        ns=np.asarray([1 << k for k in ks], dtype=np.int64),
+        thetas=np.empty((len(ks), 0)),
         monitors={"dstar_halton": hal, "dstar_iid": ref},
         final_theta=np.empty(0),
     )
     return Outcome(
-        trajectory=table,
-        final=[float(hal[-1])],
-        fitted_rate=_fit_error_decay(ns_arr, hal),
-        plot_channel="dstar_halton",
-        plot_logx=True,
-        notes={
-            "dstar_final_halton": float(hal[-1]),
-            "dstar_final_iid": float(ref[-1]),
-        },
+        table, "dstar_halton", errors=hal, logx=True,
+        notes={"dstar_final_halton": float(hal[-1]), "dstar_final_iid": float(ref[-1])},
     )
 
 
-_RATE_FIT_MEANS = {
-    "halton": 0.5,
-    "iid-uniform": 0.5,
-    "iid-gaussian": 0.0,
-    "ar1-mixing": 0.0,
-}
+_RATE_FIT_MEANS = {"halton": 0.5, "iid-uniform": 0.5, "iid-gaussian": 0.0, "ar1-mixing": 0.0}
 
 
 def _run_rate_fit(cfg: dict) -> Outcome:
-    kind = cfg["source"]["kind"]
-    mixing = cfg["source"]["mixing"]
-    kwargs = {"a": mixing} if kind == "ar1-mixing" else {}
-    src = make_source(kind, 1, _split_seed(cfg["seed"], 0), **kwargs)
-    mean = _RATE_FIT_MEANS[kind]
+    mean = _RATE_FIT_MEANS[cfg["source"]["kind"]]
     traj = engine.run(
-        cfg["params"]["theta0"], src, lambda th, y: th - y[0],
+        cfg["params"]["theta0"], _scalar_source(cfg), lambda th, y: th - y[0],
         StepSchedule(**cfg["step"]), cfg["horizon"],
         record_stride=cfg["record_stride"],
         monitors={"abs_error": lambda n, th: abs(th - mean)},
     )
-    errs = traj.channel("abs_error")
-    rate = _fit_error_decay(traj.ns, errs)
     return Outcome(
-        trajectory=traj,
-        final=[float(traj.final_theta[0])],
-        target=[mean],
-        error=float(errs[-1]),
-        fitted_rate=rate,
-        plot_channel="abs_error",
-        plot_logx=True,
+        traj, "abs_error", target=[mean], errors=traj.channel("abs_error"), logx=True,
     )
 
 
@@ -536,7 +475,7 @@ _register(Experiment(
     schema=_schema(
         horizon=100_000,
         step={"c": (8.0, _float_pos), "a": (1.0, _float_any)},
-        source={"kind": ("halton-gaussian", _str_caster)},
+        source={"kind": ("halton-gaussian", _choice("halton-gaussian", "iid-gaussian"))},
         params={
             "x1": (100.0, _float_pos), "x2": (100.0, _float_pos),
             "rate": (0.10, _float_any),
@@ -547,7 +486,6 @@ _register(Experiment(
             "target_rho": (-0.5, _optional(_float_any)),
         },
     ),
-    source_kinds=("halton-gaussian", "iid-gaussian"),
     runner=_run_correlation,
 ))
 
@@ -557,10 +495,12 @@ _register(Experiment(
     schema=_schema(
         horizon=1_000_000,
         step={"c": (4.0, _float_pos), "a": (0.75, _float_any)},
-        source={"kind": ("iid-gaussian", _str_caster), "mixing": (0.5, _float_any)},
+        source={
+            "kind": ("iid-gaussian", _choice("iid-gaussian", "iid-uniform", "ar1-mixing")),
+            "mixing": (0.5, _float_any),
+        },
         params={"alpha": (0.95, _float_any), "theta0": (0.0, _float_any)},
     ),
-    source_kinds=("iid-gaussian", "iid-uniform", "ar1-mixing"),
     runner=_run_var_cvar,
     preflight=_preflight_var_cvar,
 ))
@@ -572,7 +512,7 @@ _register(Experiment(
         horizon=100_000,
         step={"c": (5.0, _float_pos), "a": (1.0, _float_any)},
         source={
-            "kind": ("cir-euler", _str_caster),
+            "kind": ("cir-euler", _choice("cir-euler")),
             "step0": (1.0, _float_pos),
             "exponent": (1.0 / 3.0, _float_pos),
         },
@@ -585,7 +525,6 @@ _register(Experiment(
             "chain_rule": (True, _bool_caster),
         },
     ),
-    source_kinds=("cir-euler",),
     runner=_run_investment,
 ))
 
@@ -595,13 +534,12 @@ _register(Experiment(
     schema=_schema(
         horizon=100_000,
         step={"c": (1.0, _float_pos), "a": (0.9, _float_any)},
-        source={"kind": ("iid", _str_caster), "mixing": (0.5, _float_any)},
+        source={"kind": ("iid", _choice("iid", "ar1")), "mixing": (0.5, _float_any)},
         params={
             "freq_a": (0.6, _float_any), "freq_b": (0.4, _float_any),
             "theta0": (0.5, _float_any),
         },
     ),
-    source_kinds=("iid", "ar1"),
     runner=_run_bandit,
     preflight=_preflight_bandit,
 ))
@@ -613,7 +551,7 @@ _register(Experiment(
         horizon=100_000,
         step={"c": (2.0, _float_pos), "a": (0.75, _float_any)},
         source={
-            "kind": ("synthetic-lognormal", _str_caster),
+            "kind": ("synthetic-lognormal", _choice("synthetic-lognormal")),
             "mixing": (0.5, _float_any),
             "log_sigma": (0.5, _float_pos),
         },
@@ -621,11 +559,8 @@ _register(Experiment(
             "mix": ([0.5, 0.5], _floats_caster),
             "scale": ([0.6, 0.15], _floats_caster),
             "rebates": ([0.02, 0.05], _floats_caster),
-            "renorm_every": (10_000, _int_pos),
-            "oracle_resolution": (0.01, _float_pos),
         },
     ),
-    source_kinds=("synthetic-lognormal",),
     runner=_run_darkpool,
     preflight=_preflight_darkpool,
 ))
@@ -638,10 +573,9 @@ _register(Experiment(
     schema={
         "seed": _COMMON_SCHEMA["seed"],
         "output_dir": _COMMON_SCHEMA["output_dir"],
-        "source": {"kind": ("halton", _str_caster), "dimension": (2, _int_pos)},
+        "source": {"kind": ("halton", _choice("halton")), "dimension": (2, _int_pos)},
         "params": {"min_exponent": (6, _int_pos), "max_exponent": (12, _int_pos)},
     },
-    source_kinds=("halton",),
     runner=_run_discrepancy,
     preflight=_preflight_discrepancy,
 ))
@@ -652,10 +586,12 @@ _register(Experiment(
     schema=_schema(
         horizon=100_000,
         step={"c": (1.0, _float_pos), "a": (1.0, _float_any)},
-        source={"kind": ("halton", _str_caster), "mixing": (0.5, _float_any)},
+        source={
+            "kind": ("halton", _choice("halton", "iid-uniform", "iid-gaussian", "ar1-mixing")),
+            "mixing": (0.5, _float_any),
+        },
         params={"theta0": (0.0, _float_any)},
     ),
-    source_kinds=("halton", "iid-uniform", "iid-gaussian", "ar1-mixing"),
     runner=_run_rate_fit,
 ))
 
@@ -707,8 +643,9 @@ def validate_config(raw: dict) -> dict:
     """Merge a raw config mapping over the experiment's defaults.
 
     Returns the effective config with every default filled in, in
-    canonical key order.  Unknown keys anywhere in the tree, a missing
-    seed, and inadmissible schedule/source pairs are all hard errors.
+    canonical key order.  Unknown keys anywhere in the tree, a source
+    kind the experiment does not support, a missing seed, and
+    inadmissible schedule/source pairs are all hard errors.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
@@ -720,32 +657,18 @@ def validate_config(raw: dict) -> dict:
             f"experiment: unknown name {name!r}; registered: " + ", ".join(REGISTRY)
         )
     exp = REGISTRY[name]
-    body = {k: v for k, v in raw.items() if k != "experiment"}
-    for key in body:
-        if key not in exp.schema:
-            raise ConfigError(
-                f"unknown key {key!r}; allowed: experiment, " + ", ".join(exp.schema)
-            )
-    cfg = _merge(exp.schema, body, "")
+    cfg = _merge(exp.schema, {k: v for k, v in raw.items() if k != "experiment"}, "")
     if cfg["seed"] is None:
         raise ConfigError("seed: required — runs must be reproducible, "
                           "so there is no wall-clock default")
-    kind = cfg["source"]["kind"]
-    if kind not in exp.source_kinds:
-        raise ConfigError(
-            f"source.kind: {kind!r} not supported by {name}; "
-            "choose one of " + ", ".join(exp.source_kinds)
-        )
     if cfg["output_dir"] is None:
         cfg["output_dir"] = f"runs/{name}"
     dim = 2 if name == "implicit-correlation" else cfg["source"].get("dimension", 1)
     if "step" in cfg:   # only a stepped recursion has a schedule to gate
-        _gate_admissibility(kind, dim, cfg["step"], cfg["source"])
+        _gate_admissibility(cfg["source"]["kind"], dim, cfg["step"], cfg["source"])
     if exp.preflight is not None:
         exp.preflight(cfg)
-    effective = {"experiment": name}
-    effective.update(cfg)
-    return effective
+    return {"experiment": name, **cfg}
 
 
 _SUMMARY_KEYS = (
@@ -772,10 +695,8 @@ def run_experiment(config) -> RunArtifacts:
     ``summary.json``.  The summary is written even when the divergence
     guard aborts the run, with the failure cause in place of results.
     """
-    if isinstance(config, (str, Path)):
-        cfg = validate_config(load_config(config))
-    else:
-        cfg = validate_config(dict(config))
+    raw = load_config(config) if isinstance(config, (str, Path)) else dict(config)
+    cfg = validate_config(raw)
 
     exp = REGISTRY[cfg["experiment"]]
     out_dir = Path(cfg["output_dir"])
@@ -792,45 +713,43 @@ def run_experiment(config) -> RunArtifacts:
         "failure": None,
         "notes": {},
     }
-    summary_path = out_dir / "summary.json"
-    csv_path: Path | None = None
-    plot_path: Path | None = None
-
     start = time.perf_counter()
     try:
         outcome = exp.runner(cfg)
     except engine.DivergenceError as exc:
-        summary["status"] = "aborted"
-        summary["failure"] = str(exc)
-        summary["runtime_seconds"] = round(time.perf_counter() - start, 6)
-        summary = _write_summary(summary_path, summary)
-        return RunArtifacts(
-            experiment=cfg["experiment"], seed=cfg["seed"], out_dir=out_dir,
-            config_path=config_path, summary_path=summary_path,
-            csv_path=None, plot_path=None, summary=summary,
+        outcome = None
+        summary.update(status="aborted", failure=str(exc))
+    summary["runtime_seconds"] = round(time.perf_counter() - start, 6)
+
+    csv_path = plot_path = None
+    if outcome is not None:
+        traj, name = outcome.trajectory, outcome.channel
+        values = traj.channel(name)
+        target, errors, line = outcome.target, outcome.errors, None
+        if target is not None and errors is None:
+            line = target[0]
+            errors = np.abs(values - line)
+        csv_path = out_dir / "trajectory.csv"
+        engine.write_trajectory_csv(traj, csv_path)
+        plot_path = out_dir / f"{name}.svg"
+        write_line_svg(
+            plot_path, traj.ns, values,
+            title=f"{cfg['experiment']} (seed {cfg['seed']})",
+            xlabel="n", ylabel=name, target=line, logx=outcome.logx,
         )
-    runtime = round(time.perf_counter() - start, 6)
-
-    csv_path = out_dir / "trajectory.csv"
-    traj = outcome.trajectory
-    engine.write_trajectory_csv(traj, csv_path)
-
-    plot_path = out_dir / f"{outcome.plot_channel}.svg"
-    write_line_svg(
-        plot_path, traj.ns, traj.channel(outcome.plot_channel),
-        title=f"{cfg['experiment']} (seed {cfg['seed']})",
-        xlabel="n", ylabel=outcome.plot_channel,
-        target=outcome.plot_target, logx=outcome.plot_logx,
-    )
-
-    summary.update(
-        horizon=int(traj.ns[-1]), final=outcome.final, target=outcome.target,
-        error=outcome.error, fitted_rate=outcome.fitted_rate, runtime_seconds=runtime,
-        csv=csv_path.name, plot=plot_path.name, notes=outcome.notes,
-    )
-    summary = _write_summary(summary_path, summary)
+        summary.update(
+            horizon=int(traj.ns[-1]),
+            # a d = 0 table has no iterate: its final value is the channel's
+            final=traj.final_theta.tolist() if traj.dimension else [float(values[-1])],
+            target=target,
+            error=None if target is None else float(errors[-1]),
+            fitted_rate=None if errors is None else _fit_error_decay(traj.ns, errors),
+            csv=csv_path.name, plot=plot_path.name, notes=outcome.notes,
+        )
+    summary_path = out_dir / "summary.json"
     return RunArtifacts(
         experiment=cfg["experiment"], seed=cfg["seed"], out_dir=out_dir,
         config_path=config_path, summary_path=summary_path,
-        csv_path=csv_path, plot_path=plot_path, summary=summary,
+        csv_path=csv_path, plot_path=plot_path,
+        summary=_write_summary(summary_path, summary),
     )

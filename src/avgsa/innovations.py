@@ -171,6 +171,26 @@ def halton_block(start: int, count: int, q: int) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _last_exact_index(q: int) -> int:
+    """Last index whose ``q``-dimensional point :func:`halton_block` still
+    returns: the least ``b**K - 1`` over the bases, with ``b**K`` the
+    largest power of ``b`` not above ``2**53``."""
+    last = []
+    for b in first_primes(q):
+        power = b
+        while power * b <= 2**53:
+            power *= b
+        last.append(power - 1)
+    return min(last)
+
+
+def _exact_count(start: int, count: int, q: int) -> int:
+    """``count`` cut so a block from ``start`` ends at the last exact
+    index; a start past it keeps one row, which ``halton_block`` refuses."""
+    return max(1, min(count, _last_exact_index(q) - start + 1))
+
+
 # ---------------------------------------------------------------------------
 # Gaussian map
 # ---------------------------------------------------------------------------
@@ -236,16 +256,6 @@ def star_discrepancy_exact(points: np.ndarray) -> float:
     cands = [np.unique(np.concatenate([pts[:, j], [1.0]])) for j in range(q)]
     ranks = [np.searchsorted(cands[j], pts[:, j]) for j in range(q)]
 
-    if q == 1:
-        m = cands[0].size
-        hist = np.bincount(ranks[0], minlength=m).astype(np.int64)
-        closed = np.cumsum(hist)
-        open_ = np.concatenate([[0], closed[:-1]])
-        vol = cands[0]
-        d_closed = np.max(closed / n - vol)
-        d_open = np.max(vol - open_ / n)
-        return float(max(d_closed, d_open))
-
     if q == 2:
         # Stream over the first axis to keep memory at O(m2).
         m1, m2 = cands[0].size, cands[1].size
@@ -271,7 +281,7 @@ def star_discrepancy_exact(points: np.ndarray) -> float:
             prev_closed = closed
         return float(best)
 
-    # General dimension: dense grid, guarded small by the budget.
+    # Any other dimension: dense grid, guarded small by the budget.
     shape = tuple(c.size for c in cands)
     hist = np.zeros(shape, dtype=np.int64)
     np.add.at(hist, tuple(ranks), 1)
@@ -298,7 +308,9 @@ class InnovationSource:
     Subclasses implement ``_generate(count)`` returning the next ``count``
     rows as an ``(count, dimension)`` array.  Generation always happens in
     fixed-size internal chunks, so the emitted sequence depends only on the
-    construction arguments, never on how it is consumed.
+    construction arguments, never on how it is consumed.  The Halton
+    sources return a shorter last chunk that ends at their last exact
+    index.
     """
 
     kind: str = "abstract"
@@ -393,6 +405,7 @@ class HaltonSource(InnovationSource):
         self._next_index = start
 
     def _generate(self, count: int) -> np.ndarray:
+        count = _exact_count(self._next_index, count, self.dimension)
         block = halton_block(self._next_index, count, self.dimension)
         self._next_index += count
         return block
@@ -414,6 +427,7 @@ class HaltonGaussianSource(InnovationSource):
         self._next_index = start
 
     def _generate(self, count: int) -> np.ndarray:
+        count = _exact_count(self._next_index, count, 2 * self._pairs)
         pts = halton_block(self._next_index, count, 2 * self._pairs)
         self._next_index += count
         out = np.empty((count, 2 * self._pairs))

@@ -102,6 +102,13 @@ def test_validate_refuses_wrong_source_kind():
         )
 
 
+def test_validate_refuses_removed_darkpool_keys():
+    # the renormalisation period and the oracle grid step are constants now
+    for key, value in (("renorm_every", 10_000), ("oracle_resolution", 0.01)):
+        with pytest.raises(ConfigError, match=f"unknown key 'params.{key}'"):
+            validate_config({"experiment": "dark-pool", "seed": 1, "params": {key: value}})
+
+
 def test_validate_bandit_step_scale_gate():
     with pytest.raises(ConfigError, match="step.c"):
         validate_config(
@@ -262,6 +269,50 @@ def test_run_darkpool_two_pools_has_oracle_target(tmp_path):
     assert len(s["final"]) == 2
     assert s["target"] is not None and abs(sum(s["target"]) - 1.0) < 1e-9
     assert s["notes"]["safeguard_count"] >= 0
+
+
+_THREE_POOLS = {"mix": [0.3, 0.3, 0.4], "scale": [0.5, 0.2, 0.1], "rebates": [0.01, 0.02, 0.03]}
+
+
+@pytest.mark.parametrize(
+    "name, override, plot_target",
+    [
+        ("implicit-correlation", {"params": {"target_rho": None}}, False),
+        ("two-armed-bandit", {"params": {"freq_a": 0.5, "freq_b": 0.5}}, False),
+        ("dark-pool", {"params": _THREE_POOLS}, False),
+        ("var-cvar", {}, True),
+        ("ergodic-investment", {}, True),
+        ("rate-fit", {}, False),
+        ("dark-pool", {}, False),
+        ("discrepancy", {"params": {"min_exponent": 2, "max_exponent": 8}}, False),
+    ],
+    ids=["correlation-no-target", "bandit-even", "dark-pool-three", "var-cvar",
+         "investment", "rate-fit", "dark-pool-two", "discrepancy"],
+)
+def test_summary_numbers_follow_the_outcome_contract(tmp_path, name, override, plot_target):
+    horizon = {} if name == "discrepancy" else {"horizon": 3_000}
+    arts = run_experiment({"experiment": name, "seed": 2, "output_dir": str(tmp_path),
+                           **horizon, **override})
+    s = arts.summary
+    cols = read_csv_columns(arts.csv_path)
+    channel = Path(arts.plot_path).stem
+    thetas = [cols[k][-1] for k in cols if k.startswith("theta_")]
+    assert s["final"] == (thetas or [cols[channel][-1]])
+    # the plot draws target[0] exactly when the error path is |channel - target[0]|
+    line = s["target"][0] if plot_target else None
+    svg = render_line_svg(cols["n"], cols[channel], title=f"{name} (seed 2)",
+                          xlabel="n", ylabel=channel, target=line,
+                          logx=name in ("rate-fit", "discrepancy"))
+    assert Path(arts.plot_path).read_text() == svg
+    if s["target"] is None:
+        assert s["error"] is None
+    if plot_target:
+        assert s["error"] == abs(cols[channel][-1] - s["target"][0])
+    elif name == "rate-fit":
+        assert s["error"] == cols["abs_error"][-1]
+    elif name == "dark-pool" and s["target"] is not None:
+        assert s["error"] == max(abs(cols[f"theta_{i}"][-1] - t) for i, t in enumerate(s["target"]))
+    assert (s["fitted_rate"] is None) == (s["target"] is None and name != "discrepancy")
 
 
 def test_run_discrepancy_table_and_rate(tmp_path):

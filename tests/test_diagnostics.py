@@ -43,6 +43,18 @@ def test_halton_indicator_average_is_sharp():
     assert path.errors[0] <= 2.0 / 2**10
 
 
+@pytest.mark.parametrize("dimension", [1, 3])
+def test_error_path_hands_f_tuple_rows(dimension):
+    rows = []
+    src = IidUniformSource(dimension, seed=9)
+    path = empirical_average_path(src, lambda r: rows.append(r) or sum(r), 0.0, [5000])
+    replay = IidUniformSource(dimension, seed=9).take_block(5000)
+    assert all(type(r) is tuple and len(r) == dimension for r in rows)
+    assert all(type(x) is float for x in rows[-1])
+    assert rows == [tuple(r) for r in replay.tolist()]
+    assert path.errors[0] == abs(sum(sum(r) for r in replay.tolist()) / 5000)
+
+
 def test_error_path_validates_checkpoints():
     with pytest.raises(ValueError):
         empirical_average_path(HaltonSource(1), lambda r: 0.0, 0.0, [])

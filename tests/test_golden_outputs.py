@@ -1,5 +1,8 @@
 """Golden outputs: every registered experiment, at gate 7's short
-horizons and seed 0, writes a CSV and an SVG whose sha256 is pinned here.
+horizons and seed 0, writes a CSV and an SVG whose sha256 is pinned here,
+and a ``summary.json`` and ``effective_config.yaml`` whose sha256 is
+pinned once the run-dependent lines are normalised (the summary's
+``runtime_seconds``, the config's ``output_dir``).
 
 A refactor that is meant to leave the numbers alone must leave these
 bytes alone.  When a change is meant to move them, rerun the experiment,
@@ -70,12 +73,61 @@ _GOLDEN = {
 }
 
 
+# experiment -> (summary.json sha256 without its runtime_seconds line,
+#                effective_config.yaml sha256 with output_dir set to OUT)
+_GOLDEN_RECORDS = {
+    "implicit-correlation": (
+        "0ac1727bf5dbddf8e95f60d34e249dcf81dd55423a6d1687370a41fc417ee9a6",
+        "118bab1370ab446cd4a6f9f6e22f04342721521415ab4885a2287ffb3f13e5b2",
+    ),
+    "var-cvar": (
+        "ad79df747c3b8b9332fe194ecbfd864c648b1d4db05cc35361f7500c350da073",
+        "b1863a2c33152a7f965764b3d26454d62db946e03634e7801248362e3b37285b",
+    ),
+    "ergodic-investment": (
+        "949ee5a6cdb0533c009cecb9c35cead75aff834691140c3c9dc50beed29d56a4",
+        "a6fd5190d4e6df5ab90e370ba7a64b1ed10570f15da8615c23812589e511a956",
+    ),
+    "two-armed-bandit": (
+        "9dbeb9cbea8fb9ee809f4bdb317d62262dfa4297e69a39da6997ff1b2622e862",
+        "f46e1ab7b8a6650ecccf2d848021696bdb4fa79dab76f87dc8427635f4f46d4a",
+    ),
+    "dark-pool": (
+        "11f3612840c24ea8193b7a4fcea8ed7a203575ea60289db7141ce05f5ab44909",
+        "71761f2964eed50480456a803fd39f1ec7b456cd428317de25a0b9a67107e489",
+    ),
+    "discrepancy": (
+        "f2a4e5b87ff4df2984d71c148855901a10819ab11d3e39691cb09e35e15dd528",
+        "8ad6e90566b35b90bdbef83d8c78e8141f9993c26ae7ea4d166a28c787ec6b25",
+    ),
+    "rate-fit": (
+        "da870f9b926e2d683a34ac471df6bf9f13bb9ff342f3419914a79a1f1e9a735e",
+        "3bc40363b4807067ba74ec160502265b3b56d3f6bef73553009b737676b9e3ee",
+    ),
+}
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _summary_sha256(path) -> str:
+    lines = Path(path).read_bytes().splitlines(keepends=True)
+    kept = [line for line in lines if not line.startswith(b'  "runtime_seconds": ')]
+    assert len(kept) == len(lines) - 1
+    return hashlib.sha256(b"".join(kept)).hexdigest()
+
+
+def _config_sha256(path, out_dir) -> str:
+    text = Path(path).read_bytes()
+    line = f"output_dir: {out_dir}\n".encode()
+    assert text.count(line) == 1
+    return hashlib.sha256(text.replace(line, b"output_dir: OUT\n")).hexdigest()
+
+
 def test_every_registered_experiment_has_a_golden_value():
     assert sorted(_GOLDEN) == sorted(experiment_names())
+    assert sorted(_GOLDEN_RECORDS) == sorted(experiment_names())
 
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN))
@@ -87,3 +139,6 @@ def test_golden_output_bytes(tmp_path, name):
     assert _sha256(art.csv_path) == csv_sha
     assert Path(art.plot_path).name == plot_name
     assert _sha256(art.plot_path) == plot_sha
+    summary_sha, config_sha = _GOLDEN_RECORDS[name]
+    assert _summary_sha256(art.summary_path) == summary_sha
+    assert _config_sha256(art.config_path, tmp_path) == config_sha

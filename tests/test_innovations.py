@@ -161,6 +161,41 @@ def test_halton_block_exact_up_to_the_bound(q):
         halton_block(last - 63, 65, q)
 
 
+def _last_exact(q: int) -> int:
+    return min(b ** max(k for k in range(60) if b**k <= 2**53) for b in first_primes(q)) - 1
+
+
+@pytest.mark.parametrize("q", range(1, 9))
+def test_halton_source_runs_to_the_last_exact_index(q):
+    # the source's last buffer ends at the bound instead of a whole block
+    # past it, so every exact index is reachable
+    last = _last_exact(q)
+    expected = [[radical_inverse(n, b) for b in first_primes(q)] for n in range(last - 9, last + 1)]
+    src = HaltonSource(q, start=last - 9)
+    np.testing.assert_array_equal(src.take_block(10), np.array(expected))
+    assert len(src._buf) == 10   # one buffer, cut at the bound, not ten 1-row ones
+    with pytest.raises(ValueError, match="not exact"):
+        src.take_block(1)
+    src = HaltonSource(q, start=last - 9)
+    np.testing.assert_array_equal(np.vstack([src.next() for _ in range(10)]), np.array(expected))
+    with pytest.raises(ValueError, match="not exact"):
+        src.next()
+
+
+@pytest.mark.parametrize("q", range(1, 5))
+def test_halton_gaussian_source_runs_to_the_last_exact_index(q):
+    pairs = (q + 1) // 2
+    last = _last_exact(2 * pairs)
+    src = HaltonGaussianSource(q, start=last - 9)
+    rows = src.take_block(10)
+    for n, row in zip(range(last - 9, last + 1), rows):
+        u = [radical_inverse(n, b) for b in first_primes(2 * pairs)]
+        want = [z for p in range(pairs) for z in box_muller_pair(u[2 * p], u[2 * p + 1])]
+        np.testing.assert_allclose(row, want[:q], rtol=1e-12, atol=1e-15)
+    with pytest.raises(ValueError, match="not exact"):
+        src.take_block(1)
+
+
 def test_halton_coordinates_strictly_inside_unit_cube():
     blk = halton_block(1, 2048, 4)
     assert np.all(blk > 0.0) and np.all(blk < 1.0)
@@ -244,6 +279,28 @@ def test_star_discrepancy_matches_enumeration_oracle():
     assert star_discrepancy_exact(pts3) == pytest.approx(
         oracle_star_discrepancy(pts3), abs=1e-12
     )
+
+
+def _star_discrepancy_1d(x: np.ndarray) -> float:
+    """The former 1-D branch of ``star_discrepancy_exact``: cumulative
+    counts on the sorted coordinates plus 1.0."""
+    cands = np.unique(np.concatenate([x, [1.0]]))
+    closed = np.cumsum(np.bincount(np.searchsorted(cands, x), minlength=cands.size))
+    open_ = np.concatenate([[0], closed[:-1]])
+    return float(max(np.max(closed / x.size - cands), np.max(cands - open_ / x.size)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 255, 1000, 4096])
+def test_star_discrepancy_1d_matches_the_cumulative_count(n):
+    rng = np.random.default_rng(n)
+    for pts in (
+        rng.random(n),
+        np.round(rng.random(n), 2) % 1.0,       # ties
+        halton_block(1, n, 1)[:, 0],
+        halton_block(4097, n, 1)[:, 0],
+    ):
+        assert star_discrepancy_exact(pts) == _star_discrepancy_1d(pts)
+        assert star_discrepancy_exact(pts[:, None]) == _star_discrepancy_1d(pts)
 
 
 def test_star_discrepancy_guard_and_domain():
