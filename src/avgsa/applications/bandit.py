@@ -57,8 +57,9 @@ class Ar1ThresholdEventSource(InnovationSource):
 
     The chain ``x' = a x + z`` has stationary variance ``1/(1-a^2)``,
     so the cutoff for a frequency ``nu`` sits at
-    ``Phi^{-1}(nu) / sqrt(1-a^2)``.  Consecutive events are positively
-    correlated for ``a > 0`` — streaks of good and bad performance.
+    ``Phi^{-1}(nu) / sqrt(1-a^2)`` (``-inf`` for 0 and ``inf`` for 1).
+    Consecutive events are positively correlated for ``a > 0`` — streaks
+    of good and bad performance.  The chain mixes only for ``|a| < 1``.
     """
 
     kind = "bandit-ar1-events"
@@ -66,14 +67,17 @@ class Ar1ThresholdEventSource(InnovationSource):
     def __init__(self, freq_a: float, freq_b: float, seed: int = 0, mixing: float = 0.5):
         super().__init__(2)
         _check_freqs(freq_a, freq_b)
+        if not abs(mixing) < 1.0:
+            raise ValueError(f"mixing must lie in (-1, 1), got {mixing}")
         self.freq_a = freq_a
         self.freq_b = freq_b
         self.mixing = mixing
         scale = 1.0 / math.sqrt(1.0 - mixing**2)
         nd = NormalDist()
-        self._cutoffs = np.array(
-            [nd.inv_cdf(freq_a) * scale, nd.inv_cdf(freq_b) * scale]
-        )
+        self._cutoffs = np.array([
+            -math.inf if f == 0.0 else math.inf if f == 1.0 else nd.inv_cdf(f) * scale
+            for f in (freq_a, freq_b)
+        ])
         self._chain = Ar1MixingSource(2, seed, a=mixing)
 
     def _generate(self, count: int) -> np.ndarray:

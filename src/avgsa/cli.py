@@ -7,7 +7,8 @@ range, each replication in its own subdirectory.
 
 Exit status: 0 on success, 1 when a run aborts on the divergence guard
 (the summary is still written) or a sweep has failures, 2 on config or
-usage errors.
+usage errors.  A config value outside its key's interval is refused
+with the key and the interval before any file is written.
 """
 
 from __future__ import annotations
@@ -78,17 +79,25 @@ def _print_run_report(arts: RunArtifacts) -> None:
     print(f"  artifacts:   {arts.out_dir}/")
 
 
+def _reports_config_errors(command):
+    """Exit 2 with one line on stderr when ``command`` fails on its
+    config: malformed YAML, a ``ConfigError``, or a parameter an
+    application refuses at run time (also inside a sweep replication)."""
+    def guarded(args) -> int:
+        try:
+            return command(args)
+        except (ValueError, yaml.YAMLError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+        except OSError as exc:
+            print(f"cannot read config: {exc}", file=sys.stderr)
+        return 2
+
+    return guarded
+
+
+@_reports_config_errors
 def _cmd_run(args) -> int:
-    try:
-        arts = run_experiment(args.config)
-    except (ValueError, yaml.YAMLError) as exc:
-        # malformed YAML, ConfigError and parameter-domain errors from the
-        # applications
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return 2
+    arts = run_experiment(args.config)
     _print_run_report(arts)
     if arts.summary["status"] != "ok":
         print(f"  failure:     {arts.summary['failure']}", file=sys.stderr)
@@ -138,6 +147,7 @@ def _sweep_one(cfg: dict) -> dict:
     return run_experiment(cfg).summary
 
 
+@_reports_config_errors
 def _cmd_sweep(args) -> int:
     m = _SEED_RANGE.match(args.seeds)
     if not m:
@@ -151,22 +161,11 @@ def _cmd_sweep(args) -> int:
     if not 1 <= args.jobs <= cap:
         print(f"--jobs must lie in 1..{cap} (the number of CPUs)", file=sys.stderr)
         return 2
-    try:
-        base = validate_config(load_config(args.config))
-    except (ValueError, yaml.YAMLError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return 2
-
+    base = validate_config(load_config(args.config))
     root = base["output_dir"]
-    configs = []
-    for seed in range(lo, hi + 1):
-        cfg = dict(base)
-        cfg["seed"] = seed
-        cfg["output_dir"] = f"{root}/seed-{seed}"
-        configs.append(cfg)
+    # each replication keeps the base config's key order
+    configs = [{**base, "seed": seed, "output_dir": f"{root}/seed-{seed}"}
+               for seed in range(lo, hi + 1)]
 
     if args.jobs == 1:
         summaries = [_sweep_one(cfg) for cfg in configs]

@@ -3,9 +3,11 @@
 Each experiment couples an innovation stream, a step schedule, and an
 update field into a reproducible run: YAML config in, deterministic CSV +
 SVG + JSON summary out.  The registry is what the command line exposes;
-every entry validates its config strictly (unknown keys are hard errors —
-a silently ignored typo can invalidate a replication) and refuses
-inadmissible schedule/source pairs before any computation starts.
+every entry validates its config strictly before any file is written:
+unknown keys are hard errors (a silently ignored typo can invalidate a
+replication), each key's schema caster refuses a value outside its
+interval, naming the key and the interval, and inadmissible
+schedule/source pairs are refused too.
 
 All randomness flows from the single config ``seed`` through indexed
 splits, one per stream: replications are reproducible individually and
@@ -33,7 +35,7 @@ from avgsa.applications import investment as inv
 from avgsa.applications import varcvar as vc
 from avgsa.diagnostics import ErrorPath, fit_rate
 from avgsa.engine import StepSchedule, Trajectory
-from avgsa.innovations import make_source, star_discrepancy_exact
+from avgsa.innovations import _DISCREPANCY_BUDGET, make_source, star_discrepancy_exact
 from avgsa.plotting import write_line_svg
 
 __all__ = [
@@ -60,39 +62,38 @@ class ConfigError(ValueError):
 # (default, caster) pair.  Validation merges user values over defaults,
 # casting as it goes, and rejects keys the schema does not know.
 
-def _int_pos(path: str, v) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path}: expected a positive integer, got {v!r}")
-    if v < 1:
-        raise ConfigError(f"{path}: must be >= 1, got {v}")
-    return v
+def _number(lo=-math.inf, hi=math.inf, ends: str = "()", integer: bool = False):
+    """Caster for a finite number between ``lo`` and ``hi``, each end open
+    or closed as ``ends`` says: "()", "(]", "[)" or "[]".  bool is refused;
+    an ``integer`` key takes only ints, any other key returns a float."""
+    interval = f"{ends[0]}{lo!r}, {hi!r}{ends[1]}"
+
+    def cast(path: str, v):
+        if isinstance(v, bool) or not isinstance(v, int if integer else (int, float)):
+            kind = "an integer" if integer else "a number"
+            raise ConfigError(f"{path}: expected {kind}, got {v!r}")
+        if not integer:
+            try:
+                v = float(v)
+            except OverflowError:
+                raise ConfigError(
+                    f"{path}: must be finite, got an integer too big for a float"
+                ) from None
+            if not math.isfinite(v):
+                raise ConfigError(f"{path}: must be finite, got {v}")
+        above = lo <= v if ends[0] == "[" else lo < v
+        below = v <= hi if ends[1] == "]" else v < hi
+        if not (above and below):
+            raise ConfigError(f"{path}: must lie in {interval}, got {v}")
+        return v
+
+    return cast
 
 
-def _seed_caster(path: str, v) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path}: expected a nonnegative integer seed, got {v!r}")
-    if v < 0:
-        raise ConfigError(f"{path}: seed must be nonnegative, got {v}")
-    return v
-
-
-def _float_any(path: str, v) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {v!r}")
-    try:
-        x = float(v)
-    except OverflowError:
-        raise ConfigError(f"{path}: must be finite, got an integer too big for a float") from None
-    if not math.isfinite(x):
-        raise ConfigError(f"{path}: must be finite, got {x}")
-    return x
-
-
-def _float_pos(path: str, v) -> float:
-    x = _float_any(path, v)
-    if x <= 0.0:
-        raise ConfigError(f"{path}: must be positive, got {x}")
-    return x
+# the casters most keys share
+_REAL = _number()
+_POSITIVE = _number(0)
+_COUNT = _number(1, ends="[)", integer=True)
 
 
 def _str_caster(path: str, v) -> str:
@@ -107,10 +108,13 @@ def _bool_caster(path: str, v) -> bool:
     return v
 
 
-def _floats_caster(path: str, v) -> list:
-    if not isinstance(v, (list, tuple)) or not v:
-        raise ConfigError(f"{path}: expected a nonempty list of numbers, got {v!r}")
-    return [_float_any(f"{path}[{i}]", x) for i, x in enumerate(v)]
+def _floats(item):
+    def cast(path: str, v) -> list:
+        if not isinstance(v, (list, tuple)) or not v:
+            raise ConfigError(f"{path}: expected a nonempty list of numbers, got {v!r}")
+        return [item(f"{path}[{i}]", x) for i, x in enumerate(v)]
+
+    return cast
 
 
 def _optional(caster):
@@ -252,15 +256,15 @@ def _fit_error_decay(ns: np.ndarray, errors: np.ndarray) -> float | None:
 # ---------------------------------------------------------------------------
 
 _COMMON_SCHEMA = {
-    "seed": (None, _seed_caster),
+    "seed": (None, _number(0, ends="[)", integer=True)),
     "horizon": None,          # filled per experiment
-    "record_stride": (100, _int_pos),
+    "record_stride": (100, _COUNT),
     "output_dir": (None, _optional(_str_caster)),
 }
 
 
 def _schema(horizon: int, step: dict, source: dict, params: dict) -> dict:
-    return {**_COMMON_SCHEMA, "horizon": (horizon, _int_pos),
+    return {**_COMMON_SCHEMA, "horizon": (horizon, _COUNT),
             "step": step, "source": source, "params": params}
 
 
@@ -306,14 +310,6 @@ def _var_cvar_targets(kind: str, alpha: float, mixing: float):
     return scale * z, scale * es
 
 
-def _preflight_var_cvar(cfg: dict) -> None:
-    alpha = cfg["params"]["alpha"]
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"params.alpha: must lie in (0, 1), got {alpha}")
-    if not -1.0 < cfg["source"]["mixing"] < 1.0:
-        raise ConfigError("source.mixing: must lie in (-1, 1)")
-
-
 def _run_var_cvar(cfg: dict) -> Outcome:
     alpha = cfg["params"]["alpha"]
     traj = vc.var_cvar_trajectory(
@@ -347,14 +343,6 @@ def _run_investment(cfg: dict) -> Outcome:
             "feller_condition": bool(2.0 * pr["kappa"] * pr["vartheta"] > pr["sigma"] ** 2),
         },
     )
-
-
-def _preflight_bandit(cfg: dict) -> None:
-    if cfg["step"]["c"] > 1.0:
-        raise ConfigError(
-            "step.c: the urn fraction leaves [0, 1] unless the first step "
-            f"c * 1^(-a) is at most 1; got c = {cfg['step']['c']:g}"
-        )
 
 
 def _run_bandit(cfg: dict) -> Outcome:
@@ -417,9 +405,16 @@ def _run_darkpool(cfg: dict) -> Outcome:
 
 def _preflight_discrepancy(cfg: dict) -> None:
     k0, k1 = cfg["params"]["min_exponent"], cfg["params"]["max_exponent"]
-    if not 1 <= k0 < k1 <= 14:
+    q = cfg["source"]["dimension"]
+    if k0 >= k1:
+        raise ConfigError(f"params: need min_exponent < max_exponent, got {k0}..{k1}")
+    # the largest table has n = 2**k1 points; a product n**q beyond the
+    # budget's bit length is over budget without forming it, so a huge
+    # dimension builds no huge integer
+    if k1 * q >= _DISCREPANCY_BUDGET.bit_length() or (1 << k1 * q) * q > _DISCREPANCY_BUDGET:
         raise ConfigError(
-            f"params: need 1 <= min_exponent < max_exponent <= 14, got {k0}..{k1}"
+            f"params.max_exponent: 2**{k1} points in dimension {q} exceed the exact "
+            f"discrepancy budget, n**q * q <= {_DISCREPANCY_BUDGET:.0e}"
         )
 
 
@@ -474,16 +469,16 @@ _register(Experiment(
     description="calibrate the implied correlation of a best-of-two call to a market quote",
     schema=_schema(
         horizon=100_000,
-        step={"c": (8.0, _float_pos), "a": (1.0, _float_any)},
+        step={"c": (8.0, _POSITIVE), "a": (1.0, _REAL)},
         source={"kind": ("halton-gaussian", _choice("halton-gaussian", "iid-gaussian"))},
         params={
-            "x1": (100.0, _float_pos), "x2": (100.0, _float_pos),
-            "rate": (0.10, _float_any),
-            "sigma1": (0.30, _float_pos), "sigma2": (0.30, _float_pos),
-            "maturity": (1.0, _float_pos), "strike": (100.0, _float_any),
-            "market_price": (30.75, _float_pos),
-            "theta0": (0.0, _float_any),
-            "target_rho": (-0.5, _optional(_float_any)),
+            "x1": (100.0, _POSITIVE), "x2": (100.0, _POSITIVE),
+            "rate": (0.10, _REAL),
+            "sigma1": (0.30, _POSITIVE), "sigma2": (0.30, _POSITIVE),
+            "maturity": (1.0, _POSITIVE), "strike": (100.0, _REAL),
+            "market_price": (30.75, _POSITIVE),
+            "theta0": (0.0, _REAL),
+            "target_rho": (-0.5, _optional(_REAL)),
         },
     ),
     runner=_run_correlation,
@@ -494,15 +489,14 @@ _register(Experiment(
     description="track a value-at-risk quantile with its expected-shortfall companion",
     schema=_schema(
         horizon=1_000_000,
-        step={"c": (4.0, _float_pos), "a": (0.75, _float_any)},
+        step={"c": (4.0, _POSITIVE), "a": (0.75, _REAL)},
         source={
             "kind": ("iid-gaussian", _choice("iid-gaussian", "iid-uniform", "ar1-mixing")),
-            "mixing": (0.5, _float_any),
+            "mixing": (0.5, _number(-1, 1)),
         },
-        params={"alpha": (0.95, _float_any), "theta0": (0.0, _float_any)},
+        params={"alpha": (0.95, _number(0, 1)), "theta0": (0.0, _REAL)},
     ),
     runner=_run_var_cvar,
-    preflight=_preflight_var_cvar,
 ))
 
 _register(Experiment(
@@ -510,18 +504,18 @@ _register(Experiment(
     description="optimal capacity under a mean-reverting productivity diffusion",
     schema=_schema(
         horizon=100_000,
-        step={"c": (5.0, _float_pos), "a": (1.0, _float_any)},
+        step={"c": (5.0, _POSITIVE), "a": (1.0, _REAL)},
         source={
             "kind": ("cir-euler", _choice("cir-euler")),
-            "step0": (1.0, _float_pos),
-            "exponent": (1.0 / 3.0, _float_pos),
+            "step0": (1.0, _POSITIVE),
+            "exponent": (1.0 / 3.0, _number(0, 1 / 3, "(]")),
         },
         params={
-            "kappa": (1.0, _float_pos), "vartheta": (1.0, _float_pos),
-            "sigma": (1.5, _float_pos),
-            "alpha": (0.8, _float_any), "beta": (0.7, _float_any),
-            "cost": (0.5, _float_pos),
-            "theta_tilde0": (0.0, _float_any),
+            "kappa": (1.0, _POSITIVE), "vartheta": (1.0, _POSITIVE),
+            "sigma": (1.5, _POSITIVE),
+            "alpha": (0.8, _number(0, 1)), "beta": (0.7, _number(0, 1)),
+            "cost": (0.5, _POSITIVE),
+            "theta_tilde0": (0.0, _REAL),
             "chain_rule": (True, _bool_caster),
         },
     ),
@@ -533,15 +527,16 @@ _register(Experiment(
     description="play-the-winner urn fraction with i.i.d. or dependent event streams",
     schema=_schema(
         horizon=100_000,
-        step={"c": (1.0, _float_pos), "a": (0.9, _float_any)},
-        source={"kind": ("iid", _choice("iid", "ar1")), "mixing": (0.5, _float_any)},
+        # the urn fraction stays in [0, 1] only while every step, and so
+        # the first one, c, is at most 1
+        step={"c": (1.0, _number(0, 1, "(]")), "a": (0.9, _REAL)},
+        source={"kind": ("iid", _choice("iid", "ar1")), "mixing": (0.5, _number(-1, 1))},
         params={
-            "freq_a": (0.6, _float_any), "freq_b": (0.4, _float_any),
-            "theta0": (0.5, _float_any),
+            "freq_a": (0.6, _number(0, 1, "[]")), "freq_b": (0.4, _number(0, 1, "[]")),
+            "theta0": (0.5, _number(0, 1, "[]")),
         },
     ),
     runner=_run_bandit,
-    preflight=_preflight_bandit,
 ))
 
 _register(Experiment(
@@ -549,16 +544,16 @@ _register(Experiment(
     description="censored-demand order split across venues with stationary synthetic flow",
     schema=_schema(
         horizon=100_000,
-        step={"c": (2.0, _float_pos), "a": (0.75, _float_any)},
+        step={"c": (2.0, _POSITIVE), "a": (0.75, _REAL)},
         source={
             "kind": ("synthetic-lognormal", _choice("synthetic-lognormal")),
-            "mixing": (0.5, _float_any),
-            "log_sigma": (0.5, _float_pos),
+            "mixing": (0.5, _number(-1, 1)),
+            "log_sigma": (0.5, _POSITIVE),
         },
         params={
-            "mix": ([0.5, 0.5], _floats_caster),
-            "scale": ([0.6, 0.15], _floats_caster),
-            "rebates": ([0.02, 0.05], _floats_caster),
+            "mix": ([0.5, 0.5], _floats(_number(0, 1, "[]"))),
+            "scale": ([0.6, 0.15], _floats(_POSITIVE)),
+            "rebates": ([0.02, 0.05], _floats(_number(0, 1, "[)"))),
         },
     ),
     runner=_run_darkpool,
@@ -573,8 +568,11 @@ _register(Experiment(
     schema={
         "seed": _COMMON_SCHEMA["seed"],
         "output_dir": _COMMON_SCHEMA["output_dir"],
-        "source": {"kind": ("halton", _choice("halton")), "dimension": (2, _int_pos)},
-        "params": {"min_exponent": (6, _int_pos), "max_exponent": (12, _int_pos)},
+        "source": {"kind": ("halton", _choice("halton")), "dimension": (2, _COUNT)},
+        "params": {
+            "min_exponent": (6, _COUNT),
+            "max_exponent": (12, _number(1, 14, "[]", integer=True)),
+        },
     },
     runner=_run_discrepancy,
     preflight=_preflight_discrepancy,
@@ -585,12 +583,12 @@ _register(Experiment(
     description="diagnostic: fit the error-decay exponent of a known-target recursion",
     schema=_schema(
         horizon=100_000,
-        step={"c": (1.0, _float_pos), "a": (1.0, _float_any)},
+        step={"c": (1.0, _POSITIVE), "a": (1.0, _REAL)},
         source={
             "kind": ("halton", _choice("halton", "iid-uniform", "iid-gaussian", "ar1-mixing")),
-            "mixing": (0.5, _float_any),
+            "mixing": (0.5, _number(-1, 1)),
         },
-        params={"theta0": (0.0, _float_any)},
+        params={"theta0": (0.0, _REAL)},
     ),
     runner=_run_rate_fit,
 ))
@@ -643,9 +641,10 @@ def validate_config(raw: dict) -> dict:
     """Merge a raw config mapping over the experiment's defaults.
 
     Returns the effective config with every default filled in, in
-    canonical key order.  Unknown keys anywhere in the tree, a source
-    kind the experiment does not support, a missing seed, and
-    inadmissible schedule/source pairs are all hard errors.
+    canonical key order.  Unknown keys anywhere in the tree, a value
+    outside its key's interval, a source kind the experiment does not
+    support, a missing seed, and inadmissible schedule/source pairs are
+    all hard errors.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")

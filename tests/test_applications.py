@@ -695,6 +695,22 @@ def test_make_event_source_dispatch():
         make_event_source("iid", 1.2, 0.5, 0)
 
 
+@pytest.mark.parametrize("mixing", [1.0, -1.0, 1.5, math.nan])
+def test_ar1_event_source_refuses_non_mixing_chain(mixing):
+    # 1.0 divided by zero and 1.5 took a square root of a negative number
+    # before the chain's own check was reached
+    with pytest.raises(ValueError, match="mixing must lie in"):
+        make_event_source("ar1", 0.6, 0.4, 0, mixing=mixing)
+
+
+def test_ar1_event_source_takes_frequency_endpoints():
+    # frequencies 0 and 1 put the cutoffs at -inf and inf: the arm never
+    # or always performs
+    rows = make_event_source("ar1", 1.0, 0.0, 5, mixing=0.5).take_block(1000)
+    assert rows[:, 0].tolist() == [1.0] * 1000
+    assert rows[:, 1].tolist() == [0.0] * 1000
+
+
 def test_bandit_run_validation():
     sched = StepSchedule(c=1.0, a=0.9)
     with pytest.raises(ValueError):

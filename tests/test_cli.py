@@ -125,6 +125,132 @@ def test_validate_darkpool_shape_gate():
         )
 
 
+def _schema_leaves(schema, path=""):
+    for key, spec in schema.items():
+        dotted = f"{path}.{key}" if path else key
+        if isinstance(spec, dict):
+            yield from _schema_leaves(spec, dotted)
+        else:
+            yield dotted, spec
+
+
+def test_every_schema_default_passes_its_caster():
+    # validation fills defaults in without casting them, so a default
+    # outside its own key's interval would go unnoticed
+    for exp in REGISTRY.values():
+        for dotted, (default, caster) in _schema_leaves(exp.schema):
+            if default is not None:   # seed: required, output_dir: derived
+                assert caster(dotted, default) == default, (exp.name, dotted)
+        validate_config({"experiment": exp.name, "seed": 0})
+
+
+# (experiment, config body, dotted key, interval).  The first ten are
+# out-of-domain configs that, but for var-cvar's alpha, used to pass
+# validation and crash or fail at run time; the rest pin each interval's
+# refused endpoints.
+_OUT_OF_DOMAIN = [
+    ("var-cvar", {"params": {"alpha": 1.0}}, "params.alpha", "(0, 1)"),
+    ("two-armed-bandit", {"source": {"kind": "ar1", "mixing": 1.0}},
+     "source.mixing", "(-1, 1)"),
+    ("two-armed-bandit", {"source": {"kind": "ar1", "mixing": 1.5}},
+     "source.mixing", "(-1, 1)"),
+    ("two-armed-bandit", {"params": {"freq_a": 1.5}}, "params.freq_a", "[0, 1]"),
+    ("two-armed-bandit", {"params": {"theta0": -0.1}}, "params.theta0", "[0, 1]"),
+    ("ergodic-investment", {"params": {"alpha": 1.0}}, "params.alpha", "(0, 1)"),
+    ("ergodic-investment", {"source": {"exponent": 0.5}},
+     "source.exponent", "(0, 0.3333333333333333]"),
+    ("dark-pool", {"source": {"mixing": 1.0}}, "source.mixing", "(-1, 1)"),
+    ("dark-pool", {"params": {"rebates": [0.02, 1.0]}}, "params.rebates[1]", "[0, 1)"),
+    ("rate-fit", {"source": {"kind": "ar1-mixing", "mixing": 1.0}},
+     "source.mixing", "(-1, 1)"),
+    ("var-cvar", {"params": {"alpha": 0.0}}, "params.alpha", "(0, 1)"),
+    ("var-cvar", {"source": {"kind": "ar1-mixing", "mixing": -1.0}},
+     "source.mixing", "(-1, 1)"),
+    ("two-armed-bandit", {"step": {"c": 1.5}}, "step.c", "(0, 1]"),
+    ("two-armed-bandit", {"step": {"c": 0.0}}, "step.c", "(0, 1]"),
+    ("two-armed-bandit", {"params": {"freq_b": -0.1}}, "params.freq_b", "[0, 1]"),
+    ("ergodic-investment", {"params": {"beta": 0.0}}, "params.beta", "(0, 1)"),
+    ("ergodic-investment", {"params": {"beta": 1.0}}, "params.beta", "(0, 1)"),
+    ("ergodic-investment", {"source": {"exponent": 0.0}},
+     "source.exponent", "(0, 0.3333333333333333]"),
+    ("dark-pool", {"params": {"mix": [0.5, 1.5]}}, "params.mix[1]", "[0, 1]"),
+    ("dark-pool", {"params": {"scale": [0.6, 0.0]}}, "params.scale[1]", "(0, inf)"),
+    # a kind that ignores the mixing coefficient still refuses a bad one
+    ("rate-fit", {"source": {"kind": "halton", "mixing": 2.0}}, "source.mixing", "(-1, 1)"),
+    ("discrepancy", {"params": {"max_exponent": 15}}, "params.max_exponent", "[1, 14]"),
+    ("discrepancy", {"seed": -1}, "seed", "[0, inf)"),
+]
+
+
+@pytest.mark.parametrize(
+    "experiment, body, key, interval", _OUT_OF_DOMAIN,
+    ids=[f"{e}-{k}-{i}" for i, (e, _, k, _) in enumerate(_OUT_OF_DOMAIN)],
+)
+def test_out_of_domain_value_is_refused_before_any_file(
+    tmp_path, capsys, experiment, body, key, interval
+):
+    raw = {"experiment": experiment, "seed": 0, "output_dir": str(tmp_path / "out"), **body}
+    with pytest.raises(ConfigError) as info:
+        validate_config(raw)
+    assert str(info.value).startswith(f"{key}: must lie in {interval}, got ")
+    cfg = _write_cfg(tmp_path / "c.yaml", yaml.safe_dump(raw))
+    for command in (["run", cfg], ["sweep", cfg, "--seeds", "0..1"]):
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, body",
+    [
+        ("two-armed-bandit", {"params": {"freq_a": 1.0, "freq_b": 0.0, "theta0": 0.0}}),
+        ("two-armed-bandit", {"source": {"kind": "ar1"}, "step": {"c": 1.0},
+                              "params": {"freq_a": 0.0, "freq_b": 1.0, "theta0": 1.0}}),
+        ("ergodic-investment", {"source": {"exponent": 1 / 3}}),
+        ("dark-pool", {"params": {"mix": [0.0, 1.0], "rebates": [0.0, 0.05]}}),
+        ("var-cvar", {"source": {"kind": "ar1-mixing", "mixing": -0.99}}),
+    ],
+    ids=["freq-endpoints-iid", "freq-endpoints-ar1", "exponent-third", "mix-rebate-endpoints",
+         "mixing-near-minus-one"],
+)
+def test_in_domain_endpoints_validate_and_run(tmp_path, experiment, body):
+    arts = run_experiment({"experiment": experiment, "seed": 0, "horizon": 500,
+                           "output_dir": str(tmp_path / "out"), **body})
+    assert arts.summary["status"] == "ok"
+
+
+def test_discrepancy_budget_is_checked_before_the_run():
+    # star_discrepancy_exact refuses n**q * q > 1e8 for its n = 2**k points
+    base = {"experiment": "discrepancy", "seed": 0}
+    validate_config({**base, "params": {"max_exponent": 12}})
+    validate_config({**base, "source": {"dimension": 3}, "params": {"max_exponent": 8}})
+    for dim, k in ((2, 13), (3, 9), (10**9, 14)):
+        with pytest.raises(ConfigError, match="params.max_exponent: .* budget"):
+            validate_config({**base, "source": {"dimension": dim},
+                             "params": {"max_exponent": k}})
+    with pytest.raises(ConfigError, match="min_exponent < max_exponent"):
+        validate_config({**base, "params": {"min_exponent": 9, "max_exponent": 9}})
+
+
+@pytest.mark.parametrize("jobs", [
+    "1", pytest.param("2", marks=pytest.mark.skipif(
+        (os.cpu_count() or 1) < 2, reason="--jobs 2 needs two CPUs")),
+])
+def test_cli_sweep_reports_a_run_time_parameter_error(tmp_path, capsys, jobs):
+    # the optimal capacity overflows only once the run computes it; the
+    # replication's ValueError must come back as a config error, exit 2
+    cfg = _write_cfg(
+        tmp_path / "c.yaml",
+        "experiment: ergodic-investment\nseed: 0\nhorizon: 200\n"
+        f"params: {{beta: 0.999, cost: 1.0e-9}}\noutput_dir: {tmp_path / 'out'}\n",
+    )
+    assert main(["sweep", cfg, "--seeds", "0..1", "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "beta=0.999" in err
+    assert "Traceback" not in err
+
+
 def test_shipped_configs_validate_with_distinct_output_dirs():
     # two shipped configs writing to one directory overwrite each other
     paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
