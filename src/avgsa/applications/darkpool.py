@@ -41,11 +41,25 @@ logger = logging.getLogger(__name__)
 _RENORM_EVERY = 10_000
 
 
-def _as_rebates(rebates) -> np.ndarray:
+def _checked_series(volumes, capacities, rebates) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(volumes, capacities, rebates)`` as float arrays of shapes (n,),
+    (n, pools) and (pools,), refused unless every rebate lies in [0, 1),
+    every volume and capacity is finite and every volume is positive."""
+    v = np.asarray(volumes, dtype=float)
+    d = np.asarray(capacities, dtype=float)
     rho = np.asarray(rebates, dtype=float)
-    if np.any(rho < 0.0) or np.any(rho >= 1.0):
+    if v.ndim != 1 or d.ndim != 2 or d.shape[0] != v.size or d.shape[1] != rho.size:
+        raise ValueError("need volumes (n,), capacities (n, pools), one rebate per pool")
+    if not np.all((0.0 <= rho) & (rho < 1.0)):
         raise ValueError("rebates must lie in [0, 1)")
-    return rho
+    for name, series in (("volumes", v), ("capacities", d)):
+        bad = np.argwhere(~np.isfinite(series))
+        if bad.size:
+            index = ", ".join(str(k) for k in bad[0])
+            raise ValueError(f"{name} must be finite; {name}[{index}] is not")
+    if np.any(v <= 0.0):
+        raise ValueError("volumes must be positive")
+    return v, d, rho
 
 
 def darkpool_field(r, volume: float, capacities, rebates) -> np.ndarray:
@@ -142,11 +156,7 @@ def brute_force_allocation(
     ``mean_t sum_i rho_i min(r_i V_t, D_it)`` on a grid of the two-venue
     simplex and return the best grid point.  This is the measuring stick
     the recursion is judged against."""
-    v = np.asarray(volumes, dtype=float)
-    d = np.asarray(capacities, dtype=float)
-    rho = _as_rebates(rebates)
-    if d.ndim != 2 or d.shape[0] != v.size or d.shape[1] != rho.size:
-        raise ValueError("need volumes (n,), capacities (n, pools), one rebate per pool")
+    v, d, rho = _checked_series(volumes, capacities, rebates)
     if rho.size != 2:
         raise ValueError(f"grid search supports 2 pools only, got {rho.size}")
     r1 = np.linspace(0.0, 1.0, round(1.0 / resolution) + 1)
@@ -166,11 +176,10 @@ def darkpool_run(
     capacities,
     rebates,
     schedule: StepSchedule,
-    r0=None,
     record_stride: int = 100,
 ) -> Trajectory:
     """Run the allocation recursion once through a (volume, capacity)
-    series.
+    series, from the uniform split.
 
     The allocation in force when an order arrives earns that order's
     rebates; the trajectory records the allocation path (``theta_i``
@@ -179,26 +188,9 @@ def darkpool_run(
     trigger count (monitor ``safeguard_count``).  The component sum is
     renormalised to exactly 1 every ``_RENORM_EVERY`` (10 000) steps.
     """
-    v = np.asarray(volumes, dtype=float)
-    d = np.asarray(capacities, dtype=float)
-    rho = _as_rebates(rebates)
-    if d.ndim != 2 or d.shape[0] != v.size or d.shape[1] != rho.size:
-        raise ValueError("need volumes (n,), capacities (n, pools), one rebate per pool")
-    for name, series in (("volumes", v), ("capacities", d)):
-        bad = np.argwhere(~np.isfinite(series))
-        if bad.size:
-            index = ", ".join(str(k) for k in bad[0])
-            raise ValueError(f"{name} must be finite; {name}[{index}] is not")
-    if np.any(v <= 0.0):
-        raise ValueError("volumes must be positive")
+    v, d, rho = _checked_series(volumes, capacities, rebates)
     horizon = v.size
-    pools = rho.size
-    if r0 is None:
-        r = np.full(pools, 1.0 / pools)
-    else:
-        r = np.asarray(r0, dtype=float).copy()
-        if r.shape != (pools,) or np.any(r < 0.0) or abs(r.sum() - 1.0) > 1e-9:
-            raise ValueError("initial allocation must be a simplex point")
+    r = np.full(rho.size, 1.0 / rho.size)
     if record_stride < 1:
         raise ValueError("record_stride must be at least 1")
 
@@ -241,5 +233,4 @@ def darkpool_run(
             "mean_cost_reduction": np.asarray(mean_cr),
             "safeguard_count": np.asarray(clip_counts),
         },
-        final_theta=r.copy(),
     )

@@ -277,7 +277,11 @@ class Trajectory:
     ns: np.ndarray                      # record indices; a run's hold 0 and, last, its horizon
     thetas: np.ndarray                  # (records, d)
     monitors: dict[str, np.ndarray]
-    final_theta: np.ndarray             # iterate after the last step, shape (d,)
+
+    @property
+    def final_theta(self) -> np.ndarray:
+        """Iterate after the last step, shape (d,): the last record."""
+        return self.thetas[-1]
 
     @property
     def dimension(self) -> int:
@@ -372,7 +376,6 @@ def run(
         ns=np.asarray(rec_n, dtype=np.int64),
         thetas=np.asarray(rec_theta, dtype=float).reshape(len(rec_n), -1),
         monitors={k: np.asarray(v) for k, v in rec_mon.items()},
-        final_theta=np.atleast_1d(snap(x)),
     )
 
 

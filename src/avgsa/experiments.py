@@ -433,7 +433,6 @@ def _run_discrepancy(cfg: dict) -> Outcome:
         ns=np.asarray([1 << k for k in ks], dtype=np.int64),
         thetas=np.empty((len(ks), 0)),
         monitors={"dstar_halton": hal, "dstar_iid": ref},
-        final_theta=np.empty(0),
     )
     return Outcome(
         table, "dstar_halton", errors=hal, logx=True,
@@ -691,19 +690,15 @@ def run_experiment(config) -> RunArtifacts:
     The output directory receives ``effective_config.yaml`` (the config
     with all defaults filled in — rerunning it reproduces the artifacts
     byte for byte), ``trajectory.csv``, a convergence plot, and
-    ``summary.json``.  The summary is written even when the divergence
-    guard aborts the run, with the failure cause in place of results.
+    ``summary.json``.  Nothing is written until the runner returns: a
+    config it refuses leaves no directory behind.  The summary and config
+    are written even when the divergence guard aborts the run, with the
+    failure cause in place of results.
     """
     raw = load_config(config) if isinstance(config, (str, Path)) else dict(config)
     cfg = validate_config(raw)
 
     exp = REGISTRY[cfg["experiment"]]
-    out_dir = Path(cfg["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    config_path = out_dir / "effective_config.yaml"
-    with open(config_path, "w", newline="\n") as fh:
-        yaml.safe_dump(cfg, fh, sort_keys=False)
-
     summary = {
         "experiment": cfg["experiment"],
         "seed": cfg["seed"],
@@ -720,6 +715,11 @@ def run_experiment(config) -> RunArtifacts:
         summary.update(status="aborted", failure=str(exc))
     summary["runtime_seconds"] = round(time.perf_counter() - start, 6)
 
+    out_dir = Path(cfg["output_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    config_path = out_dir / "effective_config.yaml"
+    with open(config_path, "w", newline="\n") as fh:
+        yaml.safe_dump(cfg, fh, sort_keys=False)
     csv_path = plot_path = None
     if outcome is not None:
         traj, name = outcome.trajectory, outcome.channel

@@ -185,12 +185,6 @@ def _last_exact_index(q: int) -> int:
     return min(last)
 
 
-def _exact_count(start: int, count: int, q: int) -> int:
-    """``count`` cut so a block from ``start`` ends at the last exact
-    index; a start past it keeps one row, which ``halton_block`` refuses."""
-    return max(1, min(count, _last_exact_index(q) - start + 1))
-
-
 # ---------------------------------------------------------------------------
 # Gaussian map
 # ---------------------------------------------------------------------------
@@ -405,7 +399,9 @@ class HaltonSource(InnovationSource):
         self._next_index = start
 
     def _generate(self, count: int) -> np.ndarray:
-        count = _exact_count(self._next_index, count, self.dimension)
+        # the block ends at the last exact index; a start past it keeps one
+        # row, which halton_block refuses
+        count = max(1, min(count, _last_exact_index(self.dimension) - self._next_index + 1))
         block = halton_block(self._next_index, count, self.dimension)
         self._next_index += count
         return block
@@ -414,28 +410,20 @@ class HaltonSource(InnovationSource):
 class HaltonGaussianSource(InnovationSource):
     """Gaussian vectors obtained by pushing consecutive coordinate pairs of
     a Halton stream through the Box-Muller map.  A q-dimensional output row
-    consumes one Halton point of dimension ``2*ceil(q/2)``; for odd q the
-    final cosine component is dropped."""
+    consumes one point of a :class:`HaltonSource` of dimension
+    ``2*ceil(q/2)``, block for block; for odd q the final cosine component
+    is dropped."""
 
     kind = "halton-gaussian"
 
     def __init__(self, dimension: int = 1, start: int = 1):
         super().__init__(dimension)
-        if start < 1:
-            raise ValueError("Halton indices start at 1")
-        self._pairs = (dimension + 1) // 2
-        self._next_index = start
+        self._points = HaltonSource(2 * ((dimension + 1) // 2), start)
 
     def _generate(self, count: int) -> np.ndarray:
-        count = _exact_count(self._next_index, count, 2 * self._pairs)
-        pts = halton_block(self._next_index, count, 2 * self._pairs)
-        self._next_index += count
-        out = np.empty((count, 2 * self._pairs))
-        for p in range(self._pairs):
-            g = _gaussians_from_pairs(pts[:, 2 * p], pts[:, 2 * p + 1])
-            out[:, 2 * p] = g[0::2]
-            out[:, 2 * p + 1] = g[1::2]
-        return out[:, : self.dimension]
+        pts = self._points._generate(count)
+        g = _gaussians_from_pairs(pts[:, 0::2].ravel(), pts[:, 1::2].ravel())
+        return g.reshape(len(pts), -1)[:, : self.dimension]
 
 
 class Ar1MixingSource(InnovationSource):
@@ -619,14 +607,11 @@ def make_source(kind: str, dimension: int = 1, seed: int = 0, **params) -> Innov
     if kind == "iid-gaussian":
         _reject_extra(kind, params)
         return IidGaussianSource(dimension, seed)
-    if kind == "halton":
+    if kind in ("halton", "halton-gaussian"):
         start = params.pop("start", 1)
         _reject_extra(kind, params)
-        return HaltonSource(dimension, start=start)
-    if kind == "halton-gaussian":
-        start = params.pop("start", 1)
-        _reject_extra(kind, params)
-        return HaltonGaussianSource(dimension, start=start)
+        cls = HaltonSource if kind == "halton" else HaltonGaussianSource
+        return cls(dimension, start=start)
     if kind == "ar1-mixing":
         a = params.pop("a", 0.5)
         x0 = params.pop("x0", 0.0)

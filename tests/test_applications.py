@@ -912,8 +912,31 @@ def test_darkpool_run_validation():
         darkpool_run(v, np.ones((5, 2)), reb, sched)
     with pytest.raises(ValueError):
         darkpool_run(v, d, np.array([0.02, 1.0]), sched)
-    with pytest.raises(ValueError):
-        darkpool_run(v, d, reb, sched, r0=np.array([0.7, 0.7]))
+
+
+_ONES_V, _ONES_D, _REB2 = np.ones(10), np.ones((10, 2)), np.array([0.02, 0.05])
+
+
+@pytest.mark.parametrize("series, message", [
+    ((np.where(np.arange(10) == 3, np.nan, 1.0), _ONES_D, _REB2),
+     r"volumes must be finite; volumes\[3\] is not"),
+    ((_ONES_V, np.where(np.arange(20).reshape(10, 2) == 15, np.inf, 1.0), _REB2),
+     r"capacities must be finite; capacities\[7, 1\] is not"),
+    ((np.where(np.arange(10) == 0, 0.0, 1.0), _ONES_D, _REB2), "volumes must be positive"),
+    ((_ONES_V, np.ones((5, 2)), _REB2), r"need volumes \(n,\), capacities \(n, pools\)"),
+    ((_ONES_V, _ONES_D, np.array([0.02, 1.0])), r"rebates must lie in \[0, 1\)"),
+], ids=["nan-volume", "inf-capacity", "zero-volume", "shape-mismatch", "rebate-one"])
+@pytest.mark.parametrize("entry", ["brute_force_allocation", "darkpool_run"])
+def test_darkpool_entries_refuse_the_same_series(entry, series, message):
+    # the oracle and the recursion read one series; neither may accept
+    # what the other refuses (unchecked, the oracle answered [0, 1] for a
+    # NaN volume)
+    fn = {
+        "brute_force_allocation": brute_force_allocation,
+        "darkpool_run": lambda *s: darkpool_run(*s, StepSchedule(c=1.0, a=1.0)),
+    }[entry]
+    with pytest.raises(ValueError, match=message):
+        fn(*series)
 
 
 def test_darkpool_run_rejects_non_finite_series():

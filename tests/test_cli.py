@@ -251,6 +251,28 @@ def test_cli_sweep_reports_a_run_time_parameter_error(tmp_path, capsys, jobs):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [
+    ["run"],
+    ["sweep", "--seeds", "0..1", "--jobs", "1"],
+    pytest.param(["sweep", "--seeds", "0..1", "--jobs", "2"], marks=pytest.mark.skipif(
+        (os.cpu_count() or 1) < 2, reason="--jobs 2 needs two CPUs")),
+], ids=["run", "sweep-jobs-1", "sweep-jobs-2"])
+@pytest.mark.parametrize("body, message", [
+    # the closed-form optimal capacity overflows once the runner computes it
+    ("experiment: ergodic-investment\nparams: {beta: 0.999, cost: 1.0e-9}\n", "beta=0.999"),
+    # the lognormal volumes overflow to inf, which darkpool_run refuses
+    ("experiment: dark-pool\nsource: {log_sigma: 2000}\n", "volumes must be finite"),
+], ids=["investment-overflow", "darkpool-infinite-volume"])
+def test_cli_run_time_refusal_writes_nothing(tmp_path, capsys, command, body, message):
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path / "c.yaml", f"{body}seed: 0\nhorizon: 200\noutput_dir: {out}\n")
+    with np.errstate(all="ignore"):
+        assert main([command[0], cfg, *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not out.exists()
+
+
 def test_shipped_configs_validate_with_distinct_output_dirs():
     # two shipped configs writing to one directory overwrite each other
     paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
@@ -655,6 +677,8 @@ def test_cli_run_abort_exit_code(tmp_path, capsys):
     )
     assert main(["run", cfg]) == 1
     assert (tmp_path / "boom" / "summary.json").exists()
+    assert (tmp_path / "boom" / "effective_config.yaml").exists()
+    assert not (tmp_path / "boom" / "trajectory.csv").exists()
     capsys.readouterr()
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from avgsa.experiments import experiment_names, run_experiment
+from avgsa.experiments import experiment_names, load_config, run_experiment
 
 # the shipped investment parameters sit outside the Feller region on purpose
 pytestmark = pytest.mark.filterwarnings(
@@ -142,3 +142,26 @@ def test_golden_output_bytes(tmp_path, name):
     summary_sha, config_sha = _GOLDEN_RECORDS[name]
     assert _summary_sha256(art.summary_path) == summary_sha
     assert _config_sha256(art.config_path, tmp_path) == config_sha
+
+
+# The four-venue shipped config at horizon 20 000: its zero-rebate venue is
+# pinned to the boundary, so the allocation safeguard clips on many steps
+# and these bytes cover the clipping path the registry default never takes.
+_FOUR_VENUES = Path(__file__).resolve().parents[1] / "configs" / "dark-pool-four-venues.yaml"
+_FOUR_VENUES_GOLDEN = (
+    "d320b4db178c283e7f3176e7ca7fd0606658d37a2ac5b3d0e8abec20cf8c970c",
+    "mean_cost_reduction.svg",
+    "8dff542aebcc544f473fe04e579269081fcde1d12397ac4ce14a78b9899f01b1",
+    "126c16a35d571c5a398c98555eed55f7849c3da9a2fc29723567d8d0558379ad",
+)
+
+
+def test_golden_output_bytes_dark_pool_four_venues(tmp_path):
+    raw = {**load_config(_FOUR_VENUES), "horizon": 20_000, "output_dir": str(tmp_path)}
+    art = run_experiment(raw)
+    csv_sha, plot_name, plot_sha, summary_sha = _FOUR_VENUES_GOLDEN
+    assert _sha256(art.csv_path) == csv_sha
+    assert Path(art.plot_path).name == plot_name
+    assert _sha256(art.plot_path) == plot_sha
+    assert _summary_sha256(art.summary_path) == summary_sha
+    assert art.summary["notes"]["safeguard_count"] > 0

@@ -357,6 +357,30 @@ def test_halton_gaussian_first_row_matches_hand_map():
     np.testing.assert_allclose(z, want, atol=1e-15)
 
 
+@pytest.mark.parametrize("q", range(1, 6))
+def test_halton_gaussian_is_box_muller_of_halton_pairs(q):
+    # bit for bit, over more than one block: (sin, cos) of each coordinate
+    # pair of the 2*ceil(q/2)-dimensional Halton point, odd q dropping the
+    # last cosine
+    pairs, n = (q + 1) // 2, 5_000
+    pts = halton_block(3, n, 2 * pairs)
+    want = np.empty((n, 2 * pairs))
+    for p in range(pairs):
+        r = np.sqrt(-2.0 * np.log(pts[:, 2 * p]))
+        want[:, 2 * p] = r * np.sin(2.0 * math.pi * pts[:, 2 * p + 1])
+        want[:, 2 * p + 1] = r * np.cos(2.0 * math.pi * pts[:, 2 * p + 1])
+    got = make_source("halton-gaussian", q, start=3).take_block(n)
+    np.testing.assert_array_equal(got, want[:, :q])
+
+
+@pytest.mark.parametrize("kind", ["halton", "halton-gaussian"])
+def test_halton_sources_refuse_bad_dimension_and_start(kind):
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        make_source(kind, 0)
+    with pytest.raises(ValueError, match="Halton indices start at 1"):
+        make_source(kind, 2, start=0)
+
+
 def test_iid_gaussian_uses_box_muller_map():
     # White-box determinism contract: the Gaussian stream is exactly the
     # Box-Muller image of the generator's uniform pairs.

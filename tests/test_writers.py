@@ -107,7 +107,6 @@ def test_csv_matches_reference_on_edge_values(tmp_path):
         ns=np.arange(k, dtype=np.int64) * 10**12,
         thetas=np.array(edge[::-1]).reshape(k, 1),
         monitors={"edge": np.array(edge)},
-        final_theta=np.array([edge[0]]),
     )
     data = _csv_bytes(traj, tmp_path)
     assert data == reference_csv(traj)
@@ -124,7 +123,6 @@ def test_csv_matches_reference_for_table_without_iterate(tmp_path):
         ns=ns,
         thetas=np.empty((ns.size, 0)),
         monitors={"dstar_halton": np.log(ns) / ns, "dstar_iid": 1.0 / np.sqrt(ns)},
-        final_theta=np.empty(0),
     )
     data = _csv_bytes(table, tmp_path)
     assert data == reference_csv(table)
@@ -187,7 +185,7 @@ def test_csv_writer_memory_is_flat_in_rows(tmp_path):
     ns = np.arange(_ROWS, dtype=np.int64)
     theta = np.sin(ns * 0.001)
     traj = Trajectory(ns=ns, thetas=theta.reshape(-1, 1),
-                      monitors={"sq": theta * theta}, final_theta=theta[-1:])
+                      monitors={"sq": theta * theta})
     peak = _peak_bytes(lambda: write_trajectory_csv(traj, tmp_path / "big.csv"))
     assert peak < _PEAK_LIMIT, f"CSV writer peaked at {peak / 2**20:.1f} MB"
 
