@@ -4,9 +4,9 @@ Each round plays arm A with the current probability ``theta`` and arm B
 otherwise; a played arm that performs well pulls ``theta`` toward
 itself.  Both endpoints are absorbing: 1 is the desirable outcome when
 arm A outperforms arm B in long-run frequency, 0 is the trap.  The
-performance events may be serially dependent — an autoregressive
-thresholded generator is provided next to the i.i.d. one to exercise
-exactly that regime.
+performance events may be serially dependent: :func:`make_event_source`
+thresholds either independent uniforms or an autoregressive chain, the
+latter to exercise exactly that regime.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from avgsa.engine import StepSchedule, Trajectory, run
 from avgsa.innovations import Ar1MixingSource, IidUniformSource, InnovationSource
 
 __all__ = [
-    "IidEventSource",
-    "Ar1ThresholdEventSource",
     "make_event_source",
     "bandit_field",
     "classify_terminal",
@@ -31,75 +29,51 @@ __all__ = [
 ]
 
 
-class IidEventSource(InnovationSource):
-    """Independent Bernoulli performance events for the two arms, one
-    0/1 pair per row, with marginal frequencies ``freq_a`` and
-    ``freq_b``."""
+class _ThresholdEvents(InnovationSource):
+    """Performance events for the two arms, one 0/1 pair per row: an
+    arm's event occurs when its column of ``stream`` is at most its
+    cutoff."""
 
-    kind = "bandit-iid-events"
+    kind = "bandit-events"
 
-    def __init__(self, freq_a: float, freq_b: float, seed: int = 0):
+    def __init__(self, stream: InnovationSource, cutoffs):
         super().__init__(2)
-        _check_freqs(freq_a, freq_b)
-        self.freq_a = freq_a
-        self.freq_b = freq_b
-        self._rng = np.random.default_rng(np.random.SeedSequence(seed))
+        self._stream = stream
+        self._cutoffs = np.asarray(cutoffs, dtype=float)
 
     def _generate(self, count: int) -> np.ndarray:
-        u = self._rng.random((count, 2))
-        return (u <= (self.freq_a, self.freq_b)).astype(float)
-
-
-class Ar1ThresholdEventSource(InnovationSource):
-    """Serially dependent performance events: two independent
-    autoregressive Gaussian chains, thresholded so the stationary
-    frequencies come out at ``freq_a`` and ``freq_b``.
-
-    The chain ``x' = a x + z`` has stationary variance ``1/(1-a^2)``,
-    so the cutoff for a frequency ``nu`` sits at
-    ``Phi^{-1}(nu) / sqrt(1-a^2)`` (``-inf`` for 0 and ``inf`` for 1).
-    Consecutive events are positively correlated for ``a > 0`` — streaks
-    of good and bad performance.  The chain mixes only for ``|a| < 1``.
-    """
-
-    kind = "bandit-ar1-events"
-
-    def __init__(self, freq_a: float, freq_b: float, seed: int = 0, mixing: float = 0.5):
-        super().__init__(2)
-        _check_freqs(freq_a, freq_b)
-        if not abs(mixing) < 1.0:
-            raise ValueError(f"mixing must lie in (-1, 1), got {mixing}")
-        self.freq_a = freq_a
-        self.freq_b = freq_b
-        self.mixing = mixing
-        scale = 1.0 / math.sqrt(1.0 - mixing**2)
-        nd = NormalDist()
-        self._cutoffs = np.array([
-            -math.inf if f == 0.0 else math.inf if f == 1.0 else nd.inv_cdf(f) * scale
-            for f in (freq_a, freq_b)
-        ])
-        self._chain = Ar1MixingSource(2, seed, a=mixing)
-
-    def _generate(self, count: int) -> np.ndarray:
-        x = self._chain.take_block(count)
-        return (x <= self._cutoffs).astype(float)
-
-
-def _check_freqs(freq_a: float, freq_b: float) -> None:
-    for name, f in (("freq_a", freq_a), ("freq_b", freq_b)):
-        if not 0.0 <= f <= 1.0:
-            raise ValueError(f"{name} must be a frequency in [0, 1], got {f}")
+        return (self._stream.take_block(count) <= self._cutoffs).astype(float)
 
 
 def make_event_source(
     kind: str, freq_a: float, freq_b: float, seed: int, mixing: float = 0.5
 ) -> InnovationSource:
-    """Build a performance-event stream: ``"iid"`` or ``"ar1"``."""
+    """Build a performance-event stream with marginal frequencies
+    ``freq_a`` and ``freq_b``: ``"iid"`` or ``"ar1"``.
+
+    ``"iid"`` thresholds independent uniforms at the frequencies.
+    ``"ar1"`` thresholds two independent autoregressive chains
+    ``x' = a x + z`` with ``a = mixing``, whose stationary variance is
+    ``1/(1-a^2)``, at ``Phi^{-1}(nu) / sqrt(1-a^2)`` (``-inf`` for 0 and
+    ``inf`` for 1).  Consecutive events are then positively correlated
+    for ``a > 0`` — streaks of good and bad performance.  The chain mixes
+    only for ``|a| < 1``.
+    """
+    if kind not in ("iid", "ar1"):
+        raise ValueError(f"unknown event stream kind {kind!r}; use 'iid' or 'ar1'")
+    for name, f in (("freq_a", freq_a), ("freq_b", freq_b)):
+        if not 0.0 <= f <= 1.0:
+            raise ValueError(f"{name} must be a frequency in [0, 1], got {f}")
     if kind == "iid":
-        return IidEventSource(freq_a, freq_b, seed)
-    if kind == "ar1":
-        return Ar1ThresholdEventSource(freq_a, freq_b, seed, mixing)
-    raise ValueError(f"unknown event stream kind {kind!r}; use 'iid' or 'ar1'")
+        return _ThresholdEvents(IidUniformSource(2, seed), (freq_a, freq_b))
+    if not abs(mixing) < 1.0:
+        raise ValueError(f"mixing must lie in (-1, 1), got {mixing}")
+    scale = 1.0 / math.sqrt(1.0 - mixing**2)
+    cutoffs = [
+        -math.inf if f == 0.0 else math.inf if f == 1.0 else NormalDist().inv_cdf(f) * scale
+        for f in (freq_a, freq_b)
+    ]
+    return _ThresholdEvents(Ar1MixingSource(2, seed, a=mixing), cutoffs)
 
 
 def bandit_field(theta: float, y) -> float:

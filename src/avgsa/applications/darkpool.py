@@ -126,15 +126,20 @@ def synthetic_darkpool_series(
     """Stationary synthetic (volume, capacities) series: the volume and
     one substitute series per venue are lognormals driven by independent
     autoregressive Gaussian chains, then passed through
-    :func:`synthetic_capacities`."""
+    :func:`synthetic_capacities`.  A ``log_sigma`` so large that the
+    series overflows, or underflows toward 0, is refused."""
     alpha = np.asarray(mix, dtype=float)
     if n < 1:
         raise ValueError("series length must be at least 1")
     pools = alpha.size
     raw = Ar1MixingSource(1 + pools, seed, a=mixing).take_block(n)
-    volumes = np.exp(log_sigma * raw[:, 0])
-    substitutes = np.exp(log_sigma * raw[:, 1:])
-    return volumes, synthetic_capacities(volumes, substitutes, alpha, scale)
+    try:
+        with np.errstate(over="raise", under="raise"):
+            volumes = np.exp(log_sigma * raw[:, 0])
+            substitutes = np.exp(log_sigma * raw[:, 1:])
+            return volumes, synthetic_capacities(volumes, substitutes, alpha, scale)
+    except FloatingPointError:
+        raise ValueError(f"log_sigma = {log_sigma} is too large for the lognormal series") from None
 
 
 def relative_cost_reduction(r, volume: float, capacities, rebates) -> float:

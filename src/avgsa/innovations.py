@@ -12,7 +12,8 @@ noise.  We provide the stream families used throughout the package
   approximates the invariant law of a diffusion,
 
 together with the exact star discrepancy that measures the quality of a
-low-discrepancy point set.
+low-discrepancy point set.  Only ``IidUniformSource`` and ``HaltonSource``
+generate numbers from scratch; every other source maps one of them.
 
 Every source is deterministic given its construction arguments: the same
 seed always reproduces the same stream, element for element, regardless of
@@ -360,7 +361,6 @@ class IidUniformSource(InnovationSource):
 
     def __init__(self, dimension: int = 1, seed: int = 0):
         super().__init__(dimension)
-        self.seed = seed
         self._rng = np.random.default_rng(np.random.SeedSequence(seed))
 
     def _generate(self, count: int) -> np.ndarray:
@@ -368,20 +368,21 @@ class IidUniformSource(InnovationSource):
 
 
 class IidGaussianSource(InnovationSource):
-    """Independent standard normals built from PCG64 uniforms through the
-    same Box-Muller map the quasi-Monte Carlo sources use, so an i.i.d. run
-    and a low-discrepancy run differ only in the underlying uniforms."""
+    """Independent standard normals: ``count * dimension`` uniforms of an
+    :class:`IidUniformSource` per block, halves as the ``(u1, u2)`` of each
+    pair, through the same Box-Muller map the quasi-Monte Carlo sources
+    use, so an i.i.d. run and a low-discrepancy run differ only in the
+    underlying uniforms."""
 
     kind = "iid-gaussian"
 
     def __init__(self, dimension: int = 1, seed: int = 0):
         super().__init__(dimension)
-        self.seed = seed
-        self._rng = np.random.default_rng(np.random.SeedSequence(seed))
+        self._uniforms = IidUniformSource(1, seed)
 
     def _generate(self, count: int) -> np.ndarray:
-        npairs = (count * self.dimension) // 2  # count * dim is even
-        u = self._rng.random((2, npairs))
+        # count * dimension is even
+        u = self._uniforms._generate(count * self.dimension).reshape(2, -1)
         u1 = 1.0 - u[0]  # map [0,1) to (0,1] for the logarithm
         g = _gaussians_from_pairs(u1, u[1])
         return g.reshape(count, self.dimension)
@@ -444,13 +445,12 @@ class Ar1MixingSource(InnovationSource):
         super().__init__(dimension)
         if not abs(a) < 1.0:
             raise ValueError(f"|a| < 1 required for mixing, got {a}")
-        self.seed = seed
         self.a = a
         self._state = np.broadcast_to(np.asarray(x0, dtype=float), (dimension,)).copy()
         self._noise = IidGaussianSource(dimension, seed)
 
     def _generate(self, count: int) -> np.ndarray:
-        z = self._noise.take_block(count)
+        z = self._noise._generate(count)
         out = np.empty_like(z)
         a = float(self.a)
         for j in range(self.dimension):
@@ -469,7 +469,8 @@ class FiniteMarkovChainSource(InnovationSource):
 
     ``transition`` is a row-stochastic matrix, ``values`` assigns a vector
     (or scalar) to each state.  The first emission is the value of the
-    initial state; the chain then moves according to the matrix.
+    initial state; the chain then moves according to the matrix, driven by
+    one uniform of an :class:`IidUniformSource` per row.
     """
 
     kind = "finite-markov-chain"
@@ -494,16 +495,15 @@ class FiniteMarkovChainSource(InnovationSource):
         if not 0 <= initial_state < P.shape[0]:
             raise ValueError(f"initial state {initial_state} out of range")
         super().__init__(vals.shape[1])
-        self.seed = seed
         self._P_cum = np.cumsum(P, axis=1)
         self._values = vals
         self._state = initial_state
         self._emitted_initial = False
-        self._rng = np.random.default_rng(np.random.SeedSequence(seed))
+        self._uniforms = IidUniformSource(1, seed)
 
     def _generate(self, count: int) -> np.ndarray:
         rows = self._P_cum.tolist()
-        us = self._rng.random(count).tolist()
+        us = self._uniforms._generate(count).ravel().tolist()
         states = []
         s = self._state
         if not self._emitted_initial:
@@ -550,7 +550,6 @@ class EulerDecreasingSource(InnovationSource):
         if not 0.0 < exponent < 1.0:
             raise ValueError(f"exponent must lie in (0, 1), got {exponent}")
         super().__init__(1)
-        self.seed = seed
         self._step0 = step0
         self._exponent = exponent
         self._drift = drift
@@ -561,7 +560,7 @@ class EulerDecreasingSource(InnovationSource):
         self._noise = IidGaussianSource(1, seed)
 
     def _generate(self, count: int) -> np.ndarray:
-        zs = self._noise.take_block(count)[:, 0].tolist()
+        zs = self._noise._generate(count).ravel().tolist()
         ys = []
         y = self._y
         n = self._n

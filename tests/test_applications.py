@@ -12,8 +12,6 @@ import numpy as np
 import pytest
 
 from avgsa.applications.bandit import (
-    Ar1ThresholdEventSource,
-    IidEventSource,
     bandit_field,
     bandit_run,
     classify_terminal,
@@ -53,7 +51,7 @@ from avgsa.applications.varcvar import (
     var_field,
 )
 from avgsa.engine import StepSchedule
-from avgsa.innovations import make_source
+from avgsa.innovations import Ar1MixingSource, IidUniformSource, make_source
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +603,7 @@ def test_bandit_endpoints_absorb():
 
 
 def test_bandit_run_monotone_when_only_a_pays():
-    events = IidEventSource(1.0, 0.0, seed=0)
+    events = make_event_source("iid", 1.0, 0.0, 0)
     uniforms = make_source("iid-uniform", 1, 1)
     res = bandit_run(events, uniforms, StepSchedule(c=1.0, a=0.9), 5_000)
     path = res.trajectory.thetas[:, 0]
@@ -614,7 +612,7 @@ def test_bandit_run_monotone_when_only_a_pays():
 
 
 def test_bandit_run_zero_start_is_trapped():
-    events = IidEventSource(0.9, 0.9, seed=2)
+    events = make_event_source("iid", 0.9, 0.9, 2)
     uniforms = make_source("iid-uniform", 1, 3)
     res = bandit_run(
         events, uniforms, StepSchedule(c=1.0, a=0.9), 2_000, theta0=0.0
@@ -624,7 +622,7 @@ def test_bandit_run_zero_start_is_trapped():
 
 
 def test_bandit_run_stays_in_unit_interval():
-    events = IidEventSource(0.7, 0.5, seed=5)
+    events = make_event_source("iid", 0.7, 0.5, 5)
     uniforms = make_source("iid-uniform", 1, 6)
     res = bandit_run(events, uniforms, StepSchedule(c=1.0, a=0.9), 20_000)
     assert res.trajectory.thetas.min() >= 0.0
@@ -667,7 +665,7 @@ def test_classify_terminal_bands():
 
 
 def test_iid_event_source_frequencies():
-    rows = IidEventSource(0.6, 0.4, seed=3).take_block(20_000)
+    rows = make_event_source("iid", 0.6, 0.4, 3).take_block(20_000)
     assert rows.shape == (20_000, 2)
     assert set(np.unique(rows)) <= {0.0, 1.0}
     assert abs(rows[:, 0].mean() - 0.6) <= 0.02
@@ -675,7 +673,7 @@ def test_iid_event_source_frequencies():
 
 
 def test_ar1_event_source_frequencies_and_persistence():
-    rows = Ar1ThresholdEventSource(0.6, 0.4, seed=3, mixing=0.5).take_block(100_000)
+    rows = make_event_source("ar1", 0.6, 0.4, 3, mixing=0.5).take_block(100_000)
     a = rows[:, 0]
     assert abs(a.mean() - 0.6) <= 0.02
     assert abs(rows[:, 1].mean() - 0.4) <= 0.02
@@ -685,9 +683,20 @@ def test_ar1_event_source_frequencies_and_persistence():
 
 
 def test_make_event_source_dispatch():
-    assert isinstance(make_event_source("iid", 0.5, 0.5, 0), IidEventSource)
-    assert isinstance(
-        make_event_source("ar1", 0.5, 0.5, 0), Ar1ThresholdEventSource
+    # bit for bit, across a 4096-row buffer edge: "iid" thresholds
+    # IidUniformSource(2, seed) at the frequencies, "ar1" thresholds
+    # Ar1MixingSource(2, seed, a=mixing) at Phi^-1(nu) / sqrt(1 - mixing^2)
+    n = 5_000
+    u = IidUniformSource(2, 4).take_block(n)
+    np.testing.assert_array_equal(
+        make_event_source("iid", 0.7, 0.2, 4).take_block(n), (u <= (0.7, 0.2)).astype(float)
+    )
+    x = Ar1MixingSource(2, 4, a=-0.3).take_block(n)
+    scale = 1.0 / math.sqrt(1.0 - 0.3**2)
+    cutoffs = [NormalDist().inv_cdf(f) * scale for f in (0.7, 0.2)]
+    np.testing.assert_array_equal(
+        make_event_source("ar1", 0.7, 0.2, 4, mixing=-0.3).take_block(n),
+        (x <= cutoffs).astype(float),
     )
     with pytest.raises(ValueError):
         make_event_source("markov", 0.5, 0.5, 0)
@@ -715,7 +724,7 @@ def test_bandit_run_validation():
     sched = StepSchedule(c=1.0, a=0.9)
     with pytest.raises(ValueError):
         bandit_run(
-            IidEventSource(0.5, 0.5, 0), make_source("iid-uniform", 2, 0), sched, 10
+            make_event_source("iid", 0.5, 0.5, 0), make_source("iid-uniform", 2, 0), sched, 10
         )
     with pytest.raises(ValueError):
         bandit_run(
@@ -723,7 +732,7 @@ def test_bandit_run_validation():
         )
     with pytest.raises(ValueError):
         bandit_run(
-            IidEventSource(0.5, 0.5, 0),
+            make_event_source("iid", 0.5, 0.5, 0),
             make_source("iid-uniform", 1, 0),
             sched,
             10,
@@ -732,7 +741,7 @@ def test_bandit_run_validation():
     # a first step above 1 throws the iterate out of [0, 1]
     with pytest.raises(ValueError, match="step must lie in"):
         bandit_run(
-            IidEventSource(0.5, 0.5, 0),
+            make_event_source("iid", 0.5, 0.5, 0),
             make_source("iid-uniform", 1, 0),
             StepSchedule(c=1.5, a=0.9),
             10,

@@ -260,16 +260,16 @@ def test_cli_sweep_reports_a_run_time_parameter_error(tmp_path, capsys, jobs):
 @pytest.mark.parametrize("body, message", [
     # the closed-form optimal capacity overflows once the runner computes it
     ("experiment: ergodic-investment\nparams: {beta: 0.999, cost: 1.0e-9}\n", "beta=0.999"),
-    # the lognormal volumes overflow to inf, which darkpool_run refuses
-    ("experiment: dark-pool\nsource: {log_sigma: 2000}\n", "volumes must be finite"),
+    # the lognormal volumes overflow; the series builder refuses the key by name
+    ("experiment: dark-pool\nsource: {log_sigma: 2000}\n", "log_sigma = 2000"),
 ], ids=["investment-overflow", "darkpool-infinite-volume"])
 def test_cli_run_time_refusal_writes_nothing(tmp_path, capsys, command, body, message):
     out = tmp_path / "out"
     cfg = _write_cfg(tmp_path / "c.yaml", f"{body}seed: 0\nhorizon: 200\noutput_dir: {out}\n")
-    with np.errstate(all="ignore"):
-        assert main([command[0], cfg, *command[1:]]) == 2
+    assert main([command[0], cfg, *command[1:]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
+    assert "Warning" not in err
     assert not out.exists()
 
 

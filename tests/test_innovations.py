@@ -8,12 +8,14 @@ forms for the Gaussian map.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from avgsa.applications.bandit import make_event_source
 from avgsa.applications.investment import CirParams, cir_innovation_source
 from avgsa.innovations import (
     Ar1MixingSource,
@@ -381,18 +383,22 @@ def test_halton_sources_refuse_bad_dimension_and_start(kind):
         make_source(kind, 2, start=0)
 
 
-def test_iid_gaussian_uses_box_muller_map():
-    # White-box determinism contract: the Gaussian stream is exactly the
-    # Box-Muller image of the generator's uniform pairs.
-    src = IidGaussianSource(1, seed=123)
-    got = src.take_block(4096)[:, 0]
-    rng = np.random.default_rng(np.random.SeedSequence(123))
-    u = rng.random((2, 2048))
-    r = np.sqrt(-2.0 * np.log(1.0 - u[0]))
-    want = np.empty(4096)
-    want[0::2] = r * np.sin(2.0 * math.pi * u[1])
-    want[1::2] = r * np.cos(2.0 * math.pi * u[1])
-    np.testing.assert_array_equal(got, want)
+@pytest.mark.parametrize("d", [1, 3])
+def test_iid_gaussian_uses_box_muller_map(d):
+    # White-box determinism contract, bit for bit over two buffers: each
+    # 4096-row buffer is the Box-Muller image of 4096 * d uniforms of
+    # IidUniformSource(1, seed), the first half the u1 of every pair and
+    # the second half the u2.
+    u = IidUniformSource(1, seed=123).take_block(2 * 4096 * d)[:, 0]
+    want = []
+    for block in u.reshape(2, 2, -1):
+        r = np.sqrt(-2.0 * np.log(1.0 - block[0]))
+        g = np.empty(4096 * d)
+        g[0::2] = r * np.sin(2.0 * math.pi * block[1])
+        g[1::2] = r * np.cos(2.0 * math.pi * block[1])
+        want.append(g.reshape(4096, d))
+    got = IidGaussianSource(d, seed=123).take_block(5_000)
+    np.testing.assert_array_equal(got, np.vstack(want)[:5_000])
 
 
 def test_iid_gaussian_moments():
@@ -501,8 +507,9 @@ def ar1_by_hand(dimension, seed, a, x0):
 def markov_by_hand(transition, values, seed, initial_state):
     cum = np.cumsum(np.asarray(transition, dtype=float), axis=1)
     vals = np.asarray(values, dtype=float)
-    # the source draws one uniform per row; the first row's goes unused
-    u = np.random.default_rng(np.random.SeedSequence(seed)).random(HAND_ROWS)
+    # the source maps one uniform of IidUniformSource(1, seed) per row;
+    # the first row's goes unused
+    u = IidUniformSource(1, seed).take_block(HAND_ROWS)[:, 0]
     out = np.empty((HAND_ROWS, vals.shape[1]))
     s = initial_state
     out[0] = vals[s]
@@ -568,6 +575,51 @@ def test_euler_matches_hand_loop(preset, interleaved):
         source = EulerDecreasingSource(drift, diffusion, 0.5, 0.4, y0=-0.4, seed=10)
         want = euler_by_hand(drift, diffusion, 0.5, 0.4, -0.4, 10)
     np.testing.assert_array_equal(consume(source, interleaved), want)
+
+
+# (stream, sha256 of 4097 block rows, one next() row and 9000 more block
+# rows), taken before IidGaussianSource, FiniteMarkovChainSource and the
+# bandit's event streams were rebuilt on IidUniformSource; the Gaussian
+# streams hold under the SIMD dispatch the goldens were written with
+_STREAM_PINS = {
+    "iid-uniform": (
+        lambda: make_source("iid-uniform", 2, 5),
+        "381bbbdabb3f9b24b53b97e111205ac1cce0c9a3c3461defcbb8f4696a0da3c3"),
+    "iid-gaussian-d1": (
+        lambda: make_source("iid-gaussian", 1, 5),
+        "1ebe9b1820dd63e21eefbd8e5990b2893c5f134b6a4958717369a536f4f3afb3"),
+    "iid-gaussian-d3": (
+        lambda: make_source("iid-gaussian", 3, 5),
+        "19a2463879a1b40906ac04b776fb5f25ed9b2635f195c3521f28a8f4ab230470"),
+    "halton-gaussian-d3": (
+        lambda: make_source("halton-gaussian", 3),
+        "65fb560c3f8145d151f3d29c35c144e99442c7b26775a05982104c9e3386fba7"),
+    "ar1-mixing": (
+        lambda: make_source("ar1-mixing", 2, 7, a=0.5),
+        "34140fb609338a006771dcabc4b9b516fee4c9c7ada5f32edff07a62098d7f8a"),
+    "finite-markov-chain": (
+        lambda: make_source("finite-markov-chain", seed=3, transition=[[0.9, 0.1], [0.2, 0.8]],
+                            values=[0.0, 1.0]),
+        "4798a9e387a1e7b3e67b34b148bdfb2f0b16e2ad18e201b792c0b0ba65854863"),
+    "cir-euler": (
+        lambda: cir_innovation_source(CirParams(1.0, 1.0, 1.5), 1.0, 1 / 3, 4),
+        "7aea5332cae59e3750f6428297fbc49f8a8cf54b4a9106665708cbe7c2846734"),
+    "iid-events": (
+        lambda: make_event_source("iid", 0.6, 0.4, 11),
+        "7dfa6d810979020d5300bcc93151e7d2f39f22687fe728866accdd7d468834d5"),
+    "ar1-events": (
+        lambda: make_event_source("ar1", 0.6, 0.4, 11, mixing=0.5),
+        "e44548cc2071d0ab242b2b660c84850282e14b1d84cc5b91585d6df5d5782716"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:2\\*kappa\\*vartheta:UserWarning")
+@pytest.mark.parametrize("name", list(_STREAM_PINS))
+def test_stream_bytes_are_pinned(name):
+    factory, digest = _STREAM_PINS[name]
+    s = factory()
+    rows = np.vstack([s.take_block(4097), s.next()[None, :], s.take_block(9000)])
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
 
 
 def test_take_block_zero_leaves_stream_in_place():
