@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import Callable, Sequence
 
 from avgsa.engine import StepSchedule, Trajectory, run
 from avgsa.innovations import InnovationSource
@@ -49,16 +47,19 @@ class BestOfCallParams:
             raise ValueError("volatilities must be nonnegative")
 
 
-def _bestof_kernel(p: BestOfCallParams) -> Callable[[float, float, float], float]:
-    """Build ``payoff(theta, z1, z2)``, the discounted best-of-call payoff
-    for one Gaussian pair, with the second asset driven by
-    ``z1 cos(theta) + z2 sin(theta)``.
+def _bestof_kernel(
+    p: BestOfCallParams, quote: float = 0.0
+) -> Callable[[float, Sequence[float]], float]:
+    """Build ``kernel(theta, z)``: the discounted best-of-call payoff for
+    one Gaussian pair ``z = (z1, z2)``, with the second asset driven by
+    ``z1 cos(theta) + z2 sin(theta)``, minus ``quote``.
 
     Everything that does not depend on the draw (``sqrt(T)``, the two
     log-drifts and volatilities, the discount factor) is computed once
     here, so a run builds the kernel once and each step only pays for the
     two exponentials and the angle.  The conditionals give ``max``'s
-    results, ties, NaN and ``-0.0`` included.
+    results, ties, NaN and ``-0.0`` included, and subtracting the zero
+    quote leaves every payoff bit unchanged.
     """
     t = p.maturity
     sq = math.sqrt(t)
@@ -70,26 +71,27 @@ def _bestof_kernel(p: BestOfCallParams) -> Callable[[float, float, float], float
     disc = math.exp(-p.rate * t)
     exp, cos, sin = math.exp, math.cos, math.sin
 
-    def payoff(theta: float, z1: float, z2: float) -> float:
+    def kernel(theta: float, z: Sequence[float]) -> float:
+        z1, z2 = z
         s1 = x1 * exp(mu1 + v1 * z1)
         s2 = x2 * exp(mu2 + v2 * (z1 * cos(theta) + z2 * sin(theta)))
         pay = (s2 if s2 > s1 else s1) - strike
-        return disc * (0.0 if 0.0 > pay else pay)
+        return disc * (0.0 if 0.0 > pay else pay) - quote
 
-    return payoff
+    return kernel
 
 
 def bestof_payoff(theta: float, z1: float, z2: float, p: BestOfCallParams) -> float:
     """Discounted best-of-call payoff for one Gaussian pair, with the
     second asset driven by ``z1 cos(theta) + z2 sin(theta)``."""
-    return _bestof_kernel(p)(theta, z1, z2)
+    return _bestof_kernel(p)(theta, (z1, z2))
 
 
 def bestof_field(theta: float, z, p: BestOfCallParams) -> float:
     """Update field: simulated discounted payoff minus the market quote.
     Its mean vanishes exactly at angles whose cosine is an implied
     correlation."""
-    return bestof_payoff(theta, float(z[0]), float(z[1]), p) - p.market_price
+    return _bestof_kernel(p, p.market_price)(theta, (float(z[0]), float(z[1])))
 
 
 def bs_bestof_price(
@@ -117,8 +119,8 @@ def bs_bestof_price(
     left = n
     while left > 0:
         z = source.take_block(min(1 << 14, left))
-        for z1, z2 in zip(*z.T.tolist()):
-            total += payoff(theta, z1, z2)
+        for row in zip(*z.T.tolist()):
+            total += payoff(theta, row)
         left -= len(z)
     return total / n
 
@@ -135,12 +137,10 @@ def calibrate_correlation(
     ``rho = cos(theta)`` alongside the angle itself."""
     if source.dimension != 2:
         raise ValueError("calibration needs a 2-dimensional Gaussian source")
-    payoff = _bestof_kernel(p)
-    quote = p.market_price
     return run(
         theta0,
         source,
-        lambda th, z: payoff(th, z[0], z[1]) - quote,
+        _bestof_kernel(p, p.market_price),
         schedule,
         horizon,
         record_stride=record_stride,

@@ -145,27 +145,27 @@ def _grad_field(
 ) -> Callable[[float, Sequence[float]], float]:
     """Build the capacity step field ``field(theta_tilde, row)``, which is
     :func:`cobb_douglas_grad` at the productivity ``row[0]``.  The
-    exponents and the cost are computed once and ``chain_rule`` picks the
-    field here, so a run pays per step only for the arithmetic that
-    depends on the step."""
+    exponents and the cost are computed once, and the transform of
+    :func:`capacity_transform` is inlined, its ``sqrt(theta_tilde**2 + 1)``
+    serving the chain-rule factor too, so a step makes no Python call
+    beyond the field itself."""
     alpha, beta, cost = q.alpha, q.beta, q.cost
     bm1 = beta - 1.0
     left = 1.0 / (1.0 - beta)
-    transform = _transform_kernel(beta)
     sqrt = math.sqrt
 
-    def marginal(theta: float, y: float) -> float:
-        return -(beta * abs(y) ** alpha * theta**bm1 - cost)
+    def field(theta_tilde: float, row: Sequence[float]) -> float:
+        root = sqrt(theta_tilde**2 + 1.0)
+        if theta_tilde < 0.0:
+            theta = (theta_tilde + root) ** left
+            rho = left
+        else:
+            theta = theta_tilde + root
+            rho = 1.0
+        grad = -(beta * abs(row[0]) ** alpha * theta**bm1 - cost)
+        return grad * (rho * theta / root) if chain_rule else grad
 
-    if not chain_rule:
-        return lambda theta_tilde, row: marginal(transform(theta_tilde), row[0])
-
-    def chained(theta_tilde: float, row: Sequence[float]) -> float:
-        theta = transform(theta_tilde)
-        rho = left if theta_tilde < 0.0 else 1.0
-        return marginal(theta, row[0]) * (rho * theta / sqrt(theta_tilde**2 + 1.0))
-
-    return chained
+    return field
 
 
 def capacity_transform(theta_tilde: float, beta: float) -> float:

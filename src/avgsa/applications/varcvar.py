@@ -71,10 +71,13 @@ def var_cvar_trajectory(
     vsum = 0.0
 
     def field(theta: float, row) -> float:
-        # var_field and tail_value, with the division folded into ``tail``
+        # var_field and tail_value, with the division folded into ``tail``;
+        # the conditional is builtin max's rule (keep the first argument
+        # unless the second is greater), NaN and -0.0 included
         nonlocal vsum
         y = row[0]
-        vsum += theta + max(y - theta, 0.0) * tail
+        d = y - theta
+        vsum += theta + (0.0 if 0.0 > d else d) * tail
         return 1.0 - (tail if y >= theta else 0.0)
 
     return run(

@@ -17,7 +17,6 @@ import argparse
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import yaml
@@ -170,6 +169,10 @@ def _cmd_sweep(args) -> int:
     if args.jobs == 1:
         summaries = [_sweep_one(cfg) for cfg in configs]
     else:
+        # imported here: the pool pulls in multiprocessing, which a
+        # one-job sweep and every other command never use
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             summaries = list(pool.map(_sweep_one, configs))
 

@@ -60,9 +60,9 @@ class StepSchedule:
         object.__setattr__(self, "c", float(self.c))
         object.__setattr__(self, "a", float(self.a))
 
-    def gamma_array(self, horizon: int) -> np.ndarray:
-        """Vector (gamma_1, ..., gamma_horizon)."""
-        return self.c * np.arange(1, horizon + 1, dtype=float) ** (-self.a)
+    def gamma_array(self, count: int, start: int = 1) -> np.ndarray:
+        """Vector (gamma_start, ..., gamma_{start + count - 1})."""
+        return self.c * np.arange(start, start + count, dtype=float) ** (-self.a)
 
 
 @dataclass(frozen=True)
@@ -335,7 +335,6 @@ def run(
 
     theta = np.atleast_1d(np.asarray(theta0, dtype=float)).copy()
     mon_items = list((monitors or {}).items())
-    gam = schedule.gamma_array(horizon)
     if theta.shape[0] == 1:
         # scalar path: plain float arithmetic in the hot loop
         x = float(theta[0])
@@ -361,9 +360,10 @@ def run(
     n = 0
     while n < horizon:
         m = min(_BLOCK, horizon - n)
-        # gammas go to Python floats one block at a time: converting the
-        # whole schedule at once would hold horizon float objects
-        for y, g in zip(rows_of(source.take_block(m)), gam[n:n + m].tolist()):
+        # gains are built and made Python floats one block at a time, so
+        # memory is set by the block and the records, not by the horizon
+        gains = schedule.gamma_array(m, start=n + 1).tolist()
+        for y, g in zip(rows_of(source.take_block(m)), gains):
             if n % record_stride == 0:
                 record(n, x)
             x = x - g * drift_of(x, y)

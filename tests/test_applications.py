@@ -51,7 +51,7 @@ from avgsa.applications.varcvar import (
     var_field,
 )
 from avgsa.engine import StepSchedule
-from avgsa.innovations import Ar1MixingSource, IidUniformSource, make_source
+from avgsa.innovations import Ar1MixingSource, IidUniformSource, InnovationSource, make_source
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +216,9 @@ def test_bestof_payoff_matches_reference_expression():
                 got = bestof_payoff(theta, z1, z2, p)
                 want = _bestof_payoff_reference(theta, z1, z2, p)
                 assert np.array([got]).tobytes() == np.array([want]).tobytes(), (p, theta, z1, z2)
+                got = bestof_field(theta, (z1, z2), p)
+                want = want - p.market_price
+                assert np.array([got]).tobytes() == np.array([want]).tobytes(), (p, theta, z1, z2)
 
 
 @pytest.mark.parametrize("kind", ["halton-gaussian", "iid-gaussian"])
@@ -362,6 +365,43 @@ def test_var_cvar_trajectory_matches_hand_loop(kind, stride):
     np.testing.assert_array_equal(tr.channel("theta_0"), thetas)
     np.testing.assert_array_equal(tr.channel("cvar"), cvars)
     np.testing.assert_array_equal(tr.final_theta, [theta])
+
+
+class _FixedRows(InnovationSource):
+    """The given rows as a stream, for runs no longer than them."""
+
+    kind = "fixed-rows"
+
+    def __init__(self, rows):
+        super().__init__(1)
+        self._rows = np.asarray(rows, dtype=float).reshape(-1, 1)
+
+    def _generate(self, count: int) -> np.ndarray:
+        return self._rows
+
+
+@pytest.mark.parametrize("theta0, y0", [
+    (0.25, 0.25), (0.0, -0.0), (-0.0, 0.0), (0.0, math.inf), (0.0, -math.inf), (0.0, math.nan),
+])
+def test_var_cvar_field_edge_rows_match_max(theta0, y0):
+    # the field's conditional must give builtin max's tail value on a tie,
+    # on signed zeros, on infinities and on NaN; random rows follow
+    alpha = 0.9
+    sched = StepSchedule(c=4.0, a=0.75)
+    ys = [y0] + np.random.default_rng(4).standard_normal(20).tolist()
+    tail = 1.0 / (1.0 - alpha)
+    thetas, cvars = [theta0], [theta0]
+    theta, vsum = theta0, 0.0
+    for n, (y, g) in enumerate(zip(ys, sched.gamma_array(len(ys)).tolist()), start=1):
+        vsum += theta + max(y - theta, 0.0) * tail
+        theta = theta - g * (1.0 - (tail if y >= theta else 0.0))
+        thetas.append(theta)
+        cvars.append(vsum / n)
+
+    tr = var_cvar_trajectory(_FixedRows(ys), sched, len(ys), alpha=alpha,
+                             theta0=theta0, record_stride=1)
+    assert tr.channel("theta_0").tobytes() == np.array(thetas).tobytes()
+    assert tr.channel("cvar").tobytes() == np.array(cvars).tobytes()
 
 
 def test_var_cvar_validation():

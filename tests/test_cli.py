@@ -6,12 +6,15 @@ from __future__ import annotations
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import avgsa
 from avgsa.cli import main
 from avgsa.engine import read_csv_columns
 from avgsa.experiments import (
@@ -748,3 +751,13 @@ def test_render_svg_logx_and_validation():
 def test_render_svg_escapes_labels():
     doc = render_line_svg([1.0, 2.0], [3.0, 4.0], title="a<b&c", ylabel="x>y")
     assert "a&lt;b&amp;c" in doc and "x&gt;y" in doc
+
+
+def test_importing_the_cli_leaves_out_multiprocessing():
+    # only a sweep with --jobs > 1 imports the process pool, which pulls
+    # in multiprocessing; every other command starts without it
+    env = {**os.environ, "PYTHONPATH": str(Path(avgsa.__file__).resolve().parents[1])}
+    code = "import sys, avgsa.cli; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from avgsa.engine import (
     run,
     write_trajectory_csv,
 )
-from avgsa.innovations import HaltonSource, IidGaussianSource, IidUniformSource
+from avgsa.innovations import _BLOCK, HaltonSource, IidGaussianSource, IidUniformSource
 
 
 # ---------------------------------------------------------------------------
@@ -31,6 +32,19 @@ from avgsa.innovations import HaltonSource, IidGaussianSource, IidUniformSource
 def test_power_schedule_values():
     s = StepSchedule(c=8.0, a=1.0)
     np.testing.assert_allclose(s.gamma_array(4), [8.0, 4.0, 8.0 / 3.0, 2.0])
+
+
+@pytest.mark.parametrize("a", [1.0, 0.75, 0.9, 1.0 / 3.0])
+def test_gains_built_per_block_equal_the_whole_sequence(a):
+    # run builds its gains one _BLOCK at a time from gamma_array's start;
+    # across block boundaries they must be the very bits of the whole array
+    s = StepSchedule(c=4.0, a=a)
+    horizon = 2 * _BLOCK + 7
+    blocks = [s.gamma_array(min(_BLOCK, horizon - n), start=n + 1)
+              for n in range(0, horizon, _BLOCK)]
+    np.testing.assert_array_equal(np.concatenate(blocks), s.gamma_array(horizon))
+    np.testing.assert_array_equal(s.gamma_array(10, start=_BLOCK - 4),
+                                  s.gamma_array(horizon)[_BLOCK - 5:_BLOCK + 5])
 
 
 def test_power_schedule_validation():
@@ -200,6 +214,20 @@ def test_run_scalar_loop_sets_off_no_collections():
     finally:
         gc.callbacks.remove(count)
     assert len(collections) < 5, collections
+
+
+def test_run_memory_is_flat_in_horizon():
+    # gains built per block keep a run that records only its two ends far
+    # below the 3.2 MB that the whole 2e5-step gain sequence holds
+    src = IidUniformSource(1, seed=0)
+    tracemalloc.start()
+    try:
+        run(0.0, src, lambda th, y: th - y[0], StepSchedule(c=1.0, a=1.0), 200_000,
+            record_stride=200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"run peaked at {peak / 2**20:.2f} MB"
 
 
 # the scalar iterate is guarded with abs, the vector one with the max norm
