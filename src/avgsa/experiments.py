@@ -35,7 +35,8 @@ from avgsa.applications import investment as inv
 from avgsa.applications import varcvar as vc
 from avgsa.diagnostics import ErrorPath, fit_rate
 from avgsa.engine import StepSchedule, Trajectory
-from avgsa.innovations import _DISCREPANCY_BUDGET, make_source, star_discrepancy_exact
+from avgsa.innovations import _DISCREPANCY_BUDGET, _within_discrepancy_budget
+from avgsa.innovations import make_source, star_discrepancy_exact
 from avgsa.plotting import write_line_svg
 
 __all__ = [
@@ -241,11 +242,8 @@ def _gate_admissibility(kind: str, dimension: int, step_cfg: dict, source_cfg: d
 def _fit_error_decay(ns: np.ndarray, errors: np.ndarray) -> float | None:
     """Power-law fit of an error path; None when the path carries too
     little information (early records, exact zeros)."""
-    mask = ns > 0
-    if int(mask.sum()) < 5:
-        return None
     try:
-        fit = fit_rate(ErrorPath(ns=ns[mask].astype(np.int64), errors=errors[mask]))
+        fit = fit_rate(ErrorPath(ns=ns, errors=errors))
     except ValueError:
         return None
     return fit.beta_hat + 0.0  # fold -0.0 into 0.0 for clean reporting
@@ -408,10 +406,8 @@ def _preflight_discrepancy(cfg: dict) -> None:
     q = cfg["source"]["dimension"]
     if k0 >= k1:
         raise ConfigError(f"params: need min_exponent < max_exponent, got {k0}..{k1}")
-    # the largest table has n = 2**k1 points; a product n**q beyond the
-    # budget's bit length is over budget without forming it, so a huge
-    # dimension builds no huge integer
-    if k1 * q >= _DISCREPANCY_BUDGET.bit_length() or (1 << k1 * q) * q > _DISCREPANCY_BUDGET:
+    # the largest table has n = 2**k1 points
+    if not _within_discrepancy_budget(1 << k1, q):
         raise ConfigError(
             f"params.max_exponent: 2**{k1} points in dimension {q} exceed the exact "
             f"discrepancy budget, n**q * q <= {_DISCREPANCY_BUDGET:.0e}"

@@ -220,6 +220,14 @@ def _gaussians_from_pairs(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _DISCREPANCY_BUDGET = 10**8
+_SLAB_CELLS = 1 << 16
+
+
+def _within_discrepancy_budget(n: int, q: int) -> bool:
+    """Whether ``n**q * q <= 1e8``.  Past the budget's bit length ``n**q`` is
+    over budget without being formed, so a huge ``q`` builds no huge integer."""
+    return ((n.bit_length() - 1) * q < _DISCREPANCY_BUDGET.bit_length()
+            and n**q * q <= _DISCREPANCY_BUDGET)
 
 
 def star_discrepancy_exact(points: np.ndarray) -> float:
@@ -228,9 +236,11 @@ def star_discrepancy_exact(points: np.ndarray) -> float:
     The supremum over anchored boxes ``[0, x)`` of
     ``| #(points in box)/n - volume |`` is attained on the critical grid
     whose coordinates are the point coordinates themselves (plus 1.0), each
-    corner being tested with both the closed and the open box.  Cost grows
-    like ``n^q``, so a budget guard rejects inputs with
-    ``n**q * q > 1e8``.
+    corner being tested with both the closed and the open box.  The grid is
+    walked in slabs of whole first-axis rows of at most ``_SLAB_CELLS``
+    cells (one row when a row is larger), so memory is set by the slab,
+    not by the grid.  Time grows like ``n^q``, so a budget guard rejects
+    inputs with ``n**q * q > 1e8``.
 
     Accepts an ``(n, q)`` array or a length-n vector (treated as 1D).
     """
@@ -240,57 +250,44 @@ def star_discrepancy_exact(points: np.ndarray) -> float:
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError("need a non-empty (n, q) point array")
     n, q = pts.shape
-    if np.any(pts < 0.0) or np.any(pts >= 1.0):
+    if not np.all((pts >= 0.0) & (pts < 1.0)):
         raise ValueError("points must lie in [0, 1)^q")
-    if n**q * q > _DISCREPANCY_BUDGET:
-        raise ValueError(
-            f"exact discrepancy budget exceeded: n**q*q = {n**q * q:.3g} > {_DISCREPANCY_BUDGET:.0e}"
-        )
+    if not _within_discrepancy_budget(n, q):
+        raise ValueError(f"{n} points in dimension {q} exceed the exact discrepancy budget, "
+                         f"n**q * q <= {_DISCREPANCY_BUDGET:.0e}")
 
-    # Candidate grid per dimension: sorted point coordinates plus 1.0.
+    # Candidate grid per dimension: sorted point coordinates plus 1.0;
+    # each point falls in one cell, numbered row-major.
     cands = [np.unique(np.concatenate([pts[:, j], [1.0]])) for j in range(q)]
-    ranks = [np.searchsorted(cands[j], pts[:, j]) for j in range(q)]
-
-    if q == 2:
-        # Stream over the first axis to keep memory at O(m2).
-        m1, m2 = cands[0].size, cands[1].size
-        hist = np.zeros((m1, m2), dtype=np.int64)
-        np.add.at(hist, (ranks[0], ranks[1]), 1)
-        best = 0.0
-        acc = np.zeros(m2, dtype=np.int64)
-        prev_closed = np.zeros(m2, dtype=np.int64)  # closed counts of row i-1
-        c2 = cands[1]
-        for i in range(m1):
-            acc += hist[i]
-            closed = np.cumsum(acc)
-            # open box at (i, j): points strictly below both coordinates,
-            # i.e. the closed count one grid step down in each axis.
-            open_ = np.concatenate([[0], prev_closed[:-1]])
-            vol = cands[0][i] * c2
-            d_closed = np.max(closed / n - vol)
-            d_open = np.max(vol - open_ / n)
-            if d_closed > best:
-                best = d_closed
-            if d_open > best:
-                best = d_open
-            prev_closed = closed
-        return float(best)
-
-    # Any other dimension: dense grid, guarded small by the budget.
     shape = tuple(c.size for c in cands)
-    hist = np.zeros(shape, dtype=np.int64)
-    np.add.at(hist, tuple(ranks), 1)
-    closed = hist
-    for ax in range(q):
-        closed = np.cumsum(closed, axis=ax)
-    padded = np.pad(closed, [(1, 0)] * q)
-    open_ = padded[tuple(slice(0, s) for s in shape)]
-    vol = cands[0]
-    for j in range(1, q):
-        vol = np.multiply.outer(vol, cands[j])
-    d_closed = np.max(closed / n - vol)
-    d_open = np.max(vol - open_ / n)
-    return float(max(d_closed, d_open))
+    cells = np.sort(np.ravel_multi_index(
+        tuple(np.searchsorted(c, pts[:, j]) for j, c in enumerate(cands)), shape))
+    row = shape[1:]
+    row_cells = math.prod(row)
+    rows = max(1, _SLAB_CELLS // row_cells)
+    inner = (slice(None),) + (slice(1, None),) * (q - 1)
+    outer = (slice(None),) + (slice(None, -1),) * (q - 1)
+    best = 0.0
+    carry = np.zeros((1,) + row, dtype=np.int64)  # closed counts of the row before the slab
+    for a in range(0, shape[0], rows):
+        b = min(a + rows, shape[0])
+        lo, hi = np.searchsorted(cells, (a * row_cells, b * row_cells))
+        closed = np.bincount(cells[lo:hi] - a * row_cells, minlength=(b - a) * row_cells)
+        closed = closed.reshape((b - a,) + row)
+        for ax in range(q):
+            np.cumsum(closed, axis=ax, out=closed)
+        closed += carry
+        vol = cands[0][a:b]
+        for c in cands[1:]:
+            vol = np.multiply.outer(vol, c)
+        # open box at a corner: the closed count one grid step down in
+        # every axis; a corner at index 0 of a later axis has an empty
+        # open box, so its gap is its volume
+        below = np.concatenate([carry, closed[:-1]])
+        best = max(best, np.max(closed / n - vol), np.max(vol[inner] - below[outer] / n),
+                   *(np.max(vol[(slice(None),) * j + (0,)]) for j in range(1, q)))
+        carry = closed[-1:]
+    return float(best)
 
 
 # ---------------------------------------------------------------------------

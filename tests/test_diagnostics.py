@@ -87,6 +87,19 @@ def test_fit_rate_drops_zero_errors():
     assert fit.beta_hat == pytest.approx(0.5, abs=1e-10)
 
 
+def test_fit_rate_drops_points_at_n_zero():
+    # a record at n = 0 (the initial iterate) has no logarithm; the fit
+    # is the fit of the path without it, bit for bit and without warnings
+    ns = np.array([10, 20, 40, 80, 160, 320], dtype=np.int64)
+    errors = 2.0 * ns.astype(float) ** (-0.5) * (1.0 + 0.1 * np.sin(ns.astype(float)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with_zero = fit_rate(ErrorPath(ns=np.concatenate([[0], ns]),
+                                       errors=np.concatenate([[0.7], errors])))
+    assert with_zero == fit_rate(ErrorPath(ns=ns, errors=errors))
+    assert with_zero.points_used == ns.size
+
+
 def test_fit_rate_needs_five_points():
     ns = np.array([10, 20, 30, 40], dtype=np.int64)
     with pytest.raises(ValueError):

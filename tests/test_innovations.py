@@ -11,12 +11,15 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from avgsa import innovations
 from avgsa.applications.bandit import make_event_source
 from avgsa.applications.investment import CirParams, cir_innovation_source
+from avgsa.experiments import _split_seed
 from avgsa.innovations import (
     Ar1MixingSource,
     EulerDecreasingSource,
@@ -281,6 +284,14 @@ def test_star_discrepancy_matches_enumeration_oracle():
     assert star_discrepancy_exact(pts3) == pytest.approx(
         oracle_star_discrepancy(pts3), abs=1e-12
     )
+    # tie-heavy sets in 3 and 4 dimensions: coordinates on a 0.1 lattice
+    for q in (3, 4):
+        for n in (1, 2, 5, 8):
+            for _ in range(3):
+                pts = np.round(rng.random((n, q)), 1) % 1.0
+                assert star_discrepancy_exact(pts) == pytest.approx(
+                    oracle_star_discrepancy(pts), abs=1e-12
+                )
 
 
 def _star_discrepancy_1d(x: np.ndarray) -> float:
@@ -305,13 +316,110 @@ def test_star_discrepancy_1d_matches_the_cumulative_count(n):
         assert star_discrepancy_exact(pts[:, None]) == _star_discrepancy_1d(pts)
 
 
+def _star_discrepancy_2d_rows(pts: np.ndarray) -> float:
+    """The former 2-D branch of ``star_discrepancy_exact``: a loop over the
+    first axis of the full histogram, one row of closed counts at a time."""
+    n = pts.shape[0]
+    cands = [np.unique(np.concatenate([pts[:, j], [1.0]])) for j in range(2)]
+    ranks = [np.searchsorted(cands[j], pts[:, j]) for j in range(2)]
+    m1, m2 = cands[0].size, cands[1].size
+    hist = np.zeros((m1, m2), dtype=np.int64)
+    np.add.at(hist, (ranks[0], ranks[1]), 1)
+    best = 0.0
+    acc = np.zeros(m2, dtype=np.int64)
+    prev_closed = np.zeros(m2, dtype=np.int64)
+    for i in range(m1):
+        acc += hist[i]
+        closed = np.cumsum(acc)
+        open_ = np.concatenate([[0], prev_closed[:-1]])
+        vol = cands[0][i] * cands[1]
+        d_closed = np.max(closed / n - vol)
+        d_open = np.max(vol - open_ / n)
+        if d_closed > best:
+            best = d_closed
+        if d_open > best:
+            best = d_open
+        prev_closed = closed
+    return float(best)
+
+
+def _star_discrepancy_dense(pts: np.ndarray) -> float:
+    """The former dense branch of ``star_discrepancy_exact``: closed counts
+    on the whole critical grid, open counts from its copy shifted by one
+    step in every axis."""
+    n, q = pts.shape
+    cands = [np.unique(np.concatenate([pts[:, j], [1.0]])) for j in range(q)]
+    shape = tuple(c.size for c in cands)
+    hist = np.zeros(shape, dtype=np.int64)
+    np.add.at(hist, tuple(np.searchsorted(cands[j], pts[:, j]) for j in range(q)), 1)
+    closed = hist
+    for ax in range(q):
+        closed = np.cumsum(closed, axis=ax)
+    open_ = np.pad(closed, [(1, 0)] * q)[tuple(slice(0, s) for s in shape)]
+    vol = cands[0]
+    for j in range(1, q):
+        vol = np.multiply.outer(vol, cands[j])
+    return float(max(np.max(closed / n - vol), np.max(vol - open_ / n)))
+
+
+def test_star_discrepancy_matches_the_2d_row_loop_on_the_shipped_table():
+    # the discrepancy experiment's default table: Halton prefixes and iid
+    # sets of 2**6 .. 2**12 points in 2-D
+    for k in range(6, 13):
+        for pts in (make_source("halton", 2, 0).take_block(1 << k),
+                    make_source("iid-uniform", 2, _split_seed(0, k)).take_block(1 << k)):
+            assert star_discrepancy_exact(pts) == _star_discrepancy_2d_rows(pts)
+
+
+@pytest.mark.parametrize("q,sizes", [(1, (1, 2, 9, 300)), (3, (1, 2, 9, 60)), (4, (1, 2, 9, 24))])
+def test_star_discrepancy_matches_the_dense_grid(q, sizes):
+    rng = np.random.default_rng(q)
+    for n in sizes:
+        for pts in (
+            rng.random((n, q)),
+            np.round(rng.random((n, q)), 1) % 1.0,       # ties
+            halton_block(1, n, q),
+        ):
+            assert star_discrepancy_exact(pts) == _star_discrepancy_dense(pts)
+
+
+def test_star_discrepancy_is_independent_of_the_slab_size(monkeypatch):
+    rng = np.random.default_rng(11)
+    sets = [rng.random((n, q)) for q, n in ((1, 50), (2, 40), (3, 15), (4, 7))]
+    sets += [np.round(rng.random((n, q)), 1) % 1.0 for q, n in ((2, 40), (3, 15), (4, 7))]
+    want = [star_discrepancy_exact(pts) for pts in sets]
+    # one row per slab; 3 rows per slab for a 2-D set of 40 distinct
+    # points (41 cells a row, 41 rows: the last slab is cut short);
+    # the whole grid in one slab
+    for cells in (1, 3 * 41, 1 << 40):
+        monkeypatch.setattr(innovations, "_SLAB_CELLS", cells)
+        assert [star_discrepancy_exact(pts) for pts in sets] == want
+
+
+def test_star_discrepancy_memory_is_set_by_the_slab():
+    pts = np.random.default_rng(3).random((128, 3))     # a 129**3 cell grid
+    tracemalloc.start()
+    try:
+        star_discrepancy_exact(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_star_discrepancy_guard_and_domain():
     with pytest.raises(ValueError):
         star_discrepancy_exact(np.array([[0.5, 0.5, 0.5, 0.5]] * 120))  # 120^4*4 > 1e8
+    with pytest.raises(ValueError, match="budget"):
+        star_discrepancy_exact(np.full((2, 2000), 0.5))     # 2^2000 is past any float
     with pytest.raises(ValueError):
         star_discrepancy_exact(np.array([1.0]))
     with pytest.raises(ValueError):
         star_discrepancy_exact(np.array([-0.1]))
+    with pytest.raises(ValueError):
+        star_discrepancy_exact(np.array([[0.5, np.nan], [0.2, 0.3]]))
+    with pytest.raises(ValueError):
+        star_discrepancy_exact(np.array([0.5, np.nan]))
 
 
 # ---------------------------------------------------------------------------
