@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from avgsa.engine import StepSchedule, Trajectory
+from avgsa.engine import StepSchedule, Trajectory, _gain_blocks, _recorder
 from avgsa.innovations import Ar1MixingSource
 
 __all__ = [
@@ -192,50 +192,40 @@ def darkpool_run(
     (monitor ``mean_cost_reduction``), and the cumulative safeguard
     trigger count (monitor ``safeguard_count``).  The component sum is
     renormalised to exactly 1 every ``_RENORM_EVERY`` (10 000) steps.
+    It shares :func:`avgsa.engine.run`'s block-wise gains and recorder, so
+    memory beyond the inputs is O(block + records).
     """
     v, d, rho = _checked_series(volumes, capacities, rebates)
-    horizon = v.size
     r = np.full(rho.size, 1.0 / rho.size)
     if record_stride < 1:
         raise ValueError("record_stride must be at least 1")
 
-    gammas = schedule.gamma_array(horizon)
-    ns = [0]
-    path = [r.copy()]
-    mean_cr = [0.0]
-    clip_counts = [0.0]
-    cr_sum = 0.0
-    clipped_total = 0
-
-    for t in range(horizon):
-        cr_sum += relative_cost_reduction(r, v[t], d[t], rho)
-        candidate = r + gammas[t] * darkpool_field(r, v[t], d[t], rho)
-        r, clipped = simplex_safeguard(candidate, float(r.sum()))
-        if clipped:
-            clipped_total += 1
-            if clipped_total == 1:
-                logger.warning(
-                    "allocation safeguard engaged at step %d (a zero-rebate or "
-                    "exhausted venue is being pinned to the boundary); further "
-                    "triggers log at DEBUG and are counted in 'safeguard_count'",
-                    t + 1,
-                )
-            else:
-                logger.debug("allocation safeguard clipped at step %d", t + 1)
-        n = t + 1
-        if n % _RENORM_EVERY == 0:
-            r /= r.sum()
-        if n % record_stride == 0 or n == horizon:
-            ns.append(n)
-            path.append(r.copy())
-            mean_cr.append(cr_sum / n)
-            clip_counts.append(float(clipped_total))
-
-    return Trajectory(
-        ns=np.asarray(ns, dtype=np.int64),
-        thetas=np.vstack(path),
-        monitors={
-            "mean_cost_reduction": np.asarray(mean_cr),
-            "safeguard_count": np.asarray(clip_counts),
-        },
-    )
+    cr_sum, clipped_total = 0.0, 0
+    record, recorded = _recorder(np.copy, {
+        "mean_cost_reduction": lambda n, _: cr_sum / n if n else 0.0,
+        "safeguard_count": lambda n, _: clipped_total,
+    })
+    n = 0
+    for gains in _gain_blocks(schedule, v.size):
+        for g, vol, cap in zip(gains, v[n:], d[n:]):   # stops with the block's gains
+            if n % record_stride == 0:
+                record(n, r)
+            cr_sum += relative_cost_reduction(r, vol, cap, rho)
+            candidate = r + g * darkpool_field(r, vol, cap, rho)
+            r, clipped = simplex_safeguard(candidate, float(r.sum()))
+            n += 1
+            if clipped:
+                clipped_total += 1
+                if clipped_total == 1:
+                    logger.warning(
+                        "allocation safeguard engaged at step %d (a zero-rebate or "
+                        "exhausted venue is being pinned to the boundary); further "
+                        "triggers log at DEBUG and are counted in 'safeguard_count'",
+                        n,
+                    )
+                else:
+                    logger.debug("allocation safeguard clipped at step %d", n)
+            if n % _RENORM_EVERY == 0:
+                r /= r.sum()
+    record(v.size, r)
+    return recorded()

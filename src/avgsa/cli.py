@@ -7,8 +7,11 @@ range, each replication in its own subdirectory.
 
 Exit status: 0 on success, 1 when a run aborts on the divergence guard
 (the summary is still written) or a sweep has failures, 2 on config or
-usage errors.  A config value outside its key's interval is refused
-with the key and the interval before any file is written.
+usage errors, on a config or CSV that cannot be read ("cannot read
+config", "cannot plot"), and on artifacts or a plot that cannot be
+written ("cannot write artifacts", "cannot plot").  A config value
+outside its key's interval is refused with the key and the interval
+before any file is written.
 """
 
 from __future__ import annotations
@@ -79,24 +82,31 @@ def _print_run_report(arts: RunArtifacts) -> None:
 
 
 def _reports_config_errors(command):
-    """Exit 2 with one line on stderr when ``command`` fails on its
-    config: malformed YAML, a ``ConfigError``, or a parameter an
-    application refuses at run time (also inside a sweep replication)."""
+    """Read ``args.config`` and hand it to ``command(args, raw)``.  Exit 2
+    with one line on stderr when the file cannot be read, when the run
+    fails on its config (malformed YAML, a ``ConfigError``, or a parameter
+    an application refuses at run time, also inside a sweep replication),
+    or when its artifacts cannot be written."""
     def guarded(args) -> int:
         try:
-            return command(args)
+            try:
+                raw = load_config(args.config)
+            except OSError as exc:
+                print(f"cannot read config: {exc}", file=sys.stderr)
+                return 2
+            return command(args, raw)
         except (ValueError, yaml.YAMLError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
         except OSError as exc:
-            print(f"cannot read config: {exc}", file=sys.stderr)
+            print(f"cannot write artifacts: {exc}", file=sys.stderr)
         return 2
 
     return guarded
 
 
 @_reports_config_errors
-def _cmd_run(args) -> int:
-    arts = run_experiment(args.config)
+def _cmd_run(args, raw) -> int:
+    arts = run_experiment(raw)
     _print_run_report(arts)
     if arts.summary["status"] != "ok":
         print(f"  failure:     {arts.summary['failure']}", file=sys.stderr)
@@ -132,7 +142,7 @@ def _cmd_plot(args) -> int:
             title=Path(args.csv).name, xlabel="n", ylabel=args.channel,
             target=args.target, logx=args.logx,
         )
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot plot: {exc}", file=sys.stderr)
         return 2
     print(out)
@@ -147,7 +157,7 @@ def _sweep_one(cfg: dict) -> dict:
 
 
 @_reports_config_errors
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args, raw) -> int:
     m = _SEED_RANGE.match(args.seeds)
     if not m:
         print(f"--seeds must look like A..B (got {args.seeds!r})", file=sys.stderr)
@@ -160,7 +170,7 @@ def _cmd_sweep(args) -> int:
     if not 1 <= args.jobs <= cap:
         print(f"--jobs must lie in 1..{cap} (the number of CPUs)", file=sys.stderr)
         return 2
-    base = validate_config(load_config(args.config))
+    base = validate_config(raw)
     root = base["output_dir"]
     # each replication keeps the base config's key order
     configs = [{**base, "seed": seed, "output_dir": f"{root}/seed-{seed}"}

@@ -334,7 +334,6 @@ def run(
         raise ValueError("record stride must be >= 1")
 
     theta = np.atleast_1d(np.asarray(theta0, dtype=float)).copy()
-    mon_items = list((monitors or {}).items())
     if theta.shape[0] == 1:
         # scalar path: plain float arithmetic in the hot loop
         x = float(theta[0])
@@ -347,23 +346,10 @@ def run(
         snap = np.copy
         rows_of = lambda block: block
 
-    rec_n: list[int] = []
-    rec_theta: list = []
-    rec_mon: dict[str, list[float]] = {name: [] for name, _ in mon_items}
-
-    def record(n: int, th) -> None:
-        rec_n.append(n)
-        rec_theta.append(snap(th))
-        for name, fn in mon_items:
-            rec_mon[name].append(float(fn(n, th)))
-
+    record, recorded = _recorder(snap, monitors)
     n = 0
-    while n < horizon:
-        m = min(_BLOCK, horizon - n)
-        # gains are built and made Python floats one block at a time, so
-        # memory is set by the block and the records, not by the horizon
-        gains = schedule.gamma_array(m, start=n + 1).tolist()
-        for y, g in zip(rows_of(source.take_block(m)), gains):
+    for gains in _gain_blocks(schedule, horizon):
+        for y, g in zip(rows_of(source.take_block(len(gains))), gains):
             if n % record_stride == 0:
                 record(n, x)
             x = x - g * drift_of(x, y)
@@ -371,12 +357,36 @@ def run(
             if not norm(x) <= DIVERGENCE_BOUND:
                 raise DivergenceError(n, snap(x))
     record(horizon, x)
+    return recorded()
 
-    return Trajectory(
-        ns=np.asarray(rec_n, dtype=np.int64),
-        thetas=np.asarray(rec_theta, dtype=float).reshape(len(rec_n), -1),
-        monitors={k: np.asarray(v) for k, v in rec_mon.items()},
-    )
+
+def _gain_blocks(schedule: StepSchedule, horizon: int):
+    """Yield the gains of steps 1..horizon one ``_BLOCK`` at a time, as lists
+    of Python floats, so memory is set by the block, not by the horizon."""
+    for n in range(0, horizon, _BLOCK):
+        yield schedule.gamma_array(min(_BLOCK, horizon - n), start=n + 1).tolist()
+
+
+def _recorder(snap: Callable, monitors: Mapping[str, Callable] | None):
+    """``(record, recorded)``: ``record(n, theta)`` keeps the step index,
+    ``snap(theta)`` and each monitor's ``float(fn(n, theta))``;
+    ``recorded()`` builds the ``Trajectory`` of everything kept."""
+    items = list((monitors or {}).items())
+    ns, thetas = [], []
+    values: dict[str, list[float]] = {name: [] for name, _ in items}
+
+    def record(n: int, th) -> None:
+        ns.append(n)
+        thetas.append(snap(th))
+        for name, fn in items:
+            values[name].append(float(fn(n, th)))
+
+    def recorded() -> Trajectory:
+        return Trajectory(np.asarray(ns, dtype=np.int64),
+                          np.asarray(thetas, dtype=float).reshape(len(ns), -1),
+                          {k: np.asarray(v) for k, v in values.items()})
+
+    return record, recorded
 
 
 # ---------------------------------------------------------------------------

@@ -138,8 +138,8 @@ def _merge(schema: dict, given: dict, path: str) -> dict:
     out: dict = {}
     unknown = set(given) - set(schema)
     if unknown:
-        key = sorted(unknown)[0]
-        dotted = f"{path}.{key}" if path else key
+        key = min(unknown, key=str)   # str: YAML keys need not be strings
+        dotted = f"{path}.{key}" if path else str(key)
         raise ConfigError(
             f"unknown key {dotted!r}; allowed here: " + ", ".join(schema)
         )
@@ -402,15 +402,17 @@ def _run_darkpool(cfg: dict) -> Outcome:
 
 
 def _preflight_discrepancy(cfg: dict) -> None:
+    """Refuse an empty exponent range, and a largest table of ``n = 2**k1``
+    points whose critical grid breaks the exact-discrepancy budget
+    ``(n+1)**q * q <= 1e8``."""
     k0, k1 = cfg["params"]["min_exponent"], cfg["params"]["max_exponent"]
     q = cfg["source"]["dimension"]
     if k0 >= k1:
         raise ConfigError(f"params: need min_exponent < max_exponent, got {k0}..{k1}")
-    # the largest table has n = 2**k1 points
     if not _within_discrepancy_budget(1 << k1, q):
         raise ConfigError(
             f"params.max_exponent: 2**{k1} points in dimension {q} exceed the exact "
-            f"discrepancy budget, n**q * q <= {_DISCREPANCY_BUDGET:.0e}"
+            f"discrepancy budget, (n+1)**q * q <= {_DISCREPANCY_BUDGET:.0e}"
         )
 
 
@@ -646,7 +648,7 @@ def validate_config(raw: dict) -> dict:
     name = raw.get("experiment")
     if name is None:
         raise ConfigError("experiment: required (one of " + ", ".join(REGISTRY) + ")")
-    if name not in REGISTRY:
+    if not isinstance(name, str) or name not in REGISTRY:
         raise ConfigError(
             f"experiment: unknown name {name!r}; registered: " + ", ".join(REGISTRY)
         )
@@ -691,7 +693,7 @@ def run_experiment(config) -> RunArtifacts:
     are written even when the divergence guard aborts the run, with the
     failure cause in place of results.
     """
-    raw = load_config(config) if isinstance(config, (str, Path)) else dict(config)
+    raw = load_config(config) if isinstance(config, (str, Path)) else config
     cfg = validate_config(raw)
 
     exp = REGISTRY[cfg["experiment"]]

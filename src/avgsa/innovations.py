@@ -224,10 +224,13 @@ _SLAB_CELLS = 1 << 16
 
 
 def _within_discrepancy_budget(n: int, q: int) -> bool:
-    """Whether ``n**q * q <= 1e8``.  Past the budget's bit length ``n**q`` is
-    over budget without being formed, so a huge ``q`` builds no huge integer."""
-    return ((n.bit_length() - 1) * q < _DISCREPANCY_BUDGET.bit_length()
-            and n**q * q <= _DISCREPANCY_BUDGET)
+    """Whether ``(n+1)**q * q <= 1e8``: ``n`` points span a critical grid of
+    up to ``(n+1)**q`` corners (each axis's distinct coordinates plus 1.0).
+    Past the budget's bit length ``(n+1)**q`` is over budget without being
+    formed, so a huge ``q`` builds no huge integer."""
+    m = n + 1
+    return ((m.bit_length() - 1) * q < _DISCREPANCY_BUDGET.bit_length()
+            and m**q * q <= _DISCREPANCY_BUDGET)
 
 
 def star_discrepancy_exact(points: np.ndarray) -> float:
@@ -239,8 +242,8 @@ def star_discrepancy_exact(points: np.ndarray) -> float:
     corner being tested with both the closed and the open box.  The grid is
     walked in slabs of whole first-axis rows of at most ``_SLAB_CELLS``
     cells (one row when a row is larger), so memory is set by the slab,
-    not by the grid.  Time grows like ``n^q``, so a budget guard rejects
-    inputs with ``n**q * q > 1e8``.
+    not by the grid.  Time grows like the ``(n+1)^q`` grid, so a budget
+    guard rejects inputs with ``(n+1)**q * q > 1e8``.
 
     Accepts an ``(n, q)`` array or a length-n vector (treated as 1D).
     """
@@ -254,7 +257,7 @@ def star_discrepancy_exact(points: np.ndarray) -> float:
         raise ValueError("points must lie in [0, 1)^q")
     if not _within_discrepancy_budget(n, q):
         raise ValueError(f"{n} points in dimension {q} exceed the exact discrepancy budget, "
-                         f"n**q * q <= {_DISCREPANCY_BUDGET:.0e}")
+                         f"(n+1)**q * q <= {_DISCREPANCY_BUDGET:.0e}")
 
     # Candidate grid per dimension: sorted point coordinates plus 1.0;
     # each point falls in one cell, numbered row-major.

@@ -51,7 +51,13 @@ from avgsa.applications.varcvar import (
     var_field,
 )
 from avgsa.engine import StepSchedule
-from avgsa.innovations import Ar1MixingSource, IidUniformSource, InnovationSource, make_source
+from avgsa.innovations import (
+    _BLOCK,
+    Ar1MixingSource,
+    IidUniformSource,
+    InnovationSource,
+    make_source,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -829,17 +835,18 @@ def test_darkpool_field_sums_to_zero():
 
 def darkpool_step(r, volume, capacities, rebates, gamma):
     """Reference composition of one allocation update: ``r + gamma *
-    field``, then the nonnegativity safeguard at the current total."""
+    field``, then the nonnegativity safeguard at the current total.
+    Returns the new allocation and whether the safeguard clipped."""
     r = np.asarray(r, dtype=float)
     candidate = r + gamma * darkpool_field(r, volume, capacities, rebates)
-    return simplex_safeguard(candidate, float(r.sum()))[0]
+    return simplex_safeguard(candidate, float(r.sum()))
 
 
 def test_darkpool_step_hand_value_and_sum_preservation():
     r = np.array([0.5, 0.5])
     caps = np.array([1.0, 0.2])
     reb = np.array([0.02, 0.04])
-    got = darkpool_step(r, 1.0, caps, reb, 1.0)
+    got, _ = darkpool_step(r, 1.0, caps, reb, 1.0)
     np.testing.assert_allclose(got, [0.51, 0.49], atol=1e-15)
     rng = np.random.default_rng(1)
     r = np.array([0.25, 0.25, 0.5])
@@ -847,7 +854,7 @@ def test_darkpool_step_hand_value_and_sum_preservation():
         vol = float(rng.uniform(0.2, 3.0))
         caps = rng.uniform(0.0, 1.5, size=3)
         reb = rng.uniform(0.0, 0.1, size=3)
-        r = darkpool_step(r, vol, caps, reb, 0.05)
+        r, _ = darkpool_step(r, vol, caps, reb, 0.05)
         assert abs(r.sum() - 1.0) <= 1e-13
         assert r.min() >= 0.0
 
@@ -925,17 +932,61 @@ def test_relative_cost_reduction_values():
     assert full == pytest.approx(0.02)
 
 
+def _darkpool_by_hand(v, d, reb, gammas):
+    """Allocation path, running mean cost reduction and cumulative clip
+    count after every step, from the ``darkpool_step`` loop with the
+    component sum renormalised every 10 000 steps."""
+    r = np.full(reb.size, 1.0 / reb.size)
+    path, mean_cr, clips = [r], [0.0], [0.0]
+    cr_sum, clipped_total = 0.0, 0
+    for t in range(v.size):
+        cr_sum += relative_cost_reduction(r, float(v[t]), d[t], reb)
+        r, clipped = darkpool_step(r, float(v[t]), d[t], reb, float(gammas[t]))
+        clipped_total += clipped
+        if (t + 1) % 10_000 == 0:
+            r = r / r.sum()
+        path.append(r)
+        mean_cr.append(cr_sum / (t + 1))
+        clips.append(float(clipped_total))
+    return np.array(path), np.array(mean_cr), np.array(clips)
+
+
 def test_darkpool_run_matches_manual_composition():
-    v, d = synthetic_darkpool_series(300, seed=2, mix=np.array([0.5, 0.5]),
-                                     scale=np.array([0.6, 0.15]))
-    reb = np.array([0.02, 0.05])
+    # 10 050 steps cross two gain blocks and the renormalisation at 10 000;
+    # the four-venue config's zero-rebate venue makes the safeguard clip
+    horizon = 10_050
     sched = StepSchedule(c=2.0, a=0.75)
-    tr = darkpool_run(v, d, reb, sched, record_stride=1)
-    gammas = sched.gamma_array(300)
-    r = np.array([0.5, 0.5])
-    for t in range(300):
-        r = darkpool_step(r, float(v[t]), d[t], reb, float(gammas[t]))
-        np.testing.assert_allclose(tr.thetas[t + 1], r, atol=1e-15)
+    for mix, scale, reb in (([0.5, 0.5], [0.6, 0.15], [0.02, 0.05]),
+                            ([0.4, 0.6, 0.8, 0.2], [0.1, 0.2, 0.3, 0.2],
+                             [0.0, 0.02, 0.04, 0.06])):
+        v, d = synthetic_darkpool_series(horizon, seed=2, mix=np.array(mix),
+                                         scale=np.array(scale))
+        reb = np.array(reb)
+        path, mean_cr, clips = _darkpool_by_hand(v, d, reb, sched.gamma_array(horizon))
+        assert (clips[-1] > 0) == (reb.min() == 0.0)
+        for stride in (1, 7):
+            tr = darkpool_run(v, d, reb, sched, record_stride=stride)
+            ns = list(range(0, horizon, stride)) + [horizon]
+            np.testing.assert_array_equal(tr.ns, ns)
+            np.testing.assert_array_equal(tr.thetas, path[ns])
+            np.testing.assert_array_equal(tr.channel("mean_cost_reduction"), mean_cr[ns])
+            np.testing.assert_array_equal(tr.channel("safeguard_count"), clips[ns])
+
+
+def test_darkpool_run_builds_its_gains_per_block(monkeypatch):
+    # like engine.run, the dark-pool walk never holds a horizon of gains
+    asked = []
+    whole = StepSchedule.gamma_array
+
+    def spy(self, count, start=1):
+        asked.append(count)
+        return whole(self, count, start)
+
+    monkeypatch.setattr(StepSchedule, "gamma_array", spy)
+    v, d = synthetic_darkpool_series(10_000, seed=2, mix=np.array([0.5, 0.5]),
+                                     scale=np.array([0.6, 0.15]))
+    darkpool_run(v, d, np.array([0.02, 0.05]), StepSchedule(c=2.0, a=0.75))
+    assert sum(asked) == 10_000 and max(asked) <= _BLOCK
 
 
 def test_darkpool_run_tracks_oracle():

@@ -236,6 +236,14 @@ def test_discrepancy_budget_is_checked_before_the_run():
         validate_config({**base, "params": {"min_exponent": 9, "max_exponent": 9}})
 
 
+def test_discrepancy_budget_counts_the_grid_corners():
+    # 4 points in 11-D walk up to 5**11 corners: 5**11 * 11 > 1e8 > 4**11 * 11
+    with pytest.raises(ConfigError, match=r"params.max_exponent: .* \(n\+1\)\*\*q"):
+        validate_config({"experiment": "discrepancy", "seed": 0,
+                         "source": {"dimension": 11},
+                         "params": {"min_exponent": 1, "max_exponent": 2}})
+
+
 @pytest.mark.parametrize("jobs", [
     "1", pytest.param("2", marks=pytest.mark.skipif(
         (os.cpu_count() or 1) < 2, reason="--jobs 2 needs two CPUs")),
@@ -641,6 +649,56 @@ def test_cli_repeated_key_is_a_config_error(tmp_path, capsys, command, body, key
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "body, key",
+    [
+        ("1: 2\nfoo: 3\n", "unknown key '1'"),
+        ("? null\nfoo: 3\n", "unknown key 'None'"),
+        ("params:\n  1: 2\n  foo: 3\n", "unknown key 'params.1'"),
+        ("params:\n  ? null\n  foo: 3\n", "unknown key 'params.None'"),
+    ],
+    ids=["root-int", "root-null", "params-int", "params-null"],
+)
+def test_cli_non_string_key_is_a_config_error(tmp_path, capsys, body, key):
+    # YAML keys need not be strings; one beside a string key is refused
+    # by name instead of failing to sort
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path / "c.yaml",
+                     f"experiment: rate-fit\nseed: 0\n{body}output_dir: {out}\n")
+    assert main(["run", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}; allowed here:")
+    assert not out.exists()
+
+
+def test_cli_unhashable_experiment_name_is_a_config_error(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path / "c.yaml", "experiment: [1, 2]\nseed: 0\n")
+    assert main(["run", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error: experiment: unknown name [1, 2]")
+
+
+def test_cli_plot_reports_an_unwritable_output(tmp_path, capsys):
+    csv = tmp_path / "t.csv"
+    csv.write_text("n,theta_0\n0,1.0\n100,2.0\n")
+    out = tmp_path / "missing" / "a.svg"
+    assert main(["plot", str(csv), "--channel", "theta_0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot plot:") and "No such file or directory" in err
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--seeds", "0..1"]],
+                         ids=["run", "sweep"])
+def test_cli_unwritable_output_dir_is_a_write_error(tmp_path, capsys, command):
+    # the config reads fine; its output_dir lies under a regular file
+    (tmp_path / "afile").write_text("")
+    cfg = _write_cfg(
+        tmp_path / "c.yaml",
+        f"experiment: rate-fit\nseed: 0\nhorizon: 1000\noutput_dir: {tmp_path / 'afile' / 'out'}\n",
+    )
+    assert main([command[0], cfg, *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write artifacts:") and "Not a directory" in err
+
+
 def test_cli_run_refuses_target_beyond_float_range(tmp_path, capsys):
     # the closed-form capacity (0.7 E[Y^0.8] / 1e-4)^1000 overflows; the
     # run stops before the recursion instead of crashing after it
@@ -751,6 +809,26 @@ def test_render_svg_logx_and_validation():
 def test_render_svg_escapes_labels():
     doc = render_line_svg([1.0, 2.0], [3.0, 4.0], title="a<b&c", ylabel="x>y")
     assert "a&lt;b&amp;c" in doc and "x&gt;y" in doc
+
+
+def test_the_package_loads_only_numpy_and_pyyaml():
+    # runtime dependencies stay at numpy + PyYAML: every module the CLI,
+    # the experiments and the applications load comes from the standard
+    # library, the package itself, or one of these two distributions
+    env = {**os.environ, "PYTHONPATH": str(Path(avgsa.__file__).resolve().parents[1])}
+    code = """
+import importlib, importlib.metadata, pkgutil, sys
+before = set(sys.modules)
+import avgsa.applications, avgsa.cli, avgsa.experiments
+for info in pkgutil.iter_modules(avgsa.applications.__path__):
+    importlib.import_module(f"avgsa.applications.{info.name}")
+owners = importlib.metadata.packages_distributions()
+tops = {name.partition(".")[0] for name in set(sys.modules) - before} - {"avgsa"}
+print(sorted({dist for top in tops for dist in owners.get(top, [])}))
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "['PyYAML', 'numpy']"
 
 
 def test_importing_the_cli_leaves_out_multiprocessing():

@@ -34,6 +34,7 @@ from avgsa.innovations import (
     halton_point,
     make_source,
     radical_inverse,
+    _within_discrepancy_budget,
     star_discrepancy_exact,
 )
 
@@ -405,6 +406,17 @@ def test_star_discrepancy_memory_is_set_by_the_slab():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_star_discrepancy_budget_bounds_the_grid_walked():
+    # n points span up to (n+1)**q corners, each axis's coordinates plus 1.0;
+    # the budget is (n+1)**q * q <= 1e8, not n**q * q
+    for n, q, ok in ((4096, 2, True), (7070, 2, True), (7071, 2, False),
+                     (256, 3, True), (69, 4, True), (70, 4, False), (2, 16, False)):
+        assert _within_discrepancy_budget(n, q) == ok, (n, q)
+    # 2 points in 16-D: 3**16 * 16 corners; 2**16 * 16 would pass
+    with pytest.raises(ValueError, match=r"\(n\+1\)\*\*q \* q <= 1e\+08"):
+        star_discrepancy_exact(np.full((2, 16), 0.5))
 
 
 def test_star_discrepancy_guard_and_domain():
