@@ -34,8 +34,6 @@ class _ThresholdEvents(InnovationSource):
     arm's event occurs when its column of ``stream`` is at most its
     cutoff."""
 
-    kind = "bandit-events"
-
     def __init__(self, stream: InnovationSource, cutoffs):
         super().__init__(2)
         self._stream = stream
@@ -92,8 +90,6 @@ class _RoundSource(InnovationSource):
     """The event stream and the coin stream side by side, one round per
     row.  Each stream's output does not depend on how it is consumed, so
     stacking them changes no row."""
-
-    kind = "bandit-rounds"
 
     def __init__(self, events: InnovationSource, uniforms: InnovationSource):
         super().__init__(3)

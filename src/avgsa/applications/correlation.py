@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from avgsa.engine import StepSchedule, Trajectory, run
-from avgsa.innovations import InnovationSource
+from avgsa.innovations import _BLOCK, InnovationSource
 
 __all__ = [
     "BestOfCallParams",
@@ -118,7 +118,7 @@ def bs_bestof_price(
     total = 0.0
     left = n
     while left > 0:
-        z = source.take_block(min(1 << 14, left))
+        z = source.take_block(min(_BLOCK, left))
         for row in zip(*z.T.tolist()):
             total += payoff(theta, row)
         left -= len(z)

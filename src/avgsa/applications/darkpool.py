@@ -21,7 +21,8 @@ import math
 
 import numpy as np
 
-from avgsa.engine import StepSchedule, Trajectory, _gain_blocks, _recorder
+from avgsa.engine import DIVERGENCE_BOUND, DivergenceError, StepSchedule, Trajectory
+from avgsa.engine import _gain_blocks, _recorder
 from avgsa.innovations import Ar1MixingSource
 
 __all__ = [
@@ -43,13 +44,16 @@ _RENORM_EVERY = 10_000
 
 def _checked_series(volumes, capacities, rebates) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(volumes, capacities, rebates)`` as float arrays of shapes (n,),
-    (n, pools) and (pools,), refused unless every rebate lies in [0, 1),
-    every volume and capacity is finite and every volume is positive."""
+    (n, pools) and (pools,), refused unless the series has at least one
+    order, every rebate lies in [0, 1), every volume and capacity is
+    finite and every volume is positive."""
     v = np.asarray(volumes, dtype=float)
     d = np.asarray(capacities, dtype=float)
     rho = np.asarray(rebates, dtype=float)
     if v.ndim != 1 or d.ndim != 2 or d.shape[0] != v.size or d.shape[1] != rho.size:
         raise ValueError("need volumes (n,), capacities (n, pools), one rebate per pool")
+    if v.size < 1:
+        raise ValueError("the series needs at least one order")
     if not np.all((0.0 <= rho) & (rho < 1.0)):
         raise ValueError("rebates must lie in [0, 1)")
     for name, series in (("volumes", v), ("capacities", d)):
@@ -192,15 +196,18 @@ def darkpool_run(
     (monitor ``mean_cost_reduction``), and the cumulative safeguard
     trigger count (monitor ``safeguard_count``).  The component sum is
     renormalised to exactly 1 every ``_RENORM_EVERY`` (10 000) steps.
-    It shares :func:`avgsa.engine.run`'s block-wise gains and recorder, so
-    memory beyond the inputs is O(block + records).
+    Like :func:`avgsa.engine.run`, it raises ``DivergenceError`` as soon
+    as the allocation's component sum, which bounds every component once
+    the safeguard has made them nonnegative, exceeds ``DIVERGENCE_BOUND``
+    or stops being finite.  It shares ``run``'s block-wise gains and
+    recorder, so memory beyond the inputs is O(block + records).
     """
     v, d, rho = _checked_series(volumes, capacities, rebates)
     r = np.full(rho.size, 1.0 / rho.size)
     if record_stride < 1:
         raise ValueError("record_stride must be at least 1")
 
-    cr_sum, clipped_total = 0.0, 0
+    total, cr_sum, clipped_total = float(r.sum()), 0.0, 0
     record, recorded = _recorder(np.copy, {
         "mean_cost_reduction": lambda n, _: cr_sum / n if n else 0.0,
         "safeguard_count": lambda n, _: clipped_total,
@@ -212,8 +219,11 @@ def darkpool_run(
                 record(n, r)
             cr_sum += relative_cost_reduction(r, vol, cap, rho)
             candidate = r + g * darkpool_field(r, vol, cap, rho)
-            r, clipped = simplex_safeguard(candidate, float(r.sum()))
+            r, clipped = simplex_safeguard(candidate, total)
             n += 1
+            total = float(r.sum())
+            if not total <= DIVERGENCE_BOUND:
+                raise DivergenceError(n, r.copy())
             if clipped:
                 clipped_total += 1
                 if clipped_total == 1:
@@ -226,6 +236,7 @@ def darkpool_run(
                 else:
                     logger.debug("allocation safeguard clipped at step %d", n)
             if n % _RENORM_EVERY == 0:
-                r /= r.sum()
+                r /= total
+                total = float(r.sum())
     record(v.size, r)
     return recorded()

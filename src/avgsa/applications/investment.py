@@ -72,13 +72,8 @@ def invariant_moment(p: CirParams, order: float) -> float:
     return math.exp(math.lgamma(shape + order) - math.lgamma(shape)) * p.gamma_scale**order
 
 
-def cir_innovation_source(
-    p: CirParams,
-    step0: float,
-    exponent: float,
-    seed: int,
-    y0: float | None = None,
-) -> EulerDecreasingSource:
+def cir_innovation_source(p: CirParams, step0: float, exponent: float,
+                          seed: int) -> EulerDecreasingSource:
     """Decreasing-step Euler scheme for the square-root diffusion, as an
     innovation source whose occupation measure settles on the invariant
     Gamma law.
@@ -88,24 +83,21 @@ def cir_innovation_source(
     guaranteed to settle when the step decays no faster than ``n^{-1/3}``
     relative to its square-summability trade-off.
 
-    The first row of the stream is the initial productivity ``y0``
-    (``vartheta`` by default); :class:`EulerDecreasingSource` emits it once,
-    ahead of its per-row loop, and the first transition follows it.
+    The first row of the stream is the initial productivity, the mean
+    ``vartheta``; :class:`EulerDecreasingSource` emits it once, ahead of
+    its per-row loop, and the first transition follows it.
     """
     if not 0.0 < exponent <= 1.0 / 3.0:
         raise ValueError(
             f"Euler step exponent must lie in (0, 1/3], got {exponent}"
         )
-    start = p.vartheta if y0 is None else y0
-    if start <= 0.0:
-        raise ValueError("initial productivity must be positive")
     kappa, vartheta, sigma, sqrt = p.kappa, p.vartheta, p.sigma, math.sqrt
     return EulerDecreasingSource(
         drift=lambda y: kappa * (vartheta - y),
         diffusion=lambda y: sigma * sqrt(abs(y)),
         step0=step0,
         exponent=exponent,
-        y0=start,
+        y0=vartheta,
         seed=seed,
     )
 

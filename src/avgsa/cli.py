@@ -9,7 +9,8 @@ Exit status: 0 on success, 1 when a run aborts on the divergence guard
 (the summary is still written) or a sweep has failures, 2 on config or
 usage errors, on a config or CSV that cannot be read ("cannot read
 config", "cannot plot"), and on artifacts or a plot that cannot be
-written ("cannot write artifacts", "cannot plot").  A config value
+written ("cannot write artifacts", "cannot plot"); an output directory
+that cannot be made is refused before the run.  A config value
 outside its key's interval is refused with the key and the interval
 before any file is written.
 """

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from avgsa.innovations import InnovationSource
+from avgsa.innovations import _BLOCK, InnovationSource
 
 __all__ = [
     "ErrorPath",
@@ -70,7 +70,7 @@ def empirical_average_path(
     nxt = next(it)
     # consume in blocks; evaluate f per row (f need not be vectorised)
     while seen < cps[-1]:
-        block = source.take_block(min(4096, cps[-1] - seen))
+        block = source.take_block(min(_BLOCK, cps[-1] - seen))
         for row in zip(*block.T.tolist()):
             total += f(row)
             seen += 1

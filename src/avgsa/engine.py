@@ -326,7 +326,8 @@ def run(
     iterates are always present.  A guard aborts
     the run loudly as soon as the iterate norm exceeds
     ``DIVERGENCE_BOUND`` or stops being finite; it covers every run
-    above, VaR/CVaR and the bandit included.
+    above, VaR/CVaR and the bandit included, and ``darkpool_run`` applies
+    the same bound to its allocation.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")

@@ -16,8 +16,10 @@ adding a component never reshuffles the others.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -681,6 +683,19 @@ def _write_summary(path: Path, summary: dict) -> dict:
     return ordered
 
 
+def _check_writable(out_dir: Path) -> None:
+    """Refuse an output directory that cannot be made, without making it:
+    its nearest existing ancestor must be a directory this process may
+    write to.  Raises ``OSError``."""
+    ancestor = out_dir.absolute()
+    while not ancestor.exists():
+        ancestor = ancestor.parent
+    if not ancestor.is_dir():
+        raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(ancestor))
+    if not os.access(ancestor, os.W_OK):
+        raise OSError(errno.EACCES, os.strerror(errno.EACCES), str(ancestor))
+
+
 def run_experiment(config) -> RunArtifacts:
     """Execute one configured experiment and write its artifacts.
 
@@ -688,15 +703,18 @@ def run_experiment(config) -> RunArtifacts:
     The output directory receives ``effective_config.yaml`` (the config
     with all defaults filled in — rerunning it reproduces the artifacts
     byte for byte), ``trajectory.csv``, a convergence plot, and
-    ``summary.json``.  Nothing is written until the runner returns: a
-    config it refuses leaves no directory behind.  The summary and config
-    are written even when the divergence guard aborts the run, with the
-    failure cause in place of results.
+    ``summary.json``.  An output directory that cannot be made is refused
+    with ``OSError`` before the run.  Nothing is written until the runner
+    returns: a config it refuses leaves no directory behind.  The summary
+    and config are written even when the divergence guard aborts the run,
+    with the failure cause in place of results.
     """
     raw = load_config(config) if isinstance(config, (str, Path)) else config
     cfg = validate_config(raw)
 
     exp = REGISTRY[cfg["experiment"]]
+    out_dir = Path(cfg["output_dir"])
+    _check_writable(out_dir)
     summary = {
         "experiment": cfg["experiment"],
         "seed": cfg["seed"],
@@ -713,7 +731,6 @@ def run_experiment(config) -> RunArtifacts:
         summary.update(status="aborted", failure=str(exc))
     summary["runtime_seconds"] = round(time.perf_counter() - start, 6)
 
-    out_dir = Path(cfg["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     config_path = out_dir / "effective_config.yaml"
     with open(config_path, "w", newline="\n") as fh:

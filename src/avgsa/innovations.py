@@ -25,7 +25,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -308,8 +308,6 @@ class InnovationSource:
     index.
     """
 
-    kind: str = "abstract"
-
     def __init__(self, dimension: int):
         if dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {dimension}")
@@ -357,8 +355,6 @@ class InnovationSource:
 class IidUniformSource(InnovationSource):
     """Independent uniforms on ``[0, 1)^q`` from a PCG64 generator."""
 
-    kind = "iid-uniform"
-
     def __init__(self, dimension: int = 1, seed: int = 0):
         super().__init__(dimension)
         self._rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -374,8 +370,6 @@ class IidGaussianSource(InnovationSource):
     use, so an i.i.d. run and a low-discrepancy run differ only in the
     underlying uniforms."""
 
-    kind = "iid-gaussian"
-
     def __init__(self, dimension: int = 1, seed: int = 0):
         super().__init__(dimension)
         self._uniforms = IidUniformSource(1, seed)
@@ -390,8 +384,6 @@ class IidGaussianSource(InnovationSource):
 
 class HaltonSource(InnovationSource):
     """Deterministic Halton stream in ``q`` dimensions, 1-indexed."""
-
-    kind = "halton"
 
     def __init__(self, dimension: int = 1, start: int = 1):
         super().__init__(dimension)
@@ -415,8 +407,6 @@ class HaltonGaussianSource(InnovationSource):
     ``2*ceil(q/2)``, block for block; for odd q the final cosine component
     is dropped."""
 
-    kind = "halton-gaussian"
-
     def __init__(self, dimension: int = 1, start: int = 1):
         super().__init__(dimension)
         self._points = HaltonSource(2 * ((dimension + 1) // 2), start)
@@ -431,22 +421,15 @@ class Ar1MixingSource(InnovationSource):
     """Geometrically mixing linear autoregression ``x' = a x + z`` with
     standard normal increments (componentwise independent chains when the
     dimension exceeds one).  With ``a = 0`` the stream reduces to its
-    i.i.d. Gaussian noise."""
+    i.i.d. Gaussian noise.  The chain starts at 0: its first row is the
+    first increment."""
 
-    kind = "ar1-mixing"
-
-    def __init__(
-        self,
-        dimension: int = 1,
-        seed: int = 0,
-        a: float = 0.5,
-        x0: float | Sequence[float] = 0.0,
-    ):
+    def __init__(self, dimension: int = 1, seed: int = 0, a: float = 0.5):
         super().__init__(dimension)
         if not abs(a) < 1.0:
             raise ValueError(f"|a| < 1 required for mixing, got {a}")
         self.a = a
-        self._state = np.broadcast_to(np.asarray(x0, dtype=float), (dimension,)).copy()
+        self._state = np.zeros(dimension)
         self._noise = IidGaussianSource(dimension, seed)
 
     def _generate(self, count: int) -> np.ndarray:
@@ -468,20 +451,12 @@ class FiniteMarkovChainSource(InnovationSource):
     """Homogeneous finite-state Markov chain emitting per-state values.
 
     ``transition`` is a row-stochastic matrix, ``values`` assigns a vector
-    (or scalar) to each state.  The first emission is the value of the
-    initial state; the chain then moves according to the matrix, driven by
+    (or scalar) to each state.  The chain starts in state 0, whose value is
+    the first emission; it then moves according to the matrix, driven by
     one uniform of an :class:`IidUniformSource` per row.
     """
 
-    kind = "finite-markov-chain"
-
-    def __init__(
-        self,
-        transition: np.ndarray,
-        values: np.ndarray,
-        seed: int = 0,
-        initial_state: int = 0,
-    ):
+    def __init__(self, transition: np.ndarray, values: np.ndarray, seed: int = 0):
         P = np.asarray(transition, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError("transition matrix must be square")
@@ -492,12 +467,10 @@ class FiniteMarkovChainSource(InnovationSource):
             vals = vals[:, None]
         if vals.shape[0] != P.shape[0]:
             raise ValueError("one value row per state required")
-        if not 0 <= initial_state < P.shape[0]:
-            raise ValueError(f"initial state {initial_state} out of range")
         super().__init__(vals.shape[1])
         self._P_cum = np.cumsum(P, axis=1)
         self._values = vals
-        self._state = initial_state
+        self._state = 0
         self._emitted_initial = False
         self._uniforms = IidUniformSource(1, seed)
 
@@ -533,8 +506,6 @@ class EulerDecreasingSource(InnovationSource):
     drawn for that row goes unused, so row ``n`` always pairs with normal
     ``n`` of the underlying stream.
     """
-
-    kind = "euler-decreasing"
 
     def __init__(
         self,
@@ -590,7 +561,6 @@ SOURCE_KINDS = (
     "halton-gaussian",
     "ar1-mixing",
     "finite-markov-chain",
-    "euler-decreasing",
 )
 
 
@@ -598,7 +568,9 @@ def make_source(kind: str, dimension: int = 1, seed: int = 0, **params) -> Innov
     """Construct an innovation source from a flat description.
 
     This is the entry point the configuration layer uses; unknown kinds and
-    unknown parameters are hard errors.
+    unknown parameters are hard errors.  ``SOURCE_KINDS`` lists exactly the
+    kinds built here; an Euler source carries drift and diffusion callables
+    and is built directly (see ``investment.cir_innovation_source``).
     """
     if kind == "iid-uniform":
         _reject_extra(kind, params)
@@ -613,23 +585,16 @@ def make_source(kind: str, dimension: int = 1, seed: int = 0, **params) -> Innov
         return cls(dimension, start=start)
     if kind == "ar1-mixing":
         a = params.pop("a", 0.5)
-        x0 = params.pop("x0", 0.0)
         _reject_extra(kind, params)
-        return Ar1MixingSource(dimension, seed, a=a, x0=x0)
+        return Ar1MixingSource(dimension, seed, a=a)
     if kind == "finite-markov-chain":
         try:
             transition = params.pop("transition")
             values = params.pop("values")
         except KeyError as exc:
             raise ValueError(f"finite-markov-chain requires {exc.args[0]!r}") from None
-        initial_state = params.pop("initial_state", 0)
         _reject_extra(kind, params)
-        return FiniteMarkovChainSource(transition, values, seed, initial_state)
-    if kind == "euler-decreasing":
-        raise ValueError(
-            "euler-decreasing sources carry drift/diffusion callables; "
-            "construct EulerDecreasingSource directly or use an application preset"
-        )
+        return FiniteMarkovChainSource(transition, values, seed)
     raise ValueError(f"unknown innovation kind {kind!r}; known: {', '.join(SOURCE_KINDS)}")
 
 

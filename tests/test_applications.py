@@ -50,7 +50,7 @@ from avgsa.applications.varcvar import (
     var_cvar_trajectory,
     var_field,
 )
-from avgsa.engine import StepSchedule
+from avgsa.engine import DivergenceError, StepSchedule
 from avgsa.innovations import (
     _BLOCK,
     Ar1MixingSource,
@@ -1025,7 +1025,9 @@ _ONES_V, _ONES_D, _REB2 = np.ones(10), np.ones((10, 2)), np.array([0.02, 0.05])
     ((np.where(np.arange(10) == 0, 0.0, 1.0), _ONES_D, _REB2), "volumes must be positive"),
     ((_ONES_V, np.ones((5, 2)), _REB2), r"need volumes \(n,\), capacities \(n, pools\)"),
     ((_ONES_V, _ONES_D, np.array([0.02, 1.0])), r"rebates must lie in \[0, 1\)"),
-], ids=["nan-volume", "inf-capacity", "zero-volume", "shape-mismatch", "rebate-one"])
+    # unchecked, the walk returned one record and the oracle answered [0, 1]
+    ((np.ones(0), np.ones((0, 2)), _REB2), "at least one order"),
+], ids=["nan-volume", "inf-capacity", "zero-volume", "shape-mismatch", "rebate-one", "empty"])
 @pytest.mark.parametrize("entry", ["brute_force_allocation", "darkpool_run"])
 def test_darkpool_entries_refuse_the_same_series(entry, series, message):
     # the oracle and the recursion read one series; neither may accept
@@ -1051,3 +1053,12 @@ def test_darkpool_run_rejects_non_finite_series():
     d[7, 1] = np.inf
     with pytest.raises(ValueError, match=r"capacities\[7, 1\]"):
         darkpool_run(v, d, reb, sched)
+
+
+def test_darkpool_run_aborts_on_divergence():
+    # a huge gain overflows the allocation into NaN; unguarded, the run
+    # returned it and the CLI reported it with status ok
+    v, d = synthetic_darkpool_series(2000, 0, mix=[0.5, 0.5], scale=[0.6, 0.15], log_sigma=3.0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as info:
+        darkpool_run(v, d, np.array([0.02, 0.05]), StepSchedule(c=1e308, a=1.0))
+    assert info.value.step == 5 and np.isnan(info.value.value).any()

@@ -3,6 +3,7 @@ verbs."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
@@ -697,6 +698,52 @@ def test_cli_unwritable_output_dir_is_a_write_error(tmp_path, capsys, command):
     assert main([command[0], cfg, *command[1:]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("cannot write artifacts:") and "Not a directory" in err
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--seeds", "0..2"]],
+                         ids=["run", "sweep"])
+def test_cli_unwritable_output_dir_is_refused_before_the_run(
+    tmp_path, capsys, monkeypatch, command
+):
+    # found only once artifacts were written, the refusal came after a whole
+    # run; it must come before the runner, and make nothing
+    def runner(cfg):
+        raise AssertionError("the runner ran for an unwritable output_dir")
+
+    monkeypatch.setitem(REGISTRY, "dark-pool",
+                        dataclasses.replace(REGISTRY["dark-pool"], runner=runner))
+    (tmp_path / "afile").write_text("")
+    cfg = _write_cfg(
+        tmp_path / "c.yaml",
+        f"experiment: dark-pool\nseed: 0\noutput_dir: {tmp_path / 'afile' / 'out'}\n",
+    )
+    assert main([command[0], cfg, *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write artifacts:") and "Not a directory" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "c.yaml"]
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
+def test_cli_darkpool_divergence_aborts_with_a_strict_json_summary(tmp_path):
+    # every key lies in its interval, yet the allocation overflows into NaN;
+    # unguarded, the run exited 0 with status ok and bare NaN tokens in
+    # summary.json.  A subprocess, so numpy's overflow warnings stay warnings.
+    out = tmp_path / "out"
+    cfg = _write_cfg(
+        tmp_path / "c.yaml",
+        "experiment: dark-pool\nseed: 7\nhorizon: 2000\nstep: {c: 1.0e+308}\n"
+        f"source: {{log_sigma: 3.0}}\noutput_dir: {out}\n",
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(avgsa.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "avgsa.cli", "run", cfg], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=_refuse_constant)
+    assert summary["status"] == "aborted" and "step 130" in summary["failure"]
+    assert summary["final"] is None and not (out / "trajectory.csv").exists()
 
 
 def test_cli_run_refuses_target_beyond_float_range(tmp_path, capsys):

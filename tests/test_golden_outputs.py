@@ -11,6 +11,7 @@ update the value, and say in CHANGES.md why the bytes moved."""
 from __future__ import annotations
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,16 @@ def _summary_sha256(path) -> str:
     return hashlib.sha256(b"".join(kept)).hexdigest()
 
 
+def _refuse_constant(token):
+    raise ValueError(f"summary.json holds {token}, which strict JSON does not allow")
+
+
+def _assert_strict_json(path) -> None:
+    # json.dump writes NaN and Infinity as bare tokens; a strict parser
+    # such as jq refuses them
+    json.loads(Path(path).read_text(), parse_constant=_refuse_constant)
+
+
 def _config_sha256(path, out_dir) -> str:
     text = Path(path).read_bytes()
     line = f"output_dir: {out_dir}\n".encode()
@@ -140,6 +151,7 @@ def test_golden_output_bytes(tmp_path, name):
     assert Path(art.plot_path).name == plot_name
     assert _sha256(art.plot_path) == plot_sha
     summary_sha, config_sha = _GOLDEN_RECORDS[name]
+    _assert_strict_json(art.summary_path)
     assert _summary_sha256(art.summary_path) == summary_sha
     assert _config_sha256(art.config_path, tmp_path) == config_sha
 
@@ -163,5 +175,6 @@ def test_golden_output_bytes_dark_pool_four_venues(tmp_path):
     assert _sha256(art.csv_path) == csv_sha
     assert Path(art.plot_path).name == plot_name
     assert _sha256(art.plot_path) == plot_sha
+    _assert_strict_json(art.summary_path)
     assert _summary_sha256(art.summary_path) == summary_sha
     assert art.summary["notes"]["safeguard_count"] > 0
