@@ -23,7 +23,7 @@ import numpy as np
 
 from avgsa.engine import DIVERGENCE_BOUND, DivergenceError, StepSchedule, Trajectory
 from avgsa.engine import _gain_blocks, _recorder
-from avgsa.innovations import Ar1MixingSource
+from avgsa.innovations import _BLOCK, Ar1MixingSource
 
 __all__ = [
     "darkpool_field",
@@ -46,7 +46,9 @@ def _checked_series(volumes, capacities, rebates) -> tuple[np.ndarray, np.ndarra
     """``(volumes, capacities, rebates)`` as float arrays of shapes (n,),
     (n, pools) and (pools,), refused unless the series has at least one
     order, every rebate lies in [0, 1), every volume and capacity is
-    finite and every volume is positive."""
+    finite and every volume is positive.  The checks run one ``_BLOCK``
+    of orders at a time, so their temporaries do not grow with the
+    series."""
     v = np.asarray(volumes, dtype=float)
     d = np.asarray(capacities, dtype=float)
     rho = np.asarray(rebates, dtype=float)
@@ -57,11 +59,14 @@ def _checked_series(volumes, capacities, rebates) -> tuple[np.ndarray, np.ndarra
     if not np.all((0.0 <= rho) & (rho < 1.0)):
         raise ValueError("rebates must lie in [0, 1)")
     for name, series in (("volumes", v), ("capacities", d)):
-        bad = np.argwhere(~np.isfinite(series))
-        if bad.size:
-            index = ", ".join(str(k) for k in bad[0])
-            raise ValueError(f"{name} must be finite; {name}[{index}] is not")
-    if np.any(v <= 0.0):
+        for i in range(0, v.size, _BLOCK):
+            bad = np.argwhere(~np.isfinite(series[i:i + _BLOCK]))
+            if bad.size:
+                first = bad[0]
+                first[0] += i
+                index = ", ".join(str(k) for k in first)
+                raise ValueError(f"{name} must be finite; {name}[{index}] is not")
+    if any(np.any(v[i:i + _BLOCK] <= 0.0) for i in range(0, v.size, _BLOCK)):
         raise ValueError("volumes must be positive")
     return v, d, rho
 

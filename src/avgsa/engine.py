@@ -262,9 +262,9 @@ class DivergenceError(RuntimeError):
     def __init__(self, step: int, value):
         self.step = step
         self.value = value
-        super().__init__(
-            f"iterate diverged at step {step}: |theta| > {DIVERGENCE_BOUND:.0e} (theta = {value})"
-        )
+        cause = ("theta is not finite" if np.isnan(value).any()
+                 else f"|theta| > {DIVERGENCE_BOUND:.0e}")
+        super().__init__(f"iterate diverged at step {step}: {cause} (theta = {value})")
 
 
 @dataclass

@@ -90,6 +90,14 @@ def render_line_svg(
         pad = 0.04 * (y1 - y0)
         y0, y1 = y0 - pad, y1 + pad
 
+    # the kernel behind the polyline needs both spans positive and finite:
+    # then every point maps into the canvas.  A span that overflows a
+    # double, or a flat x too large for +1.0 to widen, has no plot.
+    if not (0.0 < x1 - x0 < math.inf and 0.0 < y1 - y0 < math.inf):
+        raise ValueError(
+            f"cannot scale the data: x spans [{x0}, {x1}] and y [{y0}, {y1}]"
+        )
+
     def px(v):
         return _ML + (v - x0) / (x1 - x0) * (_W - _ML - _MR)
 
@@ -178,12 +186,51 @@ def _points(px, py, xs: np.ndarray, ys: np.ndarray) -> str:
     """Polyline coordinates as space-separated ``x,y`` pairs.  ``px`` and
     ``py`` map whole slices, which is the same float arithmetic in the
     same order as mapping each point; the pairs are formatted a block at
-    a time, so the text of every point is never held at once."""
+    a time, so only one block's digits are alive at once."""
     return " ".join([
-        " ".join(map("%.2f,%.2f".__mod__, zip(px(xs[i:i + _BLOCK]).tolist(),
-                                              py(ys[i:i + _BLOCK]).tolist())))
+        _format_pairs(px(xs[i:i + _BLOCK]), py(ys[i:i + _BLOCK]))
         for i in range(0, xs.size, _BLOCK)
     ])
+
+
+def _format_pairs(a: np.ndarray, b: np.ndarray) -> str:
+    """``" ".join("%.2f,%.2f" % p for p in zip(a, b))``, byte for byte,
+    for finite coordinates in ``[0, 2**40)``.
+
+    Each ``v = M / 2**s`` with an integer mantissa ``M < 2**53``, so
+    ``100 * M < 2**60`` is exact in int64 and ``100 * v`` rounded half
+    to even at bit ``s`` is the integer of hundredths that ``%.2f``
+    prints: Python's dtoa rounds the exact binary value, ties to even.
+    Its digits go into a byte matrix, one row per coordinate, with the
+    integer part's leading zeros masked off."""
+    v = np.empty(2 * a.size)
+    v[0::2], v[1::2] = a, b
+    mant, exp = np.frexp(v)
+    scaled = (mant * 2.0**53).astype(np.int64) * 100
+    # below 2**-9 every value prints 0.00; capping the shift keeps it
+    # inside int64 without changing that
+    shift = np.minimum(53 - exp, 62)
+    half = np.left_shift(1, shift - 1, dtype=np.int64)
+    # adding half - 1, and one more when the truncated value is odd,
+    # rounds half to even
+    cents = (scaled + (half - 1) + ((scaled >> shift) & 1)) >> shift
+
+    width = len(str(int(cents.max()) // 100))      # integer digits
+    text = np.empty((v.size, width + 4), dtype=np.uint8)
+    rest = cents
+    for j in (width + 2, width + 1, *range(width - 1, -1, -1)):
+        tens = rest // 10
+        text[:, j] = rest - tens * 10 + ord("0")
+        rest = tens
+    text[:, width] = ord(".")
+    text[0::2, -1] = ord(",")
+    text[1::2, -1] = ord(" ")
+    # drop the integer part's leading zeros and the block's last space
+    keep = np.ones(text.shape, dtype=bool)
+    for j in range(width - 1):
+        keep[:, j] = cents >= 10 ** (width + 1 - j)
+    keep[-1, -1] = False
+    return text[keep].tobytes().decode("ascii")
 
 
 def _escape(s: str) -> str:

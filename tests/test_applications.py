@@ -5,6 +5,7 @@ and the dark-pool allocation loop."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 from statistics import NormalDist
 
@@ -25,6 +26,7 @@ from avgsa.applications.correlation import (
     calibrate_correlation,
 )
 from avgsa.applications.darkpool import (
+    _checked_series,
     brute_force_allocation,
     darkpool_field,
     darkpool_run,
@@ -1022,12 +1024,21 @@ _ONES_V, _ONES_D, _REB2 = np.ones(10), np.ones((10, 2)), np.array([0.02, 0.05])
      r"volumes must be finite; volumes\[3\] is not"),
     ((_ONES_V, np.where(np.arange(20).reshape(10, 2) == 15, np.inf, 1.0), _REB2),
      r"capacities must be finite; capacities\[7, 1\] is not"),
+    # a block-wise check still names the entry by its index in the whole series
+    ((np.where(np.arange(2 * _BLOCK) == _BLOCK + 5, np.nan, 1.0), np.ones((2 * _BLOCK, 2)), _REB2),
+     rf"volumes must be finite; volumes\[{_BLOCK + 5}\] is not"),
+    ((np.ones(2 * _BLOCK), np.where(np.arange(4 * _BLOCK).reshape(-1, 2) == 4 * _BLOCK - 1,
+                                    -np.inf, 1.0), _REB2),
+     rf"capacities must be finite; capacities\[{2 * _BLOCK - 1}, 1\] is not"),
     ((np.where(np.arange(10) == 0, 0.0, 1.0), _ONES_D, _REB2), "volumes must be positive"),
+    ((np.where(np.arange(2 * _BLOCK) == 2 * _BLOCK - 1, 0.0, 1.0), np.ones((2 * _BLOCK, 2)), _REB2),
+     "volumes must be positive"),
     ((_ONES_V, np.ones((5, 2)), _REB2), r"need volumes \(n,\), capacities \(n, pools\)"),
     ((_ONES_V, _ONES_D, np.array([0.02, 1.0])), r"rebates must lie in \[0, 1\)"),
     # unchecked, the walk returned one record and the oracle answered [0, 1]
     ((np.ones(0), np.ones((0, 2)), _REB2), "at least one order"),
-], ids=["nan-volume", "inf-capacity", "zero-volume", "shape-mismatch", "rebate-one", "empty"])
+], ids=["nan-volume", "inf-capacity", "nan-volume-block-2", "inf-capacity-block-2", "zero-volume",
+        "zero-volume-block-2", "shape-mismatch", "rebate-one", "empty"])
 @pytest.mark.parametrize("entry", ["brute_force_allocation", "darkpool_run"])
 def test_darkpool_entries_refuse_the_same_series(entry, series, message):
     # the oracle and the recursion read one series; neither may accept
@@ -1053,6 +1064,19 @@ def test_darkpool_run_rejects_non_finite_series():
     d[7, 1] = np.inf
     with pytest.raises(ValueError, match=r"capacities\[7, 1\]"):
         darkpool_run(v, d, reb, sched)
+
+
+def test_darkpool_series_check_memory_is_flat():
+    # the series is checked one block at a time; whole-series temporaries
+    # were 1.91 MiB at a million orders
+    v, d = np.ones(1_000_000), np.ones((1_000_000, 2))
+    tracemalloc.start()
+    try:
+        _checked_series(v, d, _REB2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**18, f"series check peaked at {peak / 2**20:.2f} MiB"
 
 
 def test_darkpool_run_aborts_on_divergence():
