@@ -1,0 +1,198 @@
+"""Trajectory CSV rows as bytes, with no Python string per cell.
+
+A sub-block of rows is built as a uint8 matrix, with 0 as the pad byte
+that is dropped before writing: the ``n`` cell, then ``","`` and each
+float cell, then ``"\\n"``.  Each cell holds the bytes Python's ``"%d"``
+or ``"%.17g"`` would print for it.  Floats in (1e-6, 1e17) and zeros come
+from exact float64 arithmetic (Dekker's product), so the bytes do not
+depend on numpy's SIMD level; every other float is formatted by
+``"%.17g"`` itself.
+
+``engine.write_trajectory_csv`` imports this module on its first call,
+so a process that writes no CSV never compiles it.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+__all__ = ["ROWS", "format_rows"]
+
+# rows per sub-block: formatting one column of it peaks near 0.4 MiB of
+# temporaries, whatever the number of columns
+ROWS = 1024
+
+# Text of the 4-digit groups "0000".."9999" as uint32 words, then per
+# leading digit d the word (pad, ".", "e", d), then per exponent -05 / -06
+# the word (",", "-", "0", "5" / "6").  A float cell gathers six words,
+# 24 source bytes: pad, ".", "e", its 17 digits, ",", "-", "0" and "5" or
+# "6"; its layout picks from them.
+_LEAD, _EXP = 10_000, 10_010
+
+
+def _digit_text() -> tuple[np.ndarray, np.ndarray]:
+    """The words above, and the trailing zero digits of each 4-digit
+    group (4 for "0000")."""
+    text = np.empty((10_012, 4), dtype=np.uint8)
+    d = np.frombuffer(b"0123456789", dtype=np.uint8)
+    g = text[:_LEAD].reshape(10, 10, 10, 10, 4)
+    g[..., 0], g[..., 1], g[..., 2], g[..., 3] = (
+        d[:, None, None, None], d[:, None, None], d[:, None], d)
+    text[_LEAD:_EXP] = [[0, *b".e", digit] for digit in b"0123456789"]
+    text[_EXP:] = [list(b",-05"), list(b",-06")]
+    z = (text[:_LEAD] == ord("0")).astype(np.uint8)
+    trailing = z[:, 3] * (1 + z[:, 2] * (1 + z[:, 1] * (1 + z[:, 0])))
+    return text.view(np.uint32).ravel(), trailing
+
+
+_TEXT, _TRAILING = _digit_text()
+_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
+# words that blank the first 0..4 bytes of a group
+_BLANK_HEAD = ((np.arange(4) >= np.arange(5)[:, None]) * np.uint8(255)).view(np.uint32).ravel()
+
+# Dekker's split of 5**j, j <= 22 (exact doubles: 5**22 < 2**53)
+_SPLIT = 2.0**27 + 1.0
+_POW5 = 5.0 ** np.arange(23)
+_POW5_HI = _POW5 * _SPLIT - (_POW5 * _SPLIT - _POW5)
+_POW5_LO = _POW5 - _POW5_HI
+
+
+def _float_template(k: int) -> tuple[int, list[int]]:
+    """Source byte positions of ``"," + sign + "%.17g" % |v|`` for decimal
+    exponent ``k`` with all 17 digits shown, padded to 25, and how many
+    digits stand before the point.  ``%g`` prints fixed notation for
+    -4 <= k < 17 and ``d.ddde-XX`` below.  The sign position holds the
+    pad; the writer fills it."""
+    pad, point, e, comma, minus, zero, exp = 0, 1, 2, 20, 21, 22, 23
+    digits = list(range(3, 20))
+    if k >= 0:
+        lead, body = k + 1, digits[:k + 1] + [point] + digits[k + 1:]
+    elif k >= -4:
+        lead, body = 0, [zero, point] + [zero] * (-k - 1) + digits
+    else:
+        lead, body = 1, digits[:1] + [point] + digits[1:] + [e, minus, zero, exp]
+    return lead, [comma, pad] + body + [pad] * (23 - len(body))
+
+
+def _float_layouts() -> np.ndarray:
+    """(23 * 17, 25) layouts, one per k in -6..16 and kept in 1..17: the
+    template with every digit past ``max(kept, lead)`` padded out, and the
+    point too when no digit follows it (``%g`` strips trailing zeros)."""
+    lead, tmpl = map(np.array, zip(*map(_float_template, range(-6, 17))))
+    lead, tmpl = lead[:, None, None], tmpl[:, None, :]
+    kept = np.arange(1, 18)[None, :, None]
+    digit = (tmpl >= 3) & (tmpl < 20)
+    drop = (digit & (tmpl - 3 >= np.maximum(kept, lead))) | ((tmpl == 1) & (kept <= lead))
+    return np.where(drop, 0, tmpl).reshape(-1, 25).astype(np.uint8)
+
+
+_LAYOUTS = _float_layouts()
+
+
+def _floor_and_tie(x: np.ndarray, k: np.ndarray):
+    """``N = floor(x * 10**(16 - k))`` and whether rounding that product
+    to an integer, half to even, goes up.  ``y = x * 2**j`` is exact, and
+    Dekker's product ``y * 5**j = p + err`` is exact in two doubles; when
+    ``N`` is in [1e16, 1e17), ``p`` is an integer, so ``N = p + floor(err)``
+    and the fraction is ``err - floor(err)``."""
+    j = 16 - k
+    y = np.ldexp(x, j)
+    p = y * _POW5[j]
+    c = y * _SPLIT
+    yh = c - (c - y)
+    yl = y - yh
+    bh, bl = _POW5_HI[j], _POW5_LO[j]
+    err = ((yh * bh - p) + yh * bl + yl * bh) + yl * bl
+    f = np.floor(err)
+    n = p.astype(np.int64) + f.astype(np.int64)
+    half = f + 0.5
+    return n, (err > half) | ((err == half) & (n & 1 == 1))
+
+
+def _float_cells(v: np.ndarray) -> np.ndarray:
+    """``"," + "%.17g" % x`` for each double ``x`` of ``v``, byte for byte,
+    as the rows of an (m, 25) uint8 matrix padded with 0.
+
+    Values in (1e-6, 1e17) and zeros are printed from 17 digits
+    ``10**16 <= D < 10**17``: the exact value of ``|x| * 10**(16 - k)``
+    rounded half to even, as Python's dtoa rounds it.  ``np.log10`` only
+    guesses ``k``; the guess is corrected until the floor of that product
+    has 17 digits, so no byte depends on how numpy computes logarithms.
+    Rounding never carries into an 18th digit: below each power of ten in
+    the domain, the largest double is more than half a unit of the 17th
+    digit away.  Every other value (non-finite, subnormal, at most 1e-6
+    or at least 1e17 in magnitude) is formatted by ``%.17g`` itself."""
+    m = v.size
+    a = np.abs(v)
+    fast = (a > 1e-6) & (a < 1e17)
+    x = np.where(fast, a, 1.0)
+    k = np.clip(np.floor(np.log10(x)), -6, 16).astype(np.int64)
+    d, up = _floor_and_tie(x, k)
+    off = np.flatnonzero((d < 10**16) | (d >= 10**17))
+    while off.size:
+        k[off] += np.where(d[off] < 10**16, -1, 1)
+        d[off], up[off] = _floor_and_tie(x[off], k[off])
+        off = off[(d[off] < 10**16) | (d[off] >= 10**17)]
+    d += up
+
+    groups = np.empty((6, m), dtype=np.intp)
+    for c in (4, 3, 2, 1):
+        q = d // 10_000
+        np.subtract(d, q * 10_000, out=groups[c])
+        d = q
+    np.add(d, _LEAD, out=groups[0])
+    groups[0, a == 0.0] = _LEAD                 # zero prints its "0" alone
+    np.add(k < -5, _EXP, out=groups[5])
+    tz = _TRAILING[groups[4]]
+    for c, run in ((3, 4), (2, 8), (1, 12)):
+        more = np.flatnonzero(tz == run)
+        tz[more] += _TRAILING[groups[c, more]]
+    # every index is in range: mode="clip" only skips take's bounds check
+    src = np.take(_TEXT, groups.T, out=np.empty((m, 6), dtype=np.uint32), mode="clip")
+    src = src.view(np.uint8).reshape(-1)
+    at = _LAYOUTS[(k + 6) * 17 + (16 - tz)] + np.arange(0, 24 * m, 24)[:, None]
+    cells = np.take(src, at, mode="clip")
+    cells[:, 1] = np.signbit(v) * np.uint8(ord("-"))
+    for i in np.flatnonzero(~fast & (a != 0.0)):
+        text = ("," + "%.17g" % v[i]).encode()
+        cells[i] = 0
+        cells[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return cells
+
+
+def _int_cells(n: np.ndarray) -> np.ndarray:
+    """``"%d" % i`` for each int64 ``i`` of ``n`` as the rows of a uint8
+    matrix padded with 0: a sign column, then as many 4-digit groups as
+    the largest magnitude needs, with leading zeros blanked."""
+    neg = n < 0
+    u = n.view(np.uint64)
+    u = np.where(neg, -u, u)                    # |n|, exact for -2**63 too
+    zeros = np.searchsorted(_POW10, u, side="right")       # digits - 1
+    width = int(zeros.max(initial=0)) // 4 + 1
+    zeros = 4 * width - 1 - zeros               # leading zeros to blank
+    groups = np.empty((width, n.size), dtype=np.intp)
+    for c in range(width - 1, 0, -1):
+        q = u // 10_000
+        groups[c] = u - q * 10_000
+        u = q
+    groups[0] = u
+    words = np.take(_TEXT, groups.T, out=np.empty((n.size, width), dtype=np.uint32))
+    for c in range(width):
+        words[:, c] &= _BLANK_HEAD[np.minimum(np.maximum(zeros - 4 * c, 0), 4)]
+    cells = np.empty((n.size, 1 + 4 * width), dtype=np.uint8)
+    cells[:, 0] = neg * np.uint8(ord("-"))
+    cells[:, 1:] = words.view(np.uint8)
+    return cells
+
+
+def format_rows(ns: np.ndarray, columns) -> bytes:
+    """The CSV lines of one sub-block: ``"%d" % n`` and then
+    ``",%.17g" % v`` for each column's value, per row."""
+    head = _int_cells(ns)
+    rows, w = head.shape
+    mat = np.empty((rows, w + 25 * len(columns) + 1), dtype=np.uint8)
+    mat[:, :w] = head
+    for c, col in enumerate(columns):
+        mat[:, w + 25 * c:w + 25 * (c + 1)] = _float_cells(np.asarray(col, dtype=float))
+    mat[:, -1] = ord("\n")
+    return mat.tobytes().translate(None, b"\0")

@@ -397,18 +397,20 @@ def _recorder(snap: Callable, monitors: Mapping[str, Callable] | None):
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write the recorded path as CSV: column ``n``, one column per iterate
     coordinate, one per monitor channel.  Floats carry 17 significant
-    digits so a file round-trips to the exact binary values; reruns of the
-    same configuration produce byte-identical files.  Rows are formatted
-    and written in blocks of 4096, so memory stays flat in the number of
-    records."""
+    digits (``%.17g``) so a file round-trips to the exact binary values;
+    reruns of the same configuration produce byte-identical files.  Rows
+    are formatted and written ``csvtext.ROWS`` at a time, so memory stays
+    flat in the number of records."""
+    from avgsa import csvtext      # loaded by the first write, not by import avgsa
+
     names = ["n"] + traj.channel_names()
-    cols = [traj.ns] + [traj.channel(c) for c in traj.channel_names()]
-    row_fmt = "%d" + ",%.17g" * (len(cols) - 1) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(names) + "\n")
-        for i in range(0, len(traj.ns), _BLOCK):
-            block = [col[i:i + _BLOCK].tolist() for col in cols]
-            fh.write("".join([row_fmt % row for row in zip(*block)]))
+    ns = np.asarray(traj.ns, dtype=np.int64)
+    cols = [traj.channel(c) for c in traj.channel_names()]
+    step = csvtext.ROWS
+    with open(path, "wb") as fh:
+        fh.write((",".join(names) + "\n").encode())
+        for i in range(0, ns.size, step):
+            fh.write(csvtext.format_rows(ns[i:i + step], [col[i:i + step] for col in cols]))
 
 
 def read_csv_columns(path) -> dict[str, np.ndarray]:

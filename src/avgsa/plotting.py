@@ -9,7 +9,9 @@ x axis.
 
 from __future__ import annotations
 
+import itertools
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -51,7 +53,23 @@ def _log_ticks(lo: float, hi: float) -> list[float]:
     return _ticks(lo, hi)
 
 
-def render_line_svg(
+def render_line_svg(x, y, **kwargs) -> str:
+    """Render one series as a complete SVG document string; the keywords
+    are those of ``_svg_text``."""
+    return "".join(_svg_text(x, y, **kwargs))
+
+
+def write_line_svg(path, x, y, **kwargs) -> None:
+    """Render and write the document a piece at a time, so the file gets
+    the bytes of ``render_line_svg`` while only one block of polyline text
+    is held; bad data are refused before the file is opened.  Fixed
+    newline so the bytes never depend on the platform."""
+    pieces = _svg_text(x, y, **kwargs)
+    with open(path, "w", newline="\n") as fh:
+        fh.writelines(pieces)
+
+
+def _svg_text(
     x,
     y,
     *,
@@ -60,8 +78,10 @@ def render_line_svg(
     ylabel: str = "value",
     target: float | None = None,
     logx: bool = False,
-) -> str:
-    """Render one series as a complete SVG document string."""
+) -> Iterator[str]:
+    """Check and lay out one series; return an iterator over the pieces
+    of its SVG document, in order.  Everything but the polyline's points
+    is built here, so a refusal comes before the first piece."""
     xs = np.asarray(x, dtype=float)
     ys = np.asarray(y, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1:
@@ -154,43 +174,39 @@ def render_line_svg(
             f'font-size="12" {font} fill="{_TARGET}">{_fmt(float(target))}</text>'
         )
 
-    # the series itself
-    parts.append(
-        f'<polyline points="{_points(px, py, xs, ys)}" fill="none" stroke="{_LINE}" '
-        f'stroke-width="1.5"/>'
-    )
+    # the series itself: its points are yielded between parts and tail
+    tail = [f'" fill="none" stroke="{_LINE}" stroke-width="1.5"/>']
 
     # labels
     if title:
-        parts.append(
+        tail.append(
             f'<text x="{_W / 2:.0f}" y="20" text-anchor="middle" font-size="14" '
             f"{font} fill=\"{_FG}\">{_escape(title)}</text>"
         )
     xl = xlabel + (" (log scale)" if logx else "")
-    parts.append(
+    tail.append(
         f'<text x="{(_ML + _W - _MR) / 2:.0f}" y="{_H - 10}" text-anchor="middle" '
         f'font-size="13" {font} fill="{_FG}">{_escape(xl)}</text>'
     )
-    parts.append(
+    tail.append(
         f'<text x="16" y="{(_MT + _H - _MB) / 2:.0f}" text-anchor="middle" '
         f'font-size="13" {font} fill="{_FG}" '
         f'transform="rotate(-90 16 {(_MT + _H - _MB) / 2:.0f})">{_escape(ylabel)}</text>'
     )
-    # the closing newline rides on the last part, so the document text
-    # is copied once, not twice
-    parts.append("</svg>\n")
-    return "\n".join(parts)
+    tail.append("</svg>\n")
+    return itertools.chain(["\n".join(parts) + '\n<polyline points="'],
+                           _points(px, py, xs, ys), ["\n".join(tail)])
 
 
-def _points(px, py, xs: np.ndarray, ys: np.ndarray) -> str:
-    """Polyline coordinates as space-separated ``x,y`` pairs.  ``px`` and
-    ``py`` map whole slices, which is the same float arithmetic in the
-    same order as mapping each point; the pairs are formatted a block at
-    a time, so only one block's digits are alive at once."""
-    return " ".join([
-        _format_pairs(px(xs[i:i + _BLOCK]), py(ys[i:i + _BLOCK]))
-        for i in range(0, xs.size, _BLOCK)
-    ])
+def _points(px, py, xs: np.ndarray, ys: np.ndarray) -> Iterator[str]:
+    """Polyline coordinates as space-separated ``x,y`` pairs, yielded a
+    block at a time, so only one block's digits are alive at once.  ``px``
+    and ``py`` map whole slices, which is the same float arithmetic in the
+    same order as mapping each point."""
+    for i in range(0, xs.size, _BLOCK):
+        if i:
+            yield " "
+        yield _format_pairs(px(xs[i:i + _BLOCK]), py(ys[i:i + _BLOCK]))
 
 
 def _format_pairs(a: np.ndarray, b: np.ndarray) -> str:
@@ -235,11 +251,3 @@ def _format_pairs(a: np.ndarray, b: np.ndarray) -> str:
 
 def _escape(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-def write_line_svg(path, x, y, **kwargs) -> None:
-    """Render and write; fixed newline so the bytes never depend on the
-    platform."""
-    doc = render_line_svg(x, y, **kwargs)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(doc)

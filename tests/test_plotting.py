@@ -82,7 +82,7 @@ def test_points_across_block_edges(n):
     def py(v):
         return 213.0 - v * 179.0
 
-    pts = _points(px, py, xs, ys)
+    pts = "".join(_points(px, py, xs, ys))
     assert pts == " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(xs.tolist(), ys.tolist()))
     assert pts.count(",") == pts.count(" ") + 1 == n
 

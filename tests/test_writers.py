@@ -8,15 +8,20 @@ subnormals included."""
 
 from __future__ import annotations
 
+import hashlib
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from avgsa.engine import StepSchedule, Trajectory, run, write_trajectory_csv
 from avgsa.innovations import IidUniformSource
-from avgsa.plotting import _H, _MB, _ML, _MR, _MT, _W, render_line_svg
+from avgsa.plotting import _H, _MB, _ML, _MR, _MT, _W, render_line_svg, write_line_svg
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +135,121 @@ def test_csv_matches_reference_for_table_without_iterate(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# CSV cell kernel: exact 17-digit rounding, where it is hardest
+# ---------------------------------------------------------------------------
+
+def assert_csv_like_reference(values, tmp_path, ns=None) -> None:
+    """Each value as theta and, negated, as a monitor, against the
+    row-by-row reference."""
+    values = np.asarray(values, dtype=float)
+    traj = Trajectory(
+        ns=np.arange(values.size, dtype=np.int64) if ns is None else ns,
+        thetas=values.reshape(-1, 1),
+        monitors={"neg": -values},
+    )
+    assert _csv_bytes(traj, tmp_path) == reference_csv(traj)
+
+
+def _with_neighbours(values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore"):        # the largest double's step up is inf
+        return np.concatenate([values, np.nextafter(values, -np.inf),
+                               np.nextafter(values, np.inf)])
+
+
+def test_csv_kernel_on_ties_and_their_neighbours(tmp_path):
+    # exact halfway cases at the 17th digit, rounded half to even, and the
+    # doubles either side of them
+    i = np.arange(20_000)
+    for ties in (1e15 + i / 4, 1e14 + i / 8, 0.0625 + i * 2.0**-20):
+        assert_csv_like_reference(_with_neighbours(ties), tmp_path)
+
+
+def test_csv_kernel_on_powers_of_ten_and_their_neighbours(tmp_path):
+    # where log10's guess of the exponent can be one off, and the largest
+    # double below each power: the only place 17 digits could round up to 18
+    powers = [float(f"1e{k}") for k in range(-22, 18)]
+    assert_csv_like_reference(_with_neighbours(powers + [-p for p in powers]), tmp_path)
+
+
+def test_csv_kernel_on_domain_edges_and_special_values(tmp_path):
+    edges = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 1e-310,
+             2.2250738585072014e-308, 1e-6, 1e-5, 1e-4, 1e16, 1e17,
+             2.0**53, 2.0**53 + 2.0, 1e300, np.finfo(float).max]
+    assert_csv_like_reference(_with_neighbours(edges + [-e for e in edges]), tmp_path)
+
+
+def test_csv_kernel_on_random_values_and_bit_patterns(tmp_path):
+    rng = np.random.default_rng(20)
+    # every decade from 1e-8 to 1e18 equally likely, both signs
+    spread = 10.0 ** rng.uniform(-8.0, 18.0, 100_000) * rng.choice([-1.0, 1.0], 100_000)
+    assert_csv_like_reference(spread, tmp_path)
+    bits = rng.integers(-2**63, 2**63 - 1, 100_000, dtype=np.int64, endpoint=True)
+    assert_csv_like_reference(bits.view(np.float64), tmp_path)
+
+
+def test_csv_kernel_on_int64_extremes(tmp_path):
+    big = np.iinfo(np.int64)
+    edges = [big.min, big.min + 1, -10**18, -10**4, -9_999, -1, 0, 1, 9, 10,
+             9_999, 10_000, 10**16 - 1, 10**16, 10**18, big.max - 1, big.max]
+    rng = np.random.default_rng(21)
+    ns = np.concatenate([np.array(edges, dtype=np.int64),
+                         rng.integers(big.min, big.max, 5_000, dtype=np.int64, endpoint=True)])
+    assert_csv_like_reference(np.linspace(-1.0, 1.0, ns.size), tmp_path, ns=ns)
+
+
+@pytest.mark.parametrize("rows", [4095, 4096, 4097])
+def test_csv_kernel_across_block_edges(rows, tmp_path):
+    # n crosses from 4 to 5 digits inside the file, so blocks differ in width
+    ns = np.arange(rows, dtype=np.int64) * 7
+    assert_csv_like_reference(np.sin(ns / 100.0) * 10.0 ** (ns % 23 - 8), tmp_path, ns=ns)
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+# a trajectory from exact arithmetic only (no transcendental functions),
+# so any byte that differs comes from the writer, not from the data
+_FIXED_TRAJECTORY = """
+import numpy as np
+from avgsa.engine import Trajectory
+i = np.arange(1.0, 10_002.0)
+powers = np.array([float(f"1e{k}") for k in range(-6, 17)])
+edge = np.resize(np.concatenate([powers, np.nextafter(powers, 0.0)]), i.size)
+traj = Trajectory(ns=np.arange(i.size, dtype=np.int64),
+                  thetas=((i * 7919.0 % 1009.0) / 13.0 - 40.0).reshape(-1, 1),
+                  monitors={"inv": 1.0 / i, "edge": edge * (i % 3 - 1)})
+"""
+_CHILD_CSV = _FIXED_TRAJECTORY + """
+import hashlib, sys
+from avgsa.engine import write_trajectory_csv
+write_trajectory_csv(traj, sys.argv[1])
+with open(sys.argv[1], "rb") as fh:
+    sys.stdout.write(hashlib.sha256(fh.read()).hexdigest())
+"""
+
+
+def _child_csv_digest(path, **env_extra) -> str:
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), env.get("PYTHONPATH")]))
+    env.update(env_extra)
+    done = subprocess.run([sys.executable, "-c", _CHILD_CSV, str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_csv_bytes_do_not_depend_on_numpy_simd_level(tmp_path):
+    default = _child_csv_digest(tmp_path / "default.csv")
+    avx2 = _child_csv_digest(tmp_path / "avx2.csv",
+                             NPY_DISABLE_CPU_FEATURES="AVX512_ICL AVX512_SPR X86_V4")
+    assert avx2 == default
+    # and the file is the row-by-row reference's
+    scope: dict = {}
+    exec(_FIXED_TRAJECTORY, scope)
+    assert hashlib.sha256(reference_csv(scope["traj"])).hexdigest() == default
+
+
+# ---------------------------------------------------------------------------
 # SVG polyline
 # ---------------------------------------------------------------------------
 
@@ -195,3 +315,17 @@ def test_svg_renderer_memory_is_flat_in_points():
     y = 1.0 / np.sqrt(x)
     peak = _peak_bytes(lambda: render_line_svg(x, y, target=0.0, logx=True))
     assert peak < _PEAK_LIMIT, f"SVG renderer peaked at {peak / 2**20:.1f} MB"
+
+
+# the document is written a piece at a time: no copy of the polyline text
+# is held, so the peak is the renderer's per-point arrays (2.4 MiB here)
+_SVG_WRITE_LIMIT = 3 * 2**20
+
+
+def test_svg_writer_memory_holds_no_document(tmp_path):
+    x = np.arange(1, _ROWS + 1, dtype=float)
+    y = 1.0 / np.sqrt(x)
+    path = tmp_path / "big.svg"
+    peak = _peak_bytes(lambda: write_line_svg(path, x, y, target=0.0, logx=True))
+    assert peak < _SVG_WRITE_LIMIT, f"SVG writer peaked at {peak / 2**20:.2f} MiB"
+    assert path.read_text() == render_line_svg(x, y, target=0.0, logx=True)
