@@ -288,10 +288,12 @@ class Trajectory:
         return self.thetas.shape[1]
 
     def channel(self, name: str) -> np.ndarray:
-        """Column by name: 'theta_i' or a monitor channel."""
-        if name.startswith("theta_"):
-            i = int(name.split("_", 1)[1])
-            return self.thetas[:, i]
+        """Column by name, one of :meth:`channel_names`: 'theta_i' for
+        ``0 <= i < d``, written without leading zeros, or a monitor
+        channel.  Any other name raises ``KeyError``."""
+        coords = [f"theta_{i}" for i in range(self.dimension)]
+        if name in coords:
+            return self.thetas[:, coords.index(name)]
         if name in self.monitors:
             return self.monitors[name]
         raise KeyError(f"no channel {name!r}; have {self.channel_names()}")

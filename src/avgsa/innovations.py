@@ -417,12 +417,58 @@ class HaltonGaussianSource(InnovationSource):
         return g.reshape(len(pts), -1)[:, : self.dimension]
 
 
+# A block of a dyadic AR(1) chain with a value below this magnitude is
+# redone by the per-row loop: see Ar1MixingSource.
+_SCALED_FLOOR = 2.0**-1000
+
+
+def _dyadic_scales(a: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(s, 1/s)`` as read-only ``(L, 1)`` columns, ``s_k = a**-k`` for
+    ``k < L = 1008 // m``, when ``a = +-2**-m`` with ``1 <= m <= 22``;
+    ``None`` for any other ``a``."""
+    mantissa, e = math.frexp(a)
+    m = 1 - e
+    if abs(mantissa) != 0.5 or not 1 <= m <= 22:
+        return None
+    return _scale_tables(m, a < 0.0)
+
+
+@functools.cache
+def _scale_tables(m: int, negative: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Tables of :func:`_dyadic_scales`, built on first use.  Every entry
+    is a signed power of two between ``2**-1008`` and ``2**1008``, so the
+    tables are exact."""
+    k = np.arange(1008 // m)
+    sign = np.where(negative & (k % 2 == 1), -1.0, 1.0)
+    s, inv = np.ldexp(sign, m * k)[:, None], np.ldexp(sign, -m * k)[:, None]
+    s.flags.writeable = inv.flags.writeable = False
+    return s, inv
+
+
 class Ar1MixingSource(InnovationSource):
     """Geometrically mixing linear autoregression ``x' = a x + z`` with
     standard normal increments (componentwise independent chains when the
     dimension exceeds one).  With ``a = 0`` the stream reduces to its
     i.i.d. Gaussian noise.  The chain starts at 0: its first row is the
-    first increment."""
+    first increment.
+
+    Every row is ``fl(fl(a x) + z)``, the two IEEE operations of the
+    per-row loop, whichever of two paths computes it.  A dyadic
+    coefficient ``a = +-2**-m`` (``1 <= m <= 22``; 0.5, the default,
+    among them) takes a scaled running sum; any other coefficient takes
+    the loop.  With ``s_k = a**-k`` the scaled chain ``w_k = s_k x_k``
+    obeys ``w_k = fl(w_{k-1} + s_k z_k)``: ``s_k a = s_{k-1}`` exactly,
+    and scaling by a signed power of two commutes with rounding while
+    nothing overflows or leaves the normal range.  So each run of
+    ``L = 1008 // m`` rows is one ``np.add.accumulate`` (a left fold, no
+    reassociation) over ``fl(a x_prev) + z_0, s_1 z_1, s_2 z_2, ...``,
+    multiplied back by ``1/s_k``; no ``s_k`` passes ``2**1008``.  The
+    equality needs ``fl(a x) = a x``, which holds for ``|x| >= 2**-1000``
+    at ``m <= 22``, and a nonzero ``x``: with ``a < 0`` an exact 0 would
+    come back as -0.0.  A block whose output has a zero, a value below
+    ``2**-1000`` in magnitude or a non-finite value is therefore redone
+    by the loop on the same noise, so both paths give the same bits.
+    """
 
     def __init__(self, dimension: int = 1, seed: int = 0, a: float = 0.5):
         super().__init__(dimension)
@@ -434,6 +480,29 @@ class Ar1MixingSource(InnovationSource):
 
     def _generate(self, count: int) -> np.ndarray:
         z = self._noise._generate(count)
+        scales = _dyadic_scales(float(self.a))
+        out = None if scales is None else self._scaled_chain(z, *scales)
+        if out is None:
+            out = self._loop_chain(z)
+        self._state = out[-1].copy()
+        return out
+
+    def _scaled_chain(self, z: np.ndarray, s: np.ndarray, inv: np.ndarray) -> np.ndarray | None:
+        """The block by the scaled running sum, or ``None`` when its output
+        has a zero, a value below ``_SCALED_FLOOR`` or a non-finite value."""
+        out = np.empty_like(z)
+        a, x = float(self.a), self._state
+        for i in range(0, len(z), len(s)):
+            w = out[i : i + len(s)]
+            np.multiply(z[i : i + len(s)], s[: len(w)], out=w)
+            w[0] += a * x
+            np.add.accumulate(w, axis=0, out=w)
+            w *= inv[: len(w)]
+            x = w[-1]
+        r = np.abs(out)
+        return out if r.min() >= _SCALED_FLOOR and r.max() < math.inf else None
+
+    def _loop_chain(self, z: np.ndarray) -> np.ndarray:
         out = np.empty_like(z)
         a = float(self.a)
         for j in range(self.dimension):
@@ -443,7 +512,6 @@ class Ar1MixingSource(InnovationSource):
                 x = a * x + zi
                 col.append(x)
             out[:, j] = col
-        self._state = out[-1].copy()
         return out
 
 

@@ -15,6 +15,7 @@ from avgsa.engine import (
     DivergenceError,
     RateSpec,
     StepSchedule,
+    Trajectory,
     admissible_power_pair,
     admissible_qsa,
     check_schedule_numeric,
@@ -177,6 +178,16 @@ def test_run_records_and_monitors():
     assert list(traj.ns[:3]) == [0, 10, 20]
     np.testing.assert_allclose(traj.monitors["double"], 2.0 * traj.thetas[:, 0])
     assert "double" in traj.channel_names()
+
+
+@pytest.mark.parametrize("name", ["theta_-1", "theta_01", "theta_2", "theta_x"])
+def test_channel_accepts_only_channel_names(name):
+    traj = Trajectory(ns=np.arange(3), thetas=np.arange(6.0).reshape(3, 2),
+                      monitors={"m": np.ones(3)})
+    assert traj.channel_names() == ["theta_0", "theta_1", "m"]
+    np.testing.assert_array_equal(traj.channel("theta_1"), [1.0, 3.0, 5.0])
+    with pytest.raises(KeyError, match="no channel"):
+        traj.channel(name)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -11,7 +11,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -614,14 +618,17 @@ def consume(source, interleaved: bool) -> np.ndarray:
     return np.vstack(parts)
 
 
-def ar1_by_hand(dimension, seed, a):
-    z = IidGaussianSource(dimension, seed).take_block(HAND_ROWS)
+def ar1_loop(z, a):
     out = np.empty_like(z)
-    x = np.zeros(dimension)
-    for i in range(HAND_ROWS):
+    x = np.zeros(z.shape[1])
+    for i in range(len(z)):
         x = a * x + z[i]
         out[i] = x
     return out
+
+
+def ar1_by_hand(dimension, seed, a):
+    return ar1_loop(IidGaussianSource(dimension, seed).take_block(HAND_ROWS), a)
 
 
 def markov_by_hand(transition, values, seed):
@@ -654,11 +661,103 @@ def euler_by_hand(drift, diffusion, step0, exponent, y0, seed):
 
 @pytest.mark.parametrize("interleaved", [False, True], ids=["block", "interleaved"])
 @pytest.mark.parametrize(
-    "dimension, a", [(1, -0.9), (2, -0.7), (5, 0.95)], ids=["d1", "d2", "d5"]
+    "dimension, a",
+    [(1, -0.9), (2, -0.7), (5, 0.95), (1, 0.5), (2, -0.5), (5, 0.25), (2, -2.0**-20)],
+    ids=["d1", "d2", "d5", "d1-dyadic-0.5", "d2-dyadic-neg0.5", "d5-dyadic-0.25",
+         "d2-dyadic-neg2e-20"],
 )
 def test_ar1_matches_hand_loop(dimension, a, interleaved):
+    # the last four coefficients take the scaled running sum
+    assert (innovations._dyadic_scales(a) is None) == (a in (-0.9, -0.7, 0.95))
     got = consume(Ar1MixingSource(dimension, seed=17, a=a), interleaved)
-    np.testing.assert_array_equal(got, ar1_by_hand(dimension, 17, a))
+    want = ar1_by_hand(dimension, 17, a)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "a, m",
+    [(0.5, 1), (-0.5, 1), (0.25, 2), (2.0**-22, 22), (-(2.0**-22), 22),
+     (0.0, None), (0.75, None), (-0.3, None), (2.0**-23, None), (0.5 + 2.0**-53, None)],
+)
+def test_dyadic_scale_tables(a, m):
+    if m is None:
+        assert innovations._dyadic_scales(a) is None
+        return
+    s, inv = innovations._dyadic_scales(a)
+    assert len(s) == 1008 // m and not s.flags.writeable and not inv.flags.writeable
+    np.testing.assert_array_equal(s[:, 0], [(1.0 / a) ** k for k in range(len(s))])
+    np.testing.assert_array_equal(s * inv, 1.0)
+
+
+class _ScriptedNoise:
+    """Gaussian noise with the rows from ``start`` on replaced by
+    ``script``, a stand-in for an Ar1MixingSource's own noise."""
+
+    def __init__(self, dimension, script, start):
+        self._rest = IidGaussianSource(dimension, seed=21)
+        self._script = np.asarray(script, dtype=float)
+        self._start = start
+        self._pos = 0
+
+    def _generate(self, count):
+        z = self._rest._generate(count)
+        lo, hi = self._pos, self._pos + count
+        self._pos = hi
+        i, j = max(lo, self._start), min(hi, self._start + len(self._script))
+        if i < j:
+            z[i - lo : j - lo] = self._script[i - self._start : j - self._start, None]
+        return z
+
+
+@pytest.mark.parametrize(
+    "a, dimension, script, start",
+    [
+        (0.5, 1, [1.0, -0.5], 0),         # x_1 = 0 exactly
+        (-0.5, 2, [1.0, 0.5], 0),         # x_1 = +0.0; scaled back by -1/2 it is -0.0
+        # x decays into the subnormals, where the loop rounds at every
+        # step and the scaled sum once, but stays nonzero
+        (0.5, 2, [0.0] * 1040, 4500),
+        (-0.5, 1, [0.0] * 1040, 4500),
+        (-(2.0**-20), 2, [0.0] * 60, 4500),  # and on to 0
+    ],
+    ids=["zero", "signed-zero", "tiny", "tiny-neg", "tiny-2e-20"],
+)
+def test_ar1_blocks_the_scaled_sum_cannot_carry_take_the_loop(a, dimension, script, start):
+    source = Ar1MixingSource(dimension, seed=0, a=a)
+    source._noise = _ScriptedNoise(dimension, script, start)
+    got = source.take_block(3 * innovations._BLOCK)
+    noise = _ScriptedNoise(dimension, script, start)
+    want = ar1_loop(np.vstack([noise._generate(innovations._BLOCK) for _ in range(3)]), a)
+    assert np.any(np.abs(want) < 2.0**-1000)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+_CHILD_AR1 = """
+import sys
+import numpy as np
+from avgsa.innovations import Ar1MixingSource, IidGaussianSource
+for d, a in ((1, 0.5), (2, -0.5), (3, 0.25), (2, -2.0**-20), (2, -0.7)):
+    z = IidGaussianSource(d, 5).take_block(10_000)
+    want, x = np.empty_like(z), np.zeros(d)
+    for i in range(len(z)):
+        x = a * x + z[i]
+        want[i] = x
+    got = Ar1MixingSource(d, seed=5, a=a).take_block(10_000)
+    if not np.array_equal(got.view(np.uint64), want.view(np.uint64)):
+        sys.exit(f"d={d} a={a}: the chain differs from the loop")
+sys.stdout.write("ok")
+"""
+
+
+def test_ar1_chain_matches_the_loop_without_avx512():
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), env.get("PYTHONPATH")]))
+    env["NPY_DISABLE_CPU_FEATURES"] = "AVX512_ICL AVX512_SPR X86_V4"
+    done = subprocess.run([sys.executable, "-c", _CHILD_AR1], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok"
 
 
 @pytest.mark.parametrize("interleaved", [False, True], ids=["block", "interleaved"])
