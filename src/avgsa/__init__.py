@@ -11,8 +11,8 @@ The package bundles three layers:
   (implicit correlation search, recursive VaR/CVaR, long-term investment
   under an ergodic factor, two-armed bandit, dark-pool allocation).
 
-Diagnostics (empirical-average error paths, rate fitting) live in
-:mod:`avgsa.diagnostics`; the command line in :mod:`avgsa.cli`.
+Power-law rate fitting of error paths lives in :mod:`avgsa.diagnostics`;
+the command line in :mod:`avgsa.cli`.
 """
 
 from avgsa.innovations import (

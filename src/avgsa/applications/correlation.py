@@ -20,8 +20,6 @@ from avgsa.innovations import _BLOCK, InnovationSource
 
 __all__ = [
     "BestOfCallParams",
-    "bestof_payoff",
-    "bestof_field",
     "bs_bestof_price",
     "calibrate_correlation",
 ]
@@ -52,7 +50,10 @@ def _bestof_kernel(
 ) -> Callable[[float, Sequence[float]], float]:
     """Build ``kernel(theta, z)``: the discounted best-of-call payoff for
     one Gaussian pair ``z = (z1, z2)``, with the second asset driven by
-    ``z1 cos(theta) + z2 sin(theta)``, minus ``quote``.
+    ``z1 cos(theta) + z2 sin(theta)``, minus ``quote``.  With the market
+    quote this is the calibration's step field: its mean vanishes exactly
+    at angles whose cosine is an implied correlation.  With the default
+    zero quote it is the payoff that :func:`bs_bestof_price` averages.
 
     Everything that does not depend on the draw (``sqrt(T)``, the two
     log-drifts and volatilities, the discount factor) is computed once
@@ -79,19 +80,6 @@ def _bestof_kernel(
         return disc * (0.0 if 0.0 > pay else pay) - quote
 
     return kernel
-
-
-def bestof_payoff(theta: float, z1: float, z2: float, p: BestOfCallParams) -> float:
-    """Discounted best-of-call payoff for one Gaussian pair, with the
-    second asset driven by ``z1 cos(theta) + z2 sin(theta)``."""
-    return _bestof_kernel(p)(theta, (z1, z2))
-
-
-def bestof_field(theta: float, z, p: BestOfCallParams) -> float:
-    """Update field: simulated discounted payoff minus the market quote.
-    Its mean vanishes exactly at angles whose cosine is an implied
-    correlation."""
-    return _bestof_kernel(p, p.market_price)(theta, (float(z[0]), float(z[1])))
 
 
 def bs_bestof_price(

@@ -25,8 +25,6 @@ __all__ = [
     "cir_innovation_source",
     "invariant_moment",
     "CobbDouglasParams",
-    "capacity_transform",
-    "cobb_douglas_grad",
     "theta_star_closed_form",
     "investment_run",
 ]
@@ -120,8 +118,13 @@ class CobbDouglasParams:
 
 
 def _transform_kernel(beta: float) -> Callable[[float], float]:
-    """Build ``transform(theta_tilde)`` for :func:`capacity_transform`,
-    with the left-branch exponent ``1/(1-beta)`` computed once."""
+    """Build ``transform(theta_tilde)``, the map of the free iterate onto
+    a positive capacity: ``(theta_tilde + sqrt(theta_tilde^2 + 1))^rho``
+    with ``rho = 1/(1-beta)`` (computed once) on the negative half-line
+    and 1 on the positive half-line.  Both branches meet at
+    ``theta_tilde = 0 -> 1``; the map is increasing with linear growth to
+    the right and decays to 0 on the left fast enough to tame the
+    ``theta^{beta-1}`` singularity of the marginal profit."""
     left = 1.0 / (1.0 - beta)
     sqrt = math.sqrt
 
@@ -135,12 +138,21 @@ def _transform_kernel(beta: float) -> Callable[[float], float]:
 def _grad_field(
     q: CobbDouglasParams, chain_rule: bool
 ) -> Callable[[float, Sequence[float]], float]:
-    """Build the capacity step field ``field(theta_tilde, row)``, which is
-    :func:`cobb_douglas_grad` at the productivity ``row[0]``.  The
-    exponents and the cost are computed once, and the transform of
-    :func:`capacity_transform` is inlined, its ``sqrt(theta_tilde**2 + 1)``
-    serving the chain-rule factor too, so a step makes no Python call
-    beyond the field itself."""
+    """Build the capacity step field ``field(theta_tilde, row)``: minus
+    the marginal profit ``beta y^alpha theta^{beta-1} - cost`` at the
+    productivity ``y = row[0]`` and the capacity ``theta`` of
+    :func:`_transform_kernel`, inlined here with its
+    ``sqrt(theta_tilde**2 + 1)`` shared by the chain-rule factor, so a
+    step makes no Python call beyond the field itself.
+
+    With ``chain_rule=True`` the transform's derivative
+    ``rho theta / sqrt(theta_tilde^2 + 1)`` multiplies the handle, making
+    it the exact gradient in the free variable; the factor is strictly
+    positive, so both modes share their roots.  Euler paths of the
+    square-root diffusion overshoot below zero now and then; production
+    there is ``|y|^alpha``, the diffusion coefficient's convention, so
+    brief negative excursions perturb rather than poison the recursion.
+    """
     alpha, beta, cost = q.alpha, q.beta, q.cost
     bm1 = beta - 1.0
     left = 1.0 / (1.0 - beta)
@@ -158,42 +170,6 @@ def _grad_field(
         return grad * (rho * theta / root) if chain_rule else grad
 
     return field
-
-
-def capacity_transform(theta_tilde: float, beta: float) -> float:
-    """Map the free iterate onto a positive capacity.
-
-    ``theta = (theta_tilde + sqrt(theta_tilde^2 + 1))^rho`` with
-    ``rho = 1/(1-beta)`` on the negative half-line and 1 on the positive
-    half-line.  Both branches meet at ``theta_tilde = 0 -> 1``; the map
-    is increasing with linear growth to the right and decays to 0 on the
-    left fast enough to tame the ``theta^{beta-1}`` singularity of the
-    marginal profit.
-    """
-    return _transform_kernel(beta)(theta_tilde)
-
-
-def cobb_douglas_grad(
-    theta_tilde: float,
-    y: float,
-    q: CobbDouglasParams,
-    chain_rule: bool = False,
-) -> float:
-    """Descent handle for the capacity recursion: minus the marginal
-    profit ``beta y^alpha theta^{beta-1} - cost`` evaluated at the
-    transformed capacity.
-
-    With ``chain_rule=True`` the derivative of the transform multiplies
-    the handle, making it the exact gradient in the free variable.  The
-    factor is strictly positive, so both modes share their roots; the
-    plain mode is the default.
-
-    Euler paths of the square-root diffusion overshoot below zero now
-    and then; production there follows the same absolute-value
-    convention as the diffusion coefficient (``|y|^alpha``), so brief
-    negative excursions perturb rather than poison the recursion.
-    """
-    return _grad_field(q, chain_rule)(theta_tilde, (y,))
 
 
 def theta_star_closed_form(p: CirParams, q: CobbDouglasParams) -> float:

@@ -136,8 +136,8 @@ def _cmd_plot(args) -> int:
             file=sys.stderr,
         )
         return 2
-    out = Path(args.out) if args.out else Path(args.csv).with_suffix(f".{args.channel}.svg")
     try:
+        out = Path(args.out) if args.out else Path(args.csv).with_suffix(f".{args.channel}.svg")
         write_line_svg(
             out, cols["n"], cols[args.channel],
             title=Path(args.csv).name, xlabel="n", ylabel=args.channel,

@@ -1,24 +1,21 @@
-"""Convergence diagnostics for innovation streams and runs.
+"""Power-law rate fitting for error paths.
 
-Averaging quality is an empirical matter: how fast does the running mean
-of a test function along the stream approach its limit, and does the
-decay match the rate the theory attaches to the stream family?  The
-helpers here measure exactly that.
+Averaging quality is an empirical matter: how fast does an error path,
+such as the running-mean error that the ``rate-fit`` experiment records
+through :func:`avgsa.engine.run`, decay, and does the decay match the
+rate the theory attaches to the stream family?  :func:`fit_rate` answers
+with a least-squares fit in log-log coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
-
-from avgsa.innovations import _BLOCK, InnovationSource
 
 __all__ = [
     "ErrorPath",
     "RateFit",
-    "empirical_average_path",
     "fit_rate",
 ]
 
@@ -44,40 +41,6 @@ class RateFit:
     log_constant: float
     r_squared: float
     points_used: int
-
-
-def empirical_average_path(
-    source: InnovationSource,
-    f: Callable[[tuple], float],
-    target: float,
-    checkpoints: Sequence[int],
-) -> ErrorPath:
-    """Running-mean error of ``f`` along the stream at the requested
-    sample sizes.
-
-    Single pass, constant memory: the stream is consumed once up to the
-    largest checkpoint and only the running sum is kept.  ``f`` gets each
-    row as a tuple of ``dimension`` Python floats, as the scalar fields of
-    ``engine.run`` do.
-    """
-    cps = sorted(int(c) for c in checkpoints)
-    if not cps or cps[0] < 1:
-        raise ValueError("checkpoints must be positive sample sizes")
-    errors = []
-    total = 0.0
-    seen = 0
-    it = iter(cps)
-    nxt = next(it)
-    # consume in blocks; evaluate f per row (f need not be vectorised)
-    while seen < cps[-1]:
-        block = source.take_block(min(_BLOCK, cps[-1] - seen))
-        for row in zip(*block.T.tolist()):
-            total += f(row)
-            seen += 1
-            if seen == nxt:
-                errors.append(abs(total / seen - target))
-                nxt = next(it, None)
-    return ErrorPath(ns=np.asarray(cps, dtype=np.int64), errors=np.asarray(errors))
 
 
 def fit_rate(path: ErrorPath) -> RateFit:

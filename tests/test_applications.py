@@ -20,8 +20,7 @@ from avgsa.applications.bandit import (
 )
 from avgsa.applications.correlation import (
     BestOfCallParams,
-    bestof_field,
-    bestof_payoff,
+    _bestof_kernel,
     bs_bestof_price,
     calibrate_correlation,
 )
@@ -38,9 +37,9 @@ from avgsa.applications.darkpool import (
 from avgsa.applications.investment import (
     CirParams,
     CobbDouglasParams,
-    capacity_transform,
+    _grad_field,
+    _transform_kernel,
     cir_innovation_source,
-    cobb_douglas_grad,
     invariant_moment,
     investment_run,
     theta_star_closed_form,
@@ -72,26 +71,28 @@ def test_bestof_payoff_at_origin_matches_closed_form():
     p = BestOfCallParams()
     s = 100.0 * math.exp((0.10 - 0.045) * 1.0)
     want = math.exp(-0.10) * (s - 100.0)
-    assert bestof_payoff(0.7, 0.0, 0.0, p) == pytest.approx(want, abs=1e-12)
+    assert _bestof_kernel(p)(0.7, (0.0, 0.0)) == pytest.approx(want, abs=1e-12)
 
 
 def test_bestof_field_deep_out_of_the_money():
     # A huge negative shock on both drivers kills the payoff entirely and
     # the field is minus the market quote.
     p = BestOfCallParams()
-    assert bestof_field(0.3, np.array([-10.0, 0.0]), p) == pytest.approx(-30.75)
-    got = bestof_field(1.1, np.array([-10.0, -10.0]), p)
+    field = _bestof_kernel(p, p.market_price)
+    assert field(0.3, (-10.0, 0.0)) == pytest.approx(-30.75)
+    got = field(1.1, (-10.0, -10.0))
     assert got == pytest.approx(-30.75, abs=1e-12)
 
 
 def test_bestof_field_two_pi_periodic():
     p = BestOfCallParams()
+    field = _bestof_kernel(p, p.market_price)
     rng = np.random.default_rng(42)
     for _ in range(50):
         theta = float(rng.uniform(-8.0, 8.0))
-        z = rng.standard_normal(2)
-        a = bestof_field(theta, z, p)
-        b = bestof_field(theta + 2.0 * math.pi, z, p)
+        z = rng.standard_normal(2).tolist()
+        a = field(theta, z)
+        b = field(theta + 2.0 * math.pi, z)
         assert a == pytest.approx(b, abs=1e-10)
 
 
@@ -99,11 +100,10 @@ def test_bestof_field_mirror_symmetry_when_z2_vanishes():
     # cos is even, so flipping the angle cannot matter when the second
     # driver is zero.
     p = BestOfCallParams()
-    z = np.array([0.83, 0.0])
+    field = _bestof_kernel(p, p.market_price)
+    z = (0.83, 0.0)
     for theta in (0.3, 1.2, 2.9):
-        assert bestof_field(theta, z, p) == pytest.approx(
-            bestof_field(-theta, z, p), abs=1e-12
-        )
+        assert field(theta, z) == pytest.approx(field(-theta, z), abs=1e-12)
 
 
 def test_bestof_params_validation():
@@ -153,9 +153,10 @@ def test_bs_price_matches_hand_loop(kind):
     n = 20_000
     price = bs_bestof_price(p, -0.4, make_source(kind, 2, 3), n)
     theta = math.acos(-0.4)
+    payoff = _bestof_kernel(p)
     total = 0.0
-    for z1, z2 in make_source(kind, 2, 3).take_block(n).tolist():
-        total += bestof_payoff(theta, z1, z2, p)
+    for z in make_source(kind, 2, 3).take_block(n).tolist():
+        total += payoff(theta, z)
     assert price == total / n
 
 
@@ -219,12 +220,13 @@ def test_bestof_payoff_matches_reference_expression():
     # through as max() passes it; -800 underflows both exponentials
     zs += [[0.3, 0.0], [0.0, 0.0], [math.nan, 0.5], [0.5, math.nan], [-800.0, -800.0]]
     for p in params:
+        payoff, field = _bestof_kernel(p), _bestof_kernel(p, p.market_price)
         for theta in (0.0, 0.4, 2.0, math.pi, -1.3):
             for z1, z2 in zs:
-                got = bestof_payoff(theta, z1, z2, p)
+                got = payoff(theta, (z1, z2))
                 want = _bestof_payoff_reference(theta, z1, z2, p)
                 assert np.array([got]).tobytes() == np.array([want]).tobytes(), (p, theta, z1, z2)
-                got = bestof_field(theta, (z1, z2), p)
+                got = field(theta, (z1, z2))
                 want = want - p.market_price
                 assert np.array([got]).tobytes() == np.array([want]).tobytes(), (p, theta, z1, z2)
 
@@ -232,8 +234,8 @@ def test_bestof_payoff_matches_reference_expression():
 @pytest.mark.parametrize("kind", ["halton-gaussian", "iid-gaussian"])
 @pytest.mark.parametrize("stride", [1, 100])
 def test_calibrate_correlation_matches_hand_loop(kind, stride):
-    # reference: the angle recursion written out by hand over the public
-    # payoff, recorded every ``stride`` steps and at the horizon; the
+    # reference: the angle recursion written out by hand over the payoff
+    # kernel, recorded every ``stride`` steps and at the horizon; the
     # engine-driven run must match it bit for bit
     horizon, theta0 = 10_001, 0.3
     p = BestOfCallParams(x1=95.0, x2=105.0, rate=0.05, sigma1=0.25, sigma2=0.4,
@@ -241,10 +243,11 @@ def test_calibrate_correlation_matches_hand_loop(kind, stride):
     sched = StepSchedule(c=8.0, a=1.0)
     zs = make_source(kind, 2, 3).take_block(horizon).tolist()
     gammas = sched.gamma_array(horizon).tolist()
+    payoff = _bestof_kernel(p)
     ns, thetas, rhos = [0], [theta0], [math.cos(theta0)]
     theta = theta0
-    for n, ((z1, z2), g) in enumerate(zip(zs, gammas), start=1):
-        theta = theta - g * (bestof_payoff(theta, z1, z2, p) - p.market_price)
+    for n, (z, g) in enumerate(zip(zs, gammas), start=1):
+        theta = theta - g * (payoff(theta, z) - p.market_price)
         if n % stride == 0 or n == horizon:
             ns.append(n)
             thetas.append(theta)
@@ -514,38 +517,38 @@ def test_cir_occupation_mean_near_level():
 
 
 def test_capacity_transform_branches():
-    assert capacity_transform(0.0, 0.7) == pytest.approx(1.0)
-    assert capacity_transform(3.0, 0.7) == pytest.approx(3.0 + math.sqrt(10.0))
+    transform = _transform_kernel(0.7)
+    assert transform(0.0) == pytest.approx(1.0)
+    assert transform(3.0) == pytest.approx(3.0 + math.sqrt(10.0))
     want_left = (math.sqrt(2.0) - 1.0) ** (1.0 / 0.3)
-    assert capacity_transform(-1.0, 0.7) == pytest.approx(want_left, rel=1e-12)
+    assert transform(-1.0) == pytest.approx(want_left, rel=1e-12)
     # strictly increasing across the splice
-    grid = np.linspace(-3.0, 3.0, 41)
-    vals = [capacity_transform(t, 0.7) for t in grid]
+    grid = np.linspace(-3.0, 3.0, 41).tolist()
+    vals = [transform(t) for t in grid]
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
 def test_cobb_douglas_grad_values_and_roots():
     q = CobbDouglasParams(0.8, 0.7, 0.5)
+    grad, chain = _grad_field(q, False), _grad_field(q, True)
     # at theta-tilde = 0 the capacity is 1 and the handle reduces to
     # -(beta y^alpha - cost)
     y = 1.3
     want = -(0.7 * y**0.8 - 0.5)
-    assert cobb_douglas_grad(0.0, y, q) == pytest.approx(want, rel=1e-12)
+    assert grad(0.0, (y,)) == pytest.approx(want, rel=1e-12)
     # marginal product balances cost at y = (c / beta)^(1/alpha)
     y_star = (0.5 / 0.7) ** (1.0 / 0.8)
-    assert cobb_douglas_grad(0.0, y_star, q) == pytest.approx(0.0, abs=1e-12)
+    assert grad(0.0, (y_star,)) == pytest.approx(0.0, abs=1e-12)
     # both parameterisations vanish at the same capacity
     theta = 2.0
     y_bal = (0.5 / (0.7 * theta ** (0.7 - 1.0))) ** (1.0 / 0.8)
     tt = (theta * theta - 1.0) / (2.0 * theta)  # inverse of the transform
-    assert capacity_transform(tt, 0.7) == pytest.approx(theta, rel=1e-12)
-    assert cobb_douglas_grad(tt, y_bal, q) == pytest.approx(0.0, abs=1e-12)
-    assert cobb_douglas_grad(tt, y_bal, q, chain_rule=True) == pytest.approx(
-        0.0, abs=1e-12
-    )
+    assert _transform_kernel(0.7)(tt) == pytest.approx(theta, rel=1e-12)
+    assert grad(tt, (y_bal,)) == pytest.approx(0.0, abs=1e-12)
+    assert chain(tt, (y_bal,)) == pytest.approx(0.0, abs=1e-12)
     # far in the flat region the marginal product decays like a small power
     # of the capacity and the cost is all that remains
-    assert cobb_douglas_grad(1e6, 1.0, q) == pytest.approx(0.5, abs=0.01)
+    assert grad(1e6, (1.0,)) == pytest.approx(0.5, abs=0.01)
 
 
 def test_investment_run_both_modes_reach_target():
@@ -583,13 +586,15 @@ def test_cobb_douglas_kernel_matches_reference_expression():
     tts = np.linspace(-6.0, 6.0, 121).tolist() + [-0.0, 1e-300, -1e-300, 1e8, math.nan]
     ys = [1.3, 0.0, -0.4, 2.7, 1e-12, math.nan]
     for q in (CobbDouglasParams(0.8, 0.7, 0.5), CobbDouglasParams(0.3, 0.2, 1.7)):
+        transform = _transform_kernel(q.beta)
+        fields = {mode: _grad_field(q, mode) for mode in (False, True)}
         for tt in tts:
-            got = capacity_transform(tt, q.beta)
+            got = transform(tt)
             want = _capacity_reference(tt, q.beta)
             assert np.array([got]).tobytes() == np.array([want]).tobytes(), (q, tt)
             for y in ys:
                 for chain_rule in (False, True):
-                    got = cobb_douglas_grad(tt, y, q, chain_rule)
+                    got = fields[chain_rule](tt, (y,))
                     want = _cobb_douglas_reference(tt, y, q, chain_rule)
                     assert np.array([got]).tobytes() == np.array([want]).tobytes(), (
                         q, tt, y, chain_rule)
@@ -598,8 +603,8 @@ def test_cobb_douglas_kernel_matches_reference_expression():
 @pytest.mark.parametrize("chain_rule", [False, True], ids=["plain", "chain"])
 @pytest.mark.parametrize("stride", [1, 100])
 def test_investment_run_matches_hand_loop(stride, chain_rule):
-    # reference: the capacity recursion written out by hand over the public
-    # gradient and transform along the same Euler path, recorded every
+    # reference: the capacity recursion written out by hand over the
+    # gradient and transform kernels along the same Euler path, recorded every
     # ``stride`` steps and at the horizon.  From theta_tilde = -1 with small
     # early steps, both modes take steps on the left branch of the
     # transform before the path crosses zero.
@@ -609,15 +614,16 @@ def test_investment_run_matches_hand_loop(stride, chain_rule):
     sched = StepSchedule(c=0.2, a=0.6)
     ys = cir_innovation_source(p, 0.8, 0.3, 14).take_block(horizon)[:, 0].tolist()
     gammas = sched.gamma_array(horizon).tolist()
-    ns, thetas, caps = [0], [theta0], [capacity_transform(theta0, q.beta)]
+    transform, grad = _transform_kernel(q.beta), _grad_field(q, chain_rule)
+    ns, thetas, caps = [0], [theta0], [transform(theta0)]
     theta, left_steps = theta0, 0
     for n, (y, g) in enumerate(zip(ys, gammas), start=1):
         left_steps += theta < 0.0
-        theta = theta - g * cobb_douglas_grad(theta, y, q, chain_rule)
+        theta = theta - g * grad(theta, (y,))
         if n % stride == 0 or n == horizon:
             ns.append(n)
             thetas.append(theta)
-            caps.append(capacity_transform(theta, q.beta))
+            caps.append(transform(theta))
 
     tr = investment_run(p, q, sched, horizon, step0=0.8, exponent=0.3, seed=14,
                         theta_tilde0=theta0, chain_rule=chain_rule, record_stride=stride)

@@ -563,6 +563,16 @@ def test_cli_plot_rejects_unknown_channel(tmp_path, capsys):
     assert "theta_0" in err and "abs_error" in err
 
 
+def test_cli_plot_refuses_a_channel_that_is_no_path_suffix(tmp_path, capsys):
+    # the default output path is the CSV's with suffix .<channel>.svg,
+    # which "a/b" cannot be: refused like any other unwritable plot
+    csv = tmp_path / "f.csv"
+    csv.write_text("n,a/b\n0,1.0\n1,2.0\n")
+    assert main(["plot", str(csv), "--channel", "a/b"]) == 2
+    assert capsys.readouterr().err.startswith("cannot plot:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.csv"]
+
+
 def test_cli_plot_rejects_malformed_csv_with_row_number(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("n,theta_0\n0,1.0\n100,2.0,extra\n")
@@ -880,9 +890,12 @@ print(sorted({dist for top in tops for dist in owners.get(top, [])}))
 
 def test_importing_the_cli_leaves_out_multiprocessing():
     # only a sweep with --jobs > 1 imports the process pool, which pulls
-    # in multiprocessing; every other command starts without it
+    # in multiprocessing; every other command starts without it.  The CSV
+    # kernel is imported on the first trajectory write, so start-up does
+    # not compile it either.
     env = {**os.environ, "PYTHONPATH": str(Path(avgsa.__file__).resolve().parents[1])}
-    code = "import sys, avgsa.cli; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
+    code = ("import sys, avgsa.cli; print(sorted(m for m in sys.modules if 'multiprocessing' in m),"
+            " 'avgsa.csvtext' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "[] False"

@@ -8,11 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from avgsa.diagnostics import (
-    ErrorPath,
-    empirical_average_path,
-    fit_rate,
-)
+from avgsa.diagnostics import ErrorPath, fit_rate
+from avgsa.engine import StepSchedule, run
 from avgsa.innovations import (
     Ar1MixingSource,
     EulerDecreasingSource,
@@ -26,40 +23,21 @@ from avgsa.innovations import (
 # ---------------------------------------------------------------------------
 
 def test_error_path_matches_direct_replay():
-    src = IidUniformSource(1, seed=44)
-    cps = [10, 100, 1000]
-    path = empirical_average_path(src, lambda r: float(r[0]), 0.5, cps)
+    # rate-fit's recursion: gamma_n = 1/n and h(theta, y) = theta - y make
+    # theta_n the running mean, and its abs_error channel the error path.
+    # The recursion and numpy's pairwise mean round apart by a few ulps.
+    tr = run(0.0, IidUniformSource(1, seed=44), lambda th, y: th - y[0],
+             StepSchedule(c=1.0, a=1.0), 1000, record_stride=10,
+             monitors={"abs_error": lambda n, th: abs(th - 0.5)})
     replay = IidUniformSource(1, seed=44).take_block(1000)[:, 0]
-    for n, err in zip(path.ns, path.errors):
-        assert err == pytest.approx(abs(replay[:n].mean() - 0.5), abs=1e-15)
+    for n, err in zip(tr.ns[1:], tr.channel("abs_error")[1:]):
+        assert err == pytest.approx(abs(replay[:n].mean() - 0.5), abs=1e-13)
 
 
 def test_halton_indicator_average_is_sharp():
     # mass of [0, 1/2) along the van der Corput sequence: exact at dyadic n
-    src = HaltonSource(1)
-    path = empirical_average_path(
-        src, lambda r: 1.0 if r[0] < 0.5 else 0.0, 0.5, [2**10]
-    )
-    assert path.errors[0] <= 2.0 / 2**10
-
-
-@pytest.mark.parametrize("dimension", [1, 3])
-def test_error_path_hands_f_tuple_rows(dimension):
-    rows = []
-    src = IidUniformSource(dimension, seed=9)
-    path = empirical_average_path(src, lambda r: rows.append(r) or sum(r), 0.0, [5000])
-    replay = IidUniformSource(dimension, seed=9).take_block(5000)
-    assert all(type(r) is tuple and len(r) == dimension for r in rows)
-    assert all(type(x) is float for x in rows[-1])
-    assert rows == [tuple(r) for r in replay.tolist()]
-    assert path.errors[0] == abs(sum(sum(r) for r in replay.tolist()) / 5000)
-
-
-def test_error_path_validates_checkpoints():
-    with pytest.raises(ValueError):
-        empirical_average_path(HaltonSource(1), lambda r: 0.0, 0.0, [])
-    with pytest.raises(ValueError):
-        empirical_average_path(HaltonSource(1), lambda r: 0.0, 0.0, [0, 5])
+    hits = HaltonSource(1).take_block(2**10)[:, 0] < 0.5
+    assert abs(np.count_nonzero(hits) / 2**10 - 0.5) <= 2.0 / 2**10
 
 
 # ---------------------------------------------------------------------------
@@ -109,15 +87,13 @@ def test_fit_rate_needs_five_points():
 def test_ar1_mixing_rate_near_one_half():
     # decay of the root-mean-square running-mean error across independent
     # chains: the polynomial exponent should sit near 1/2
-    cps = [2**k for k in range(7, 21)]
+    cps = np.array([2**k for k in range(7, 21)])
     errs = []
     for seed in range(8):
-        src = Ar1MixingSource(1, seed=seed, a=0.5)
-        errs.append(
-            empirical_average_path(src, lambda r: float(r[0]), 0.0, cps).errors
-        )
+        ys = Ar1MixingSource(1, seed=seed, a=0.5).take_block(2**20)[:, 0]
+        errs.append(np.abs(np.cumsum(ys)[cps - 1] / cps))
     rms = np.sqrt(np.mean(np.square(errs), axis=0))
-    fit = fit_rate(ErrorPath(ns=np.asarray(cps, dtype=np.int64), errors=rms))
+    fit = fit_rate(ErrorPath(ns=cps, errors=rms))
     assert 0.35 <= fit.beta_hat <= 0.65
     assert fit.r_squared > 0.9
 
