@@ -213,7 +213,7 @@ def darkpool_run(
         raise ValueError("record_stride must be at least 1")
 
     total, cr_sum, clipped_total = float(r.sum()), 0.0, 0
-    record, recorded = _recorder(np.copy, {
+    keep, watch, recorded = _recorder(r, record_stride, v.size, {
         "mean_cost_reduction": lambda n, _: cr_sum / n if n else 0.0,
         "safeguard_count": lambda n, _: clipped_total,
     })
@@ -221,7 +221,8 @@ def darkpool_run(
     for gains in _gain_blocks(schedule, v.size):
         for g, vol, cap in zip(gains, v[n:], d[n:]):   # stops with the block's gains
             if n % record_stride == 0:
-                record(n, r)
+                keep(r)
+                watch(n, r)
             cr_sum += relative_cost_reduction(r, vol, cap, rho)
             candidate = r + g * darkpool_field(r, vol, cap, rho)
             r, clipped = simplex_safeguard(candidate, total)
@@ -243,5 +244,4 @@ def darkpool_run(
             if n % _RENORM_EVERY == 0:
                 r /= total
                 total = float(r.sum())
-    record(v.size, r)
-    return recorded()
+    return recorded(r)

@@ -17,6 +17,8 @@ finite-horizon numerical probe that cross-checks them.
 from __future__ import annotations
 
 import math
+import warnings
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -323,9 +325,11 @@ def run(
     container outlives its step and the loop sets off no garbage
     collections; otherwise the iterate is an array and each row a
     length-``dimension`` numpy vector.  ``h``
-    and the monitors receive the iterate in that form.  Iterates are
-    recorded at ``record_stride`` spacing; the initial and final
-    iterates are always present.  A guard aborts
+    and the monitors receive the iterate in that form.  ``_recorder``
+    keeps the iterate and each monitor's ``float(fn(n, theta))`` at steps
+    ``0, s, 2s, ...`` below the horizon and at it (``s = record_stride``)
+    in flat buffers, and refuses a monitor named like a column of the path
+    (``n``, ``theta_i``) before the first step.  A guard aborts
     the run loudly as soon as the iterate norm exceeds
     ``DIVERGENCE_BOUND`` or stops being finite; it covers every run
     above, VaR/CVaR and the bandit included, and ``darkpool_run`` applies
@@ -340,27 +344,27 @@ def run(
     if theta.shape[0] == 1:
         # scalar path: plain float arithmetic in the hot loop
         x = float(theta[0])
-        drift_of, norm, snap = h, abs, float
+        drift_of, norm = h, abs
         rows_of = lambda block: zip(*block.T.tolist())
     else:
         x = theta
         drift_of = lambda th, y: np.asarray(h(th, y), dtype=float)
         norm = lambda th: np.max(np.abs(th))
-        snap = np.copy
         rows_of = lambda block: block
 
-    record, recorded = _recorder(snap, monitors)
+    keep, watch, recorded = _recorder(x, record_stride, horizon, monitors)
     n = 0
     for gains in _gain_blocks(schedule, horizon):
         for y, g in zip(rows_of(source.take_block(len(gains))), gains):
             if n % record_stride == 0:
-                record(n, x)
+                keep(x)
+                if watch is not None:
+                    watch(n, x)
             x = x - g * drift_of(x, y)
             n += 1
             if not norm(x) <= DIVERGENCE_BOUND:
-                raise DivergenceError(n, snap(x))
-    record(horizon, x)
-    return recorded()
+                raise DivergenceError(n, x)
+    return recorded(x)
 
 
 def _gain_blocks(schedule: StepSchedule, horizon: int):
@@ -370,26 +374,40 @@ def _gain_blocks(schedule: StepSchedule, horizon: int):
         yield schedule.gamma_array(min(_BLOCK, horizon - n), start=n + 1).tolist()
 
 
-def _recorder(snap: Callable, monitors: Mapping[str, Callable] | None):
-    """``(record, recorded)``: ``record(n, theta)`` keeps the step index,
-    ``snap(theta)`` and each monitor's ``float(fn(n, theta))``;
-    ``recorded()`` builds the ``Trajectory`` of everything kept."""
-    items = list((monitors or {}).items())
-    ns, thetas = [], []
-    values: dict[str, list[float]] = {name: [] for name, _ in items}
+def _recorder(theta0, record_stride: int, horizon: int,
+              monitors: Mapping[str, Callable] | None):
+    """``(keep, watch, recorded)`` for a loop that records at steps ``0, s,
+    2s, ...`` below ``horizon`` and at it (``s = record_stride``), so ``ns``
+    follows from those two numbers.  The iterate, a float or an array like
+    ``theta0``, and each monitor go into flat ``array("d")`` buffers:
+    ``keep(theta)`` is the buffer's own C-level ``append`` (``extend`` for
+    an array), so a record costs the loop no Python frame; ``watch(n,
+    theta)`` appends each monitor's ``float(fn(n, theta))`` and is ``None``
+    without monitors; ``recorded(theta)`` records the final iterate and
+    returns the ``Trajectory``, whose arrays wrap the buffers without a
+    copy.  A monitor named ``n`` or ``theta_i``, ``i < d``, is refused."""
+    monitors = dict(monitors or {})
+    taken = ["n"] + [f"theta_{i}" for i in range(np.size(theta0))]
+    clash = [name for name in monitors if name in taken]
+    if clash:
+        raise ValueError(f"monitor {clash[0]!r} collides with a trajectory column")
+    thetas, values = array("d"), {name: array("d") for name in monitors}
+    keep = thetas.extend if isinstance(theta0, np.ndarray) else thetas.append
+    pairs = [(values[name].append, fn) for name, fn in monitors.items()]
 
-    def record(n: int, th) -> None:
-        ns.append(n)
-        thetas.append(snap(th))
-        for name, fn in items:
-            values[name].append(float(fn(n, th)))
+    def watch(n: int, th) -> None:
+        for append, fn in pairs:
+            append(float(fn(n, th)))
 
-    def recorded() -> Trajectory:
-        return Trajectory(np.asarray(ns, dtype=np.int64),
-                          np.asarray(thetas, dtype=float).reshape(len(ns), -1),
-                          {k: np.asarray(v) for k, v in values.items()})
+    def recorded(th) -> Trajectory:
+        keep(th)
+        if pairs:
+            watch(horizon, th)
+        ns = np.append(np.arange(0, horizon, record_stride, dtype=np.int64), horizon)
+        return Trajectory(ns, np.frombuffer(thetas).reshape(ns.size, -1),
+                          {k: np.frombuffer(v) for k, v in values.items()})
 
-    return record, recorded
+    return keep, (watch if pairs else None), recorded
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +419,8 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     coordinate, one per monitor channel.  Floats carry 17 significant
     digits (``%.17g``) so a file round-trips to the exact binary values;
     reruns of the same configuration produce byte-identical files.  Rows
-    are formatted and written ``csvtext.ROWS`` at a time, so memory stays
-    flat in the number of records."""
+    are formatted and written ``csvtext.ROWS`` (4096) at a time, so memory
+    stays flat in the number of records."""
     from avgsa import csvtext      # loaded by the first write, not by import avgsa
 
     names = ["n"] + traj.channel_names()
@@ -416,26 +434,43 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
 
 def read_csv_columns(path) -> dict[str, np.ndarray]:
-    """Read a trajectory CSV back into named columns.  Malformed rows are
-    reported with their line number."""
+    """Read a trajectory CSV back into named columns with ``np.loadtxt``,
+    which parses each ``%.17g`` cell to the exact double written.  Empty
+    lines are skipped; a repeated column name or a malformed row is
+    reported with its line number."""
     with open(path, "r") as fh:
         header = fh.readline().strip()
-        if not header or "n" != header.split(",")[0]:
-            raise ValueError(f"{path}: first column must be 'n' (got header {header!r})")
-        names = header.split(",")
-        data: list[list[float]] = [[] for _ in names]
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
+    names = header.split(",")
+    if not header or "n" != names[0]:
+        raise ValueError(f"{path}: first column must be 'n' (got header {header!r})")
+    twice = [name for i, name in enumerate(names) if name in names[:i]]
+    if twice:
+        raise ValueError(f"{path}:1: column {twice[0]!r} appears twice in the header")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)     # a header and no rows
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
+    except ValueError as err:
+        _raise_at_bad_line(path, len(names), err)
+    if data.size and data.shape[1] != len(names):
+        _raise_at_bad_line(path, len(names), None)
+    return dict(zip(names, data.reshape(-1, len(names)).T))
+
+
+def _raise_at_bad_line(path, width: int, err: ValueError | None):
+    """Raise the ``path:line`` error of the first row that does not hold
+    ``width`` numbers; called only once ``np.loadtxt`` has failed or read
+    rows of another width."""
+    with open(path, "r") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.rstrip("\r\n").split(",")
+            if lineno == 1 or parts == [""]:
                 continue
-            parts = line.split(",")
-            if len(parts) != len(names):
-                raise ValueError(
-                    f"{path}:{lineno}: expected {len(names)} fields, found {len(parts)}"
-                )
+            if len(parts) != width:
+                raise ValueError(f"{path}:{lineno}: expected {width} fields, found {len(parts)}")
             try:
-                for j, p in enumerate(parts):
-                    data[j].append(float(p))
+                for p in parts:
+                    float(p)
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric field in {line!r}") from None
-    return {name: np.asarray(col) for name, col in zip(names, data)}
+                raise ValueError(f"{path}:{lineno}: non-numeric field in {line.strip()!r}") from None
+    raise ValueError(f"{path}: {err}") from None

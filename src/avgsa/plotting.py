@@ -91,16 +91,17 @@ def _svg_text(
     keep = np.isfinite(xs) & np.isfinite(ys)
     if logx:
         keep &= xs > 0.0
-    xs, ys = xs[keep], ys[keep]
-    if xs.size < 2:
+    if np.count_nonzero(keep) < 2:
         raise ValueError("need at least two plottable points")
-    if logx:
-        xs = np.log10(xs)
 
-    x0, x1 = float(xs.min()), float(xs.max())
+    # the kept points' ranges, read in place; log10 is monotone in numpy's
+    # kernels, so the log of an extreme is the extreme of the logs
+    x0, x1, y0, y1 = (float(f(v, where=keep, initial=i)) for v in (xs, ys)
+                      for f, i in ((np.min, np.inf), (np.max, -np.inf)))
+    if logx:
+        x0, x1 = float(np.log10(x0)), float(np.log10(x1))
     if x1 <= x0:
         x1 = x0 + 1.0
-    y0, y1 = float(ys.min()), float(ys.max())
     if target is not None:
         y0, y1 = min(y0, float(target)), max(y1, float(target))
     if y1 <= y0:
@@ -195,18 +196,25 @@ def _svg_text(
     )
     tail.append("</svg>\n")
     return itertools.chain(["\n".join(parts) + '\n<polyline points="'],
-                           _points(px, py, xs, ys), ["\n".join(tail)])
+                           _points(px, py, xs, ys, keep, logx), ["\n".join(tail)])
 
 
-def _points(px, py, xs: np.ndarray, ys: np.ndarray) -> Iterator[str]:
+def _points(px, py, xs: np.ndarray, ys: np.ndarray, keep=None,
+            logx: bool = False) -> Iterator[str]:
     """Polyline coordinates as space-separated ``x,y`` pairs, yielded a
-    block at a time, so only one block's digits are alive at once.  ``px``
-    and ``py`` map whole slices, which is the same float arithmetic in the
+    block at a time, so only one block's points and digits are alive at
+    once.  A block keeps its points where ``keep`` holds (all of them
+    without it) and takes ``log10`` of their x when ``logx``; ``px`` and
+    ``py`` map whole slices, which is the same float arithmetic in the
     same order as mapping each point."""
+    sep = ""
     for i in range(0, xs.size, _BLOCK):
-        if i:
-            yield " "
-        yield _format_pairs(px(xs[i:i + _BLOCK]), py(ys[i:i + _BLOCK]))
+        a, b = xs[i:i + _BLOCK], ys[i:i + _BLOCK]
+        if keep is not None:
+            a, b = a[keep[i:i + _BLOCK]], b[keep[i:i + _BLOCK]]
+        if a.size:
+            yield sep + _format_pairs(px(np.log10(a) if logx else a), py(b))
+            sep = " "
 
 
 def _format_pairs(a: np.ndarray, b: np.ndarray) -> str:

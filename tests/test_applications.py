@@ -972,9 +972,11 @@ def test_darkpool_run_matches_manual_composition():
         reb = np.array(reb)
         path, mean_cr, clips = _darkpool_by_hand(v, d, reb, sched.gamma_array(horizon))
         assert (clips[-1] > 0) == (reb.min() == 0.0)
-        for stride in (1, 7):
+        for stride in (1, 7, 4096, 4097, horizon, horizon + 5):
             tr = darkpool_run(v, d, reb, sched, record_stride=stride)
             ns = list(range(0, horizon, stride)) + [horizon]
+            assert tr.ns.dtype == np.int64 and tr.thetas.dtype == np.float64
+            assert all(m.dtype == np.float64 for m in tr.monitors.values())
             np.testing.assert_array_equal(tr.ns, ns)
             np.testing.assert_array_equal(tr.thetas, path[ns])
             np.testing.assert_array_equal(tr.channel("mean_cost_reduction"), mean_cr[ns])

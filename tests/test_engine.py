@@ -241,6 +241,94 @@ def test_run_memory_is_flat_in_horizon():
     assert peak < 2**20, f"run peaked at {peak / 2**20:.2f} MB"
 
 
+def _run_by_hand(theta0, rows, gains, field, stride, monitors):
+    """``run``'s records from a plain step loop: the iterate and each
+    monitor at ``0, stride, 2 stride, ...`` below the horizon and at it."""
+    x, horizon = theta0, len(gains)
+    ns, thetas, values = [], [], {name: [] for name in monitors}
+    for n in range(horizon + 1):
+        if n % stride == 0 or n == horizon:
+            ns.append(n)
+            thetas.append(np.array(x, dtype=float).ravel())
+            for name, fn in monitors.items():
+                values[name].append(float(fn(n, x)))
+        if n < horizon:
+            x = x - gains[n] * field(x, rows[n])
+    return np.array(ns), np.array(thetas), {k: np.array(v) for k, v in values.items()}
+
+
+_HAND_HORIZON = 2 * _BLOCK + 1_815         # not a multiple of the block
+
+
+@pytest.mark.parametrize("stride", [1, 3, 4096, 4097, _HAND_HORIZON, _HAND_HORIZON + 5])
+@pytest.mark.parametrize("theta0, monitors", [
+    (0.25, {}),
+    (0.25, {"sq": lambda n, th: th * th, "n_half": lambda n, th: n / 2}),
+    (np.array([0.25, -1.0]), {"norm": lambda n, th: math.hypot(*th)}),
+], ids=["scalar", "scalar-monitors", "d2-monitor"])
+def test_recorder_matches_a_hand_loop(theta0, monitors, stride):
+    d, sched = np.size(theta0), StepSchedule(c=1.0, a=0.7)
+    field = (lambda th, y: th - y[0]) if d == 1 else (lambda th, y: th - y)
+    traj = run(theta0, IidUniformSource(d, seed=4), field, sched, _HAND_HORIZON,
+               record_stride=stride, monitors=monitors)
+    rows = IidUniformSource(d, seed=4).take_block(_HAND_HORIZON)
+    ns, thetas, values = _run_by_hand(theta0, rows if d > 1 else rows.tolist(),
+                                      sched.gamma_array(_HAND_HORIZON).tolist(),
+                                      field, stride, monitors)
+    assert traj.ns.dtype == np.int64 and np.array_equal(traj.ns, ns)
+    assert traj.thetas.dtype == np.float64 and np.array_equal(traj.thetas, thetas)
+    assert list(traj.monitors) == list(values)
+    for name, col in values.items():
+        assert traj.monitors[name].dtype == np.float64
+        assert np.array_equal(traj.monitors[name], col)
+
+
+def test_recorder_stores_each_monitor_value_as_its_float():
+    traj = run(0.5, IidUniformSource(1, seed=0), lambda th, y: th - y[0],
+               StepSchedule(c=1.0, a=1.0), 10, record_stride=3, monitors={
+                   "f64": lambda n, th: np.float64(n) / 4,
+                   "int": lambda n, th: n * 3,
+                   "bool": lambda n, th: n % 2 == 0,
+               })
+    np.testing.assert_array_equal(traj.ns, [0, 3, 6, 9, 10])
+    for name, want in (("f64", [0.0, 0.75, 1.5, 2.25, 2.5]),
+                       ("int", [0.0, 9.0, 18.0, 27.0, 30.0]),
+                       ("bool", [1.0, 0.0, 1.0, 0.0, 1.0])):
+        assert traj.monitors[name].dtype == np.float64
+        assert traj.monitors[name].tolist() == want
+
+
+@pytest.mark.parametrize("theta0, name", [
+    (0.0, "n"), (0.0, "theta_0"), ([0.0, 0.0], "theta_1"),
+])
+def test_run_refuses_a_monitor_named_like_a_column(theta0, name):
+    steps = []
+    with pytest.raises(ValueError, match=f"monitor '{name}' collides"):
+        run(theta0, IidUniformSource(np.size(theta0), seed=0),
+            lambda th, y: steps.append(1) or th, StepSchedule(c=1.0, a=1.0), 10,
+            monitors={"ok": lambda n, th: 0.0, name: lambda n, th: -1.0})
+    assert steps == []
+    # a name that is not a column of this path is a plain monitor
+    traj = run(0.0, IidUniformSource(1, seed=0), lambda th, y: th, StepSchedule(c=1.0, a=1.0),
+               10, monitors={"theta_1": lambda n, th: 1.0})
+    assert traj.channel_names() == ["theta_0", "theta_1"]
+
+
+def test_run_memory_at_stride_one_is_the_flat_records():
+    # flat buffers hold 8 bytes per record per column: 1e5 records of theta
+    # and one monitor, plus ns, are 2.4 MB; a Python object per record
+    # would be several times that
+    src = IidUniformSource(1, seed=0)
+    tracemalloc.start()
+    try:
+        run(0.0, src, lambda th, y: th - y[0], StepSchedule(c=1.0, a=1.0), 100_000,
+            monitors={"abs_error": lambda n, th: abs(th - 0.5)})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, f"run peaked at {peak / 2**20:.2f} MiB"
+
+
 # the scalar iterate is guarded with abs, the vector one with the max norm
 _GUARD_CASES = pytest.mark.parametrize(
     "theta0, d", [(1.0, 1), ([1.0, 1.0], 2)], ids=["scalar", "vector"]
@@ -298,4 +386,27 @@ def test_csv_reader_reports_malformed_rows(tmp_path):
         read_csv_columns(p)
     p.write_text("n,theta_0\n0,hello\n")
     with pytest.raises(ValueError, match="bad.csv:2"):
+        read_csv_columns(p)
+
+
+def test_csv_reader_refuses_a_repeated_column(tmp_path):
+    # a header with a name twice has no one column to return for it
+    p = tmp_path / "twice.csv"
+    p.write_text("n,theta_0,theta_0,n\n0,0.5,1.0,-1.0\n")
+    with pytest.raises(ValueError, match="twice.csv:1: column 'theta_0' appears twice"):
+        read_csv_columns(p)
+
+
+def test_csv_reader_skips_empty_lines_and_reads_a_header_alone(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("n,a\n0,1.5\n\n1,-2.5\n")
+    cols = read_csv_columns(p)
+    assert cols["n"].tolist() == [0.0, 1.0] and cols["a"].tolist() == [1.5, -2.5]
+    p.write_text("n,a\n")
+    assert {k: v.shape for k, v in read_csv_columns(p).items()} == {"n": (0,), "a": (0,)}
+    p.write_text("n,a\n0,1.5\n1,2.5,9\n")       # the first row fits, the second not
+    with pytest.raises(ValueError, match="t.csv:3: expected 2 fields, found 3"):
+        read_csv_columns(p)
+    p.write_text("n,a,b\n0,1.5\n1,2.5\n")       # every row short by one
+    with pytest.raises(ValueError, match="t.csv:2: expected 3 fields, found 2"):
         read_csv_columns(p)

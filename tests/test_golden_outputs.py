@@ -178,3 +178,19 @@ def test_golden_output_bytes_dark_pool_four_venues(tmp_path):
     _assert_strict_json(art.summary_path)
     assert _summary_sha256(art.summary_path) == summary_sha
     assert art.summary["notes"]["safeguard_count"] > 0
+
+
+# rate-fit recorded at every step over 10 000 steps: the CSV's 10 001 rows
+# cross the writer's sub-blocks, and the log-x plot's points cross the
+# renderer's blocks with the n = 0 point dropped
+_STRIDE_ONE_GOLDEN = (
+    "6dc7ee0015ebefd0108fb0c44304f38bd2ca60204a463a3fc1baf2d8759003d8",
+    "c7e2557995d3984d5aa915b959622feb5686b4e4884a058a4cfd14bdd23ee573",
+)
+
+
+def test_golden_output_bytes_rate_fit_at_stride_one(tmp_path):
+    art = run_experiment({"experiment": "rate-fit", "seed": 0, "horizon": 10_000,
+                          "record_stride": 1, "output_dir": str(tmp_path)})
+    assert _sha256(art.csv_path) == _STRIDE_ONE_GOLDEN[0]
+    assert _sha256(art.plot_path) == _STRIDE_ONE_GOLDEN[1]
