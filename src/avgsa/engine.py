@@ -17,6 +17,7 @@ finite-horizon numerical probe that cross-checks them.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from array import array
 from dataclasses import dataclass, field
@@ -329,7 +330,10 @@ def run(
     keeps the iterate and each monitor's ``float(fn(n, theta))`` at steps
     ``0, s, 2s, ...`` below the horizon and at it (``s = record_stride``)
     in flat buffers, and refuses a monitor named like a column of the path
-    (``n``, ``theta_i``) before the first step.  A guard aborts
+    (``n``, ``theta_i``) before the first step.  A monitor is for state
+    the recorded path does not hold; a column that exact numpy arithmetic
+    derives from the path, such as rate-fit's ``abs_error``, is built
+    after the loop, not by a Python call per record.  A guard aborts
     the run loudly as soon as the iterate norm exceeds
     ``DIVERGENCE_BOUND`` or stops being finite; it covers every run
     above, VaR/CVaR and the bandit included, and ``darkpool_run`` applies
@@ -434,10 +438,11 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
 
 def read_csv_columns(path) -> dict[str, np.ndarray]:
-    """Read a trajectory CSV back into named columns with ``np.loadtxt``,
-    which parses each ``%.17g`` cell to the exact double written.  Empty
-    lines are skipped; a repeated column name or a malformed row is
-    reported with its line number."""
+    """Read a trajectory CSV back into named columns with ``np.loadtxt``:
+    ``n`` as exact int64 step indices, every other column as float64,
+    each ``%.17g`` cell parsed to the exact double written.  Empty lines
+    are skipped; a repeated column name, a malformed row or an ``n`` cell
+    that is not an integer is reported with its line number."""
     with open(path, "r") as fh:
         header = fh.readline().strip()
     names = header.split(",")
@@ -446,21 +451,25 @@ def read_csv_columns(path) -> dict[str, np.ndarray]:
     twice = [name for i, name in enumerate(names) if name in names[:i]]
     if twice:
         raise ValueError(f"{path}:1: column {twice[0]!r} appears twice in the header")
+    # one field per column, so loadtxt itself refuses a row of another width
+    fields = [(f"f{i}", np.int64 if i == 0 else float) for i in range(len(names))]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)     # a header and no rows
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1, comments=None,
+                              dtype=fields)
     except ValueError as err:
         _raise_at_bad_line(path, len(names), err)
-    if data.size and data.shape[1] != len(names):
-        _raise_at_bad_line(path, len(names), None)
-    return dict(zip(names, data.reshape(-1, len(names)).T))
+    return {name: data[f] for name, (f, _) in zip(names, fields)}
 
 
-def _raise_at_bad_line(path, width: int, err: ValueError | None):
+_INT64 = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def _raise_at_bad_line(path, width: int, err: ValueError):
     """Raise the ``path:line`` error of the first row that does not hold
-    ``width`` numbers; called only once ``np.loadtxt`` has failed or read
-    rows of another width."""
+    ``width`` numbers with an int64 ``n`` first; called only once
+    ``np.loadtxt`` has failed."""
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.rstrip("\r\n").split(",")
@@ -468,8 +477,10 @@ def _raise_at_bad_line(path, width: int, err: ValueError | None):
                 continue
             if len(parts) != width:
                 raise ValueError(f"{path}:{lineno}: expected {width} fields, found {len(parts)}")
+            if not (_INT64.fullmatch(parts[0]) and -2**63 <= int(parts[0]) < 2**63):
+                raise ValueError(f"{path}:{lineno}: n must be a 64-bit integer, got {parts[0]!r}")
             try:
-                for p in parts:
+                for p in parts[1:]:
                     float(p)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric field in {line.strip()!r}") from None

@@ -449,11 +449,12 @@ def _run_rate_fit(cfg: dict) -> Outcome:
         cfg["params"]["theta0"], _scalar_source(cfg), lambda th, y: th - y[0],
         StepSchedule(**cfg["step"]), cfg["horizon"],
         record_stride=cfg["record_stride"],
-        monitors={"abs_error": lambda n, th: abs(th - mean)},
     )
-    return Outcome(
-        traj, "abs_error", target=[mean], errors=traj.channel("abs_error"), logx=True,
-    )
+    # the recorded path holds every value this column needs: one subtraction
+    # and one abs per record, the IEEE operations a monitor would apply
+    errors = traj.monitors["abs_error"] = traj.thetas[:, 0] - mean
+    np.abs(errors, out=errors)
+    return Outcome(traj, "abs_error", target=[mean], errors=errors, logx=True)
 
 
 REGISTRY: dict = {}
@@ -636,14 +637,22 @@ def load_config(path) -> dict:
         return yaml.load(fh, Loader=_ConfigLoader)
 
 
+# a run holds 8 bytes per column per record until its CSV is written
+# (flat array("d") buffers, and the int64 ns), so 1e7 records are 80 MB
+# a column: 100 times the densest shipped or tested run, 1e5 steps at
+# record_stride 1
+_RECORD_CAP = 10_000_000
+
+
 def validate_config(raw: dict) -> dict:
     """Merge a raw config mapping over the experiment's defaults.
 
     Returns the effective config with every default filled in, in
     canonical key order.  Unknown keys anywhere in the tree, a value
     outside its key's interval, a source kind the experiment does not
-    support, a missing seed, and inadmissible schedule/source pairs are
-    all hard errors.
+    support, a missing seed, inadmissible schedule/source pairs and a
+    stepped run keeping more than ``_RECORD_CAP`` records
+    (``horizon // record_stride + 2``) are all hard errors.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
@@ -664,6 +673,13 @@ def validate_config(raw: dict) -> dict:
     dim = 2 if name == "implicit-correlation" else cfg["source"].get("dimension", 1)
     if "step" in cfg:   # only a stepped recursion has a schedule to gate
         _gate_admissibility(cfg["source"]["kind"], dim, cfg["step"], cfg["source"])
+        records = cfg["horizon"] // cfg["record_stride"] + 2
+        if records > _RECORD_CAP:
+            raise ConfigError(
+                f"horizon: {cfg['horizon']} // record_stride {cfg['record_stride']} + 2 = "
+                f"{records} records, above the cap of {_RECORD_CAP}; "
+                "raise record_stride or lower horizon"
+            )
     if exp.preflight is not None:
         exp.preflight(cfg)
     return {"experiment": name, **cfg}

@@ -82,7 +82,11 @@ def _svg_text(
     """Check and lay out one series; return an iterator over the pieces
     of its SVG document, in order.  Everything but the polyline's points
     is built here, so a refusal comes before the first piece."""
-    xs = np.asarray(x, dtype=float)
+    # x stays as it comes (a run's int64 step indices): _points converts
+    # each block, so no whole-series float copy is made
+    xs = np.asarray(x)
+    if xs.dtype.kind not in "iuf":
+        xs = xs.astype(float)
     ys = np.asarray(y, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1:
         raise ValueError("x and y must be one-dimensional and of equal length")
@@ -94,10 +98,13 @@ def _svg_text(
     if np.count_nonzero(keep) < 2:
         raise ValueError("need at least two plottable points")
 
-    # the kept points' ranges, read in place; log10 is monotone in numpy's
-    # kernels, so the log of an extreme is the extreme of the logs
-    x0, x1, y0, y1 = (float(f(v, where=keep, initial=i)) for v in (xs, ys)
-                      for f, i in ((np.min, np.inf), (np.max, -np.inf)))
+    # the kept points' ranges, read in place from the first kept point on
+    # (an integer x has no infinity to start from); float conversion and
+    # log10 are monotone, so the converted extreme is the extreme of the
+    # converted values
+    first = int(np.argmax(keep))
+    x0, x1, y0, y1 = (float(f(v, where=keep, initial=v[first])) for v in (xs, ys)
+                      for f in (np.min, np.max))
     if logx:
         x0, x1 = float(np.log10(x0)), float(np.log10(x1))
     if x1 <= x0:
@@ -203,13 +210,13 @@ def _points(px, py, xs: np.ndarray, ys: np.ndarray, keep=None,
             logx: bool = False) -> Iterator[str]:
     """Polyline coordinates as space-separated ``x,y`` pairs, yielded a
     block at a time, so only one block's points and digits are alive at
-    once.  A block keeps its points where ``keep`` holds (all of them
-    without it) and takes ``log10`` of their x when ``logx``; ``px`` and
-    ``py`` map whole slices, which is the same float arithmetic in the
-    same order as mapping each point."""
+    once.  A block converts its x to float, keeps its points where
+    ``keep`` holds (all of them without it) and takes ``log10`` of their x
+    when ``logx``; ``px`` and ``py`` map whole slices, which is the same
+    float arithmetic in the same order as mapping each point."""
     sep = ""
     for i in range(0, xs.size, _BLOCK):
-        a, b = xs[i:i + _BLOCK], ys[i:i + _BLOCK]
+        a, b = np.asarray(xs[i:i + _BLOCK], dtype=float), ys[i:i + _BLOCK]
         if keep is not None:
             a, b = a[keep[i:i + _BLOCK]], b[keep[i:i + _BLOCK]]
         if a.size:

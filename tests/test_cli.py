@@ -17,10 +17,13 @@ import yaml
 
 import avgsa
 from avgsa.cli import main
-from avgsa.engine import read_csv_columns
+from avgsa.engine import StepSchedule, read_csv_columns, run, write_trajectory_csv
 from avgsa.experiments import (
+    _RATE_FIT_MEANS,
+    _RECORD_CAP,
     REGISTRY,
     ConfigError,
+    _scalar_source,
     _split_seed,
     describe_experiments,
     run_experiment,
@@ -512,6 +515,50 @@ def test_run_rate_fit_recovers_running_mean_rate(tmp_path):
     assert s["error"] <= 1e-3
 
 
+@pytest.mark.parametrize("stride", [1, 7, 100])
+@pytest.mark.parametrize("kind", list(_RATE_FIT_MEANS))
+def test_rate_fit_abs_error_is_the_monitor_column_bit_for_bit(tmp_path, kind, stride):
+    # abs_error is derived from the recorded path after the loop: it must
+    # hold a hand loop's abs(th - mean) bit for bit, and the run's CSV the
+    # bytes that the per-record monitor abs(th - mean) writes
+    raw = {"experiment": "rate-fit", "seed": 3, "horizon": 3_001, "record_stride": stride,
+           "source": {"kind": kind}, "params": {"theta0": -2.5},
+           "output_dir": str(tmp_path / "out")}
+    cfg, mean = validate_config(raw), _RATE_FIT_MEANS[kind]
+    traj = REGISTRY["rate-fit"].runner(cfg).trajectory
+    hand = np.array([abs(th - mean) for th in traj.thetas[:, 0].tolist()])
+    assert hand[0] == abs(-2.5 - mean)
+    np.testing.assert_array_equal(traj.channel("abs_error").view(np.int64), hand.view(np.int64))
+
+    watched = run(cfg["params"]["theta0"], _scalar_source(cfg), lambda th, y: th - y[0],
+                  StepSchedule(**cfg["step"]), cfg["horizon"], record_stride=stride,
+                  monitors={"abs_error": lambda n, th: abs(th - mean)})
+    write_trajectory_csv(watched, tmp_path / "watched.csv")
+    arts = run_experiment(raw)
+    assert arts.csv_path.read_bytes() == (tmp_path / "watched.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", [n for n, e in REGISTRY.items() if "step" in e.schema])
+def test_record_count_above_the_cap_is_refused_before_any_file(tmp_path, capsys, name):
+    # a stepped run keeps horizon // record_stride + 2 records at most
+    base = {"experiment": name, "seed": 0, "output_dir": str(tmp_path / "out")}
+    validate_config({**base, "horizon": _RECORD_CAP - 2, "record_stride": 1})
+    validate_config({**base, "horizon": 10**12, "record_stride": 10**6})
+    raw = {**base, "horizon": _RECORD_CAP - 1, "record_stride": 1}
+    with pytest.raises(ConfigError) as info:
+        validate_config(raw)
+    assert str(info.value) == (
+        f"horizon: {_RECORD_CAP - 1} // record_stride 1 + 2 = {_RECORD_CAP + 1} records, "
+        f"above the cap of {_RECORD_CAP}; raise record_stride or lower horizon"
+    )
+    cfg = _write_cfg(tmp_path / "c.yaml", yaml.safe_dump(raw))
+    for command in (["run", cfg], ["sweep", cfg, "--seeds", "0..1"]):
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: horizon: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # the command line itself
 # ---------------------------------------------------------------------------
@@ -547,6 +594,23 @@ def test_cli_run_and_plot_round_trip(tmp_path, capsys):
     assert main(["plot", str(csv), "--channel", "rho", "--target", "-0.5"]) == 0
     capsys.readouterr()
     assert (tmp_path / "out" / "trajectory.rho.svg").read_bytes() == first
+
+
+def test_cli_plot_draws_the_int64_steps_as_their_floats(tmp_path, capsys):
+    # the reader returns n as int64; the plot has the bytes of float steps
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path / "c.yaml", "experiment: rate-fit\nseed: 0\nhorizon: 5000\n"
+                     f"record_stride: 1\noutput_dir: {out}\n")
+    assert main(["run", cfg]) == 0
+    csv = out / "trajectory.csv"
+    assert main(["plot", str(csv), "--channel", "abs_error", "--logx",
+                 "--out", str(tmp_path / "p.svg")]) == 0
+    capsys.readouterr()
+    cols = read_csv_columns(csv)
+    assert cols["n"].dtype == np.int64
+    assert (tmp_path / "p.svg").read_text() == render_line_svg(
+        cols["n"].astype(float), cols["abs_error"], title="trajectory.csv",
+        xlabel="n", ylabel="abs_error", logx=True)
 
 
 def test_cli_plot_rejects_unknown_channel(tmp_path, capsys):

@@ -379,6 +379,27 @@ def test_csv_round_trip_and_byte_identity(tmp_path):
     np.testing.assert_array_equal(cols["sq"], traj.monitors["sq"])
 
 
+def test_csv_reader_returns_n_as_exact_int64(tmp_path):
+    # steps above 2**53 have no exact double; n comes back as int64 and
+    # every other column as float64
+    ns = np.array([0, 2**53 + 1, 2**62 + 3, 2**63 - 1], dtype=np.int64)
+    p = tmp_path / "big_n.csv"
+    write_trajectory_csv(Trajectory(ns, np.array([[0.5], [-1.0], [2.5], [3.0]]), {}), p)
+    cols = read_csv_columns(p)
+    assert cols["n"].dtype == np.int64 and cols["n"].tolist() == ns.tolist()
+    assert cols["theta_0"].dtype == np.float64
+    assert cols["theta_0"].tolist() == [0.5, -1.0, 2.5, 3.0]
+
+
+@pytest.mark.parametrize("cell", ["1.5", "2.0", "1e3", "nan", "1_0", "9223372036854775808"])
+def test_csv_reader_refuses_a_non_integer_n(tmp_path, cell):
+    p = tmp_path / "frac.csv"
+    p.write_text(f"n,a\n0,1.0\n{cell},2.0\n")
+    with pytest.raises(ValueError) as info:
+        read_csv_columns(p)
+    assert str(info.value) == f"{p}:3: n must be a 64-bit integer, got {cell!r}"
+
+
 def test_csv_reader_reports_malformed_rows(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("n,theta_0\n0,1.0\n1,2.0,9\n")

@@ -355,3 +355,25 @@ def test_svg_writer_memory_holds_no_document(tmp_path):
     peak = _peak_bytes(lambda: write_line_svg(path, x, y, target=0.0, logx=True))
     assert peak < _SVG_WRITE_LIMIT, f"SVG writer peaked at {peak / 2**20:.2f} MiB"
     assert path.read_text() == render_line_svg(x, y, target=0.0, logx=True)
+
+
+def test_svg_of_int64_x_has_the_float_bytes_and_no_float_copy(tmp_path):
+    # a run's steps come as int64: each block is converted on its own, so
+    # the writer peaks no higher than on the same steps given as floats
+    ns = np.arange(_ROWS, dtype=np.int64)
+    xf = ns.astype(float)
+    y = 1.0 / np.sqrt(xf + 1.0)
+    for logx in (False, True):
+        a, b = tmp_path / "int.svg", tmp_path / "float.svg"
+        write_int = lambda: write_line_svg(a, ns, y, target=0.0, logx=logx)
+        write_float = lambda: write_line_svg(b, xf, y, target=0.0, logx=logx)
+        write_int(), write_float()          # numpy's first calls fill its caches
+        peak_int, peak_float = _peak_bytes(write_int), _peak_bytes(write_float)
+        assert a.read_bytes() == b.read_bytes()
+        # equal up to a few bytes of scalars (0.91 MiB each); a whole-series
+        # float copy of x would add 0.76 MiB
+        assert peak_int <= peak_float + 1024, f"{peak_int} > {peak_float} bytes"
+    # steps past 2**53 round as their float conversion does
+    big = np.arange(2**53 - 3, 2**53 + 6, dtype=np.int64)
+    yb = np.linspace(0.0, 1.0, big.size)
+    assert render_line_svg(big, yb) == render_line_svg(big.astype(float), yb)
