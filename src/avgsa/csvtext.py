@@ -8,11 +8,13 @@ from exact float64 arithmetic (Dekker's product), so the bytes do not
 depend on numpy's SIMD level; every other float is formatted by
 ``"%.17g"`` itself.
 
-``engine.write_trajectory_csv`` imports this module on its first call,
-so a process that writes no CSV never compiles it.
+Every digit comes from one table of 4-byte words, shared with the SVG
+writer; each writer imports this module on its first call.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -23,32 +25,30 @@ __all__ = ["ROWS", "format_rows"]
 ROWS = 4096
 
 # Text of the 4-digit groups "0000".."9999" as uint32 words, then per
-# leading digit d the word (pad, ".", "e", d), then per exponent -05 / -06
-# the word (",", "-", "0", "5" / "6").  A float cell gathers six words,
-# 24 source bytes: pad, ".", "e", its 17 digits, ",", "-", "0" and "5" or
-# "6"; its layout picks from them.
-_LEAD, _EXP = 10_000, 10_010
+# leading digit d the word (pad, ".", "e", d), per exponent -05 / -06 the
+# word (",", "-", "0", "5" / "6"), per hundredths dd the word (".", d, d,
+# pad).  A float cell gathers six words, 24 source bytes: pad, ".", "e",
+# its 17 digits, ",", "-", "0" and "5" or "6"; its layout picks from them.
+_LEAD, _EXP, _CENTS = 10_000, 10_010, 10_012
 
 
 def _digit_text() -> tuple[np.ndarray, np.ndarray]:
     """The words above, and the trailing zero digits of each 4-digit
     group (4 for "0000")."""
-    text = np.empty((10_012, 4), dtype=np.uint8)
+    text = np.zeros((_CENTS + 100, 4), dtype=np.uint8)
     d = np.frombuffer(b"0123456789", dtype=np.uint8)
     g = text[:_LEAD].reshape(10, 10, 10, 10, 4)
     g[..., 0], g[..., 1], g[..., 2], g[..., 3] = (
         d[:, None, None, None], d[:, None, None], d[:, None], d)
     text[_LEAD:_EXP] = [[0, *b".e", digit] for digit in b"0123456789"]
-    text[_EXP:] = [list(b",-05"), list(b",-06")]
+    text[_EXP:_CENTS] = [list(b",-05"), list(b",-06")]
+    text[_CENTS:, 0], text[_CENTS:, 1:3] = ord("."), text[:100, 2:]
     z = (text[:_LEAD] == ord("0")).astype(np.uint8)
     trailing = z[:, 3] * (1 + z[:, 2] * (1 + z[:, 1] * (1 + z[:, 0])))
     return text.view(np.uint32).ravel(), trailing
 
 
 _TEXT, _TRAILING = _digit_text()
-_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
-# words that blank the first 0..4 bytes of a group
-_BLANK_HEAD = ((np.arange(4) >= np.arange(5)[:, None]) * np.uint8(255)).view(np.uint32).ravel()
 
 # Dekker's split of 5**j, j <= 22 (exact doubles: 5**22 < 2**53)
 _SPLIT = 2.0**27 + 1.0
@@ -89,12 +89,21 @@ def _float_layouts() -> np.ndarray:
 _LAYOUTS = _float_layouts()
 
 
-def _floor_and_tie(x: np.ndarray, k: np.ndarray):
+@functools.cache
+def _runs(layout: int) -> tuple:
+    """The layout as copies ``(at, start, stop)`` of runs of source bytes, pads left out."""
+    lay = _LAYOUTS[layout].astype(np.intp)
+    i = np.flatnonzero(lay)
+    cut = np.flatnonzero((np.diff(i) != 1) | (np.diff(lay[i]) != 1)) + 1
+    return tuple((a[0], s[0], s[-1] + 1) for a, s in zip(np.split(i, cut), np.split(lay[i], cut)))
+
+
+def _floor_and_tie(x: np.ndarray, k: np.ndarray | int):
     """``N = floor(x * 10**(16 - k))`` and whether rounding that product
     to an integer, half to even, goes up.  ``y = x * 2**j`` is exact, and
     Dekker's product ``y * 5**j = p + err`` is exact in two doubles; when
     ``N`` is in [1e16, 1e17), ``p`` is an integer, so ``N = p + floor(err)``
-    and the fraction is ``err - floor(err)``."""
+    and the fraction is ``err - floor(err)``.  ``k`` may be one int for all."""
     j = 16 - k
     y = np.ldexp(x, j)
     p = y * _POW5[j]
@@ -127,7 +136,7 @@ def _float_cells(v: np.ndarray) -> np.ndarray:
     fast = (a > 1e-6) & (a < 1e17)
     x = np.where(fast, a, 1.0)
     k = np.clip(np.floor(np.log10(x)), -6, 16).astype(np.int64)
-    d, up = _floor_and_tie(x, k)
+    d, up = _floor_and_tie(x, int(k[0]) if m and (k == k[0]).all() else k)   # one k: a scalar
     off = np.flatnonzero((d < 10**16) | (d >= 10**17))
     while off.size:
         k[off] += np.where(d[off] < 10**16, -1, 1)
@@ -135,23 +144,29 @@ def _float_cells(v: np.ndarray) -> np.ndarray:
         off = off[(d[off] < 10**16) | (d[off] >= 10**17)]
     d += up
 
-    groups = np.empty((6, m), dtype=np.intp)
+    groups = np.empty((m, 6), dtype=np.intp)
     for c in (4, 3, 2, 1):
         q = d // 10_000
-        np.subtract(d, q * 10_000, out=groups[c])
+        np.subtract(d, q * 10_000, out=groups[:, c])
         d = q
-    np.add(d, _LEAD, out=groups[0])
-    groups[0, a == 0.0] = _LEAD                 # zero prints its "0" alone
-    np.add(k < -5, _EXP, out=groups[5])
-    tz = _TRAILING[groups[4]]
+    np.add(d, _LEAD, out=groups[:, 0])
+    groups[a == 0.0, 0] = _LEAD                 # zero prints its "0" alone
+    np.add(k < -5, _EXP, out=groups[:, 5])
+    tz = _TRAILING[groups[:, 4]]
     for c, run in ((3, 4), (2, 8), (1, 12)):
         more = np.flatnonzero(tz == run)
-        tz[more] += _TRAILING[groups[c, more]]
+        tz[more] += _TRAILING[groups[more, c]]
     # every index is in range: mode="clip" only skips take's bounds check
-    src = np.take(_TEXT, groups.T, out=np.empty((m, 6), dtype=np.uint32), mode="clip")
-    src = src.view(np.uint8).reshape(-1)
-    at = _LAYOUTS[(k + 6) * 17 + (16 - tz)] + np.arange(0, 24 * m, 24)[:, None]
-    cells = np.take(src, at, mode="clip")
+    src = np.take(_TEXT, groups, out=np.empty((m, 6), dtype=np.uint32), mode="clip")
+    src = src.view(np.uint8).reshape(m, 24)
+    # rows take the block's most common layout, copied run by run; the rest are gathered
+    layout = (k + 6) * 17 + (16 - tz)
+    top = int(np.bincount(layout, minlength=1).argmax())
+    cells = np.zeros((m, 25), dtype=np.uint8)
+    for at, start, stop in _runs(top):
+        cells[:, at:at + stop - start] = src[:, start:stop]
+    other = np.flatnonzero(layout != top).astype(np.int32)
+    cells[other] = np.take(src, _LAYOUTS[layout[other]] + 24 * other[:, None], mode="clip")
     cells[:, 1] = np.signbit(v) * np.uint8(ord("-"))
     for i in np.flatnonzero(~fast & (a != 0.0)):
         text = ("," + "%.17g" % v[i]).encode()
@@ -160,38 +175,41 @@ def _float_cells(v: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _int_cells(n: np.ndarray) -> np.ndarray:
-    """``"%d" % i`` for each int64 ``i`` of ``n`` as the rows of a uint8
-    matrix padded with 0: a sign column, then as many 4-digit groups as
-    the largest magnitude needs, with leading zeros blanked."""
-    neg = n < 0
-    u = n.view(np.uint64)
-    u = np.where(neg, -u, u)                    # |n|, exact for -2**63 too
-    zeros = np.searchsorted(_POW10, u, side="right")       # digits - 1
-    width = int(zeros.max(initial=0)) // 4 + 1
-    zeros = 4 * width - 1 - zeros               # leading zeros to blank
-    groups = np.empty((width, n.size), dtype=np.intp)
+def _blank_head(w: np.ndarray) -> np.ndarray:
+    """Group words ``w`` blank before their first nonzero digit, the last
+    digit kept; a word's first byte is its low byte (little-endian)."""
+    y = (w + 0x4F4F4F4F) & 0x80808080 | 0x80000000   # bit 7 set: "1".."9", or the last byte
+    return w & -((y & -y) >> 7)                      # keep from the lowest such byte up
+
+
+def _int_words(u: np.ndarray) -> np.ndarray:
+    """``"%d" % i`` for each nonnegative int ``i`` of ``u``: rows of as many
+    4-digit words as the largest ``i`` needs, blank before the first digit."""
+    rest, width = u, (len(str(int(u.max(initial=0)))) + 3) // 4
+    groups = np.empty((u.size, width), dtype=np.intp)
     for c in range(width - 1, 0, -1):
-        q = u // 10_000
-        groups[c] = u - q * 10_000
-        u = q
-    groups[0] = u
-    words = np.take(_TEXT, groups.T, out=np.empty((n.size, width), dtype=np.uint32))
-    for c in range(width):
-        words[:, c] &= _BLANK_HEAD[np.minimum(np.maximum(zeros - 4 * c, 0), 4)]
-    cells = np.empty((n.size, 1 + 4 * width), dtype=np.uint8)
-    cells[:, 0] = neg * np.uint8(ord("-"))
-    cells[:, 1:] = words.view(np.uint8)
-    return cells
+        q = rest // 10_000
+        groups[:, c] = rest - q * 10_000
+        rest = q
+    groups[:, 0] = rest
+    words = np.take(_TEXT, groups, out=np.empty((u.size, width), dtype=np.uint32))
+    words[:, 0] = _blank_head(words[:, 0])
+    for c in range(1, width):
+        short = np.flatnonzero(u < 10 ** (4 * (width - c)))   # no digit before group c
+        words[short, c - 1] = 0
+        words[short, c] = _blank_head(words[short, c])
+    return words
 
 
 def format_rows(ns: np.ndarray, columns) -> bytes:
     """The CSV lines of one sub-block: ``"%d" % n`` and then
     ``",%.17g" % v`` for each column's value, per row."""
-    head = _int_cells(ns)
-    rows, w = head.shape
-    mat = np.empty((rows, w + 25 * len(columns) + 1), dtype=np.uint8)
-    mat[:, :w] = head
+    u = ns.view(np.uint64)
+    words = _int_words(np.where(ns < 0, -u, u))     # |n|, exact for -2**63 too
+    w = 1 + 4 * words.shape[1]
+    mat = np.empty((ns.size, w + 25 * len(columns) + 1), dtype=np.uint8)
+    mat[:, 0] = (ns < 0) * np.uint8(ord("-"))
+    mat[:, 1:w] = words.view(np.uint8)
     for c, col in enumerate(columns):
         mat[:, w + 25 * c:w + 25 * (c + 1)] = _float_cells(np.asarray(col, dtype=float))
     mat[:, -1] = ord("\n")

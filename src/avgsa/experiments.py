@@ -588,7 +588,7 @@ _register(Experiment(
             "kind": ("halton", _choice("halton", "iid-uniform", "iid-gaussian", "ar1-mixing")),
             "mixing": (0.5, _number(-1, 1)),
         },
-        params={"theta0": (0.0, _REAL)},
+        params={"theta0": (0.0, _REAL)},  # first gain is c; c = 1 makes theta_1 y_1 up to rounding
     ),
     runner=_run_rate_fit,
 ))

@@ -232,8 +232,10 @@ def _format_pairs(a: np.ndarray, b: np.ndarray) -> str:
     ``100 * M < 2**60`` is exact in int64 and ``100 * v`` rounded half
     to even at bit ``s`` is the integer of hundredths that ``%.2f``
     prints: Python's dtoa rounds the exact binary value, ties to even.
-    Its digits go into a byte matrix, one row per coordinate, with the
-    integer part's leading zeros masked off."""
+    Its text is the integer part's words, blank before the first digit,
+    and a ``".dd"`` word, from ``csvtext``'s digit table, pads dropped."""
+    from avgsa import csvtext      # loaded by the first plot, not by import avgsa
+
     v = np.empty(2 * a.size)
     v[0::2], v[1::2] = a, b
     mant, exp = np.frexp(v)
@@ -246,22 +248,12 @@ def _format_pairs(a: np.ndarray, b: np.ndarray) -> str:
     # rounds half to even
     cents = (scaled + (half - 1) + ((scaled >> shift) & 1)) >> shift
 
-    width = len(str(int(cents.max()) // 100))      # integer digits
-    text = np.empty((v.size, width + 4), dtype=np.uint8)
-    rest = cents
-    for j in (width + 2, width + 1, *range(width - 1, -1, -1)):
-        tens = rest // 10
-        text[:, j] = rest - tens * 10 + ord("0")
-        rest = tens
-    text[:, width] = ord(".")
-    text[0::2, -1] = ord(",")
-    text[1::2, -1] = ord(" ")
-    # drop the integer part's leading zeros and the block's last space
-    keep = np.ones(text.shape, dtype=bool)
-    for j in range(width - 1):
-        keep[:, j] = cents >= 10 ** (width + 1 - j)
-    keep[-1, -1] = False
-    return text[keep].tobytes().decode("ascii")
+    whole = cents // 100
+    text = np.column_stack([csvtext._int_words(whole),
+                            csvtext._TEXT[csvtext._CENTS + cents - 100 * whole]]).view(np.uint8)
+    text[0::2, -1], text[1::2, -1] = ord(","), ord(" ")
+    # drop the pads, and the block's last space
+    return text.tobytes().translate(None, b"\0")[:-1].decode("ascii")
 
 
 def _escape(s: str) -> str:

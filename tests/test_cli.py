@@ -538,6 +538,23 @@ def test_rate_fit_abs_error_is_the_monitor_column_bit_for_bit(tmp_path, kind, st
     assert arts.csv_path.read_bytes() == (tmp_path / "watched.csv").read_bytes()
 
 
+def test_rate_fit_theta0_shows_only_in_record_0_at_the_default_step(tmp_path):
+    # c = 1, a = 1: the first gain is 1, so theta_1 = theta0 - (theta0 - y_1),
+    # which is y_1 up to one rounding, and every later record follows from it
+    trajs = []
+    for theta0 in (0.0, -2.5):
+        cfg = validate_config({"experiment": "rate-fit", "seed": 0, "horizon": 10_000,
+                               "source": {"kind": "halton"}, "params": {"theta0": theta0},
+                               "output_dir": str(tmp_path / "out")})
+        assert cfg["step"] == {"c": 1.0, "a": 1.0}
+        trajs.append(REGISTRY["rate-fit"].runner(cfg).trajectory)
+    zero, shifted = trajs
+    assert zero.thetas[0, 0] == 0.0 and shifted.thetas[0, 0] == -2.5
+    for name in zero.channel_names():
+        np.testing.assert_array_equal(zero.channel(name)[1:].view(np.int64),
+                                      shifted.channel(name)[1:].view(np.int64))
+
+
 @pytest.mark.parametrize("name", [n for n, e in REGISTRY.items() if "step" in e.schema])
 def test_record_count_above_the_cap_is_refused_before_any_file(tmp_path, capsys, name):
     # a stepped run keeps horizon // record_stride + 2 records at most

@@ -11,11 +11,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -732,7 +728,6 @@ def test_ar1_blocks_the_scaled_sum_cannot_carry_take_the_loop(a, dimension, scri
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-_SRC = Path(__file__).resolve().parents[1] / "src"
 _CHILD_AR1 = """
 import sys
 import numpy as np
@@ -750,14 +745,8 @@ sys.stdout.write("ok")
 """
 
 
-def test_ar1_chain_matches_the_loop_without_avx512():
-    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), env.get("PYTHONPATH")]))
-    env["NPY_DISABLE_CPU_FEATURES"] = "AVX512_ICL AVX512_SPR X86_V4"
-    done = subprocess.run([sys.executable, "-c", _CHILD_AR1], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "ok"
+def test_ar1_chain_matches_the_loop_without_avx512(child_python):
+    assert child_python(_CHILD_AR1, avx512=False) == "ok"
 
 
 @pytest.mark.parametrize("interleaved", [False, True], ids=["block", "interleaved"])

@@ -9,11 +9,7 @@ block edges."""
 from __future__ import annotations
 
 import hashlib
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,8 +96,6 @@ def test_render_refuses_spans_without_a_plot(x, y):
         render_line_svg(x, y)
 
 
-_SRC = Path(__file__).resolve().parents[1] / "src"
-
 # a linear-axis series from exact arithmetic only, so any byte that
 # differs comes from the formatting, not from the data
 _CHILD = """
@@ -116,19 +110,9 @@ sys.stdout.write(hashlib.sha256(pts.encode()).hexdigest())
 """
 
 
-def _child_digest(**env_extra) -> str:
-    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), env.get("PYTHONPATH")]))
-    env.update(env_extra)
-    done = subprocess.run([sys.executable, "-c", _CHILD], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    return done.stdout
-
-
-def test_polyline_bytes_do_not_depend_on_numpy_simd_level():
-    default = _child_digest()
-    avx2 = _child_digest(NPY_DISABLE_CPU_FEATURES="AVX512_ICL AVX512_SPR X86_V4")
+def test_polyline_bytes_do_not_depend_on_numpy_simd_level(child_python):
+    default = child_python(_CHILD)
+    avx2 = child_python(_CHILD, avx512=False)
     assert avx2 == default
     # and the children ran the kernel on the same series as this process
     x = np.arange(1.0, 20_002.0)

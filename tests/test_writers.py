@@ -8,13 +8,11 @@ subnormals included."""
 
 from __future__ import annotations
 
+import collections
+import functools
 import hashlib
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,8 +227,6 @@ def test_csv_kernel_across_block_edges(rows, tmp_path):
     assert_csv_like_reference(np.sin(ns / 100.0) * 10.0 ** (ns % 23 - 8), tmp_path, ns=ns)
 
 
-_SRC = Path(__file__).resolve().parents[1] / "src"
-
 # a trajectory from exact arithmetic only (no transcendental functions),
 # so any byte that differs comes from the writer, not from the data
 _FIXED_TRAJECTORY = """
@@ -243,34 +239,130 @@ traj = Trajectory(ns=np.arange(i.size, dtype=np.int64),
                   thetas=((i * 7919.0 % 1009.0) / 13.0 - 40.0).reshape(-1, 1),
                   monitors={"inv": 1.0 / i, "edge": edge * (i % 3 - 1)})
 """
-_CHILD_CSV = _FIXED_TRAJECTORY + """
+
+# Whole 4096-row blocks shaped for the float kernel's per-block paths: one
+# decimal exponent and one layout; one exponent with a few rows of other
+# trailing-zero counts; each exponent from -6 to 16 with one outlier row;
+# values the kernel hands to "%.17g" among fast ones; and a block whose
+# first row is the outlier.  Integers divided by powers of ten parsed from
+# text, so every process builds the same doubles at any SIMD level.
+_FAST_PATH_BLOCKS = """
+import numpy as np
+from avgsa.engine import Trajectory
+rng = np.random.default_rng(25)
+R = 4096
+
+
+def draws(k, m):
+    # m doubles of decimal exponent k
+    return rng.integers(10**16 + 1, 9 * 10**16, m) / float(f"1e{16 - k}")
+
+
+def digits(k, m):
+    # m doubles of decimal exponent k whose 17th digit is not 0
+    v = draws(k, 2 * m)
+    return v[np.array([("%.16e" % x)[17] != "0" for x in v.tolist()])][:m]
+
+
+blocks = {"one-layout": digits(-1, R), "few-zeros": digits(3, R)}
+blocks["few-zeros"][[7, 1000, R - 1]] = [1234.5, 1000.25, 2048.0]
+for k in range(-6, 17):
+    blocks[f"exponent {k}"] = draws(k, R)
+    blocks[f"exponent {k}"][rng.integers(R)] = draws(k + 5 if k < 5 else k - 7, 1)[0]
+blocks["slow"] = draws(0, R)
+blocks["slow"][[0, 9, 99, 999, 2000, 3000, 3500, 4000, R - 2, R - 1]] = [
+    np.nan, np.inf, -np.inf, 5e-324, -1e-310, 1e-6, -1e-7, 1e17, 0.0, -0.0]
+blocks["first-row-outlier"] = digits(-2, R)
+blocks["first-row-outlier"][0] = digits(5, 1)[0]
+values = np.concatenate(list(blocks.values()))
+fast_traj = Trajectory(ns=np.arange(values.size, dtype=np.int64) * 3,
+                       thetas=values.reshape(-1, 1), monitors={"neg": -values})
+"""
+_CHILD_CSV = _FIXED_TRAJECTORY + _FAST_PATH_BLOCKS + """
 import hashlib, sys
 from avgsa.engine import write_trajectory_csv
-write_trajectory_csv(traj, sys.argv[1])
-with open(sys.argv[1], "rb") as fh:
-    sys.stdout.write(hashlib.sha256(fh.read()).hexdigest())
+for t, path in ((traj, sys.argv[1]), (fast_traj, sys.argv[2])):
+    write_trajectory_csv(t, path)
+    with open(path, "rb") as fh:
+        sys.stdout.write(hashlib.sha256(fh.read()).hexdigest() + "\\n")
 """
 
 
-def _child_csv_digest(path, **env_extra) -> str:
-    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), env.get("PYTHONPATH")]))
-    env.update(env_extra)
-    done = subprocess.run([sys.executable, "-c", _CHILD_CSV, str(path)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    return done.stdout
-
-
-def test_csv_bytes_do_not_depend_on_numpy_simd_level(tmp_path):
-    default = _child_csv_digest(tmp_path / "default.csv")
-    avx2 = _child_csv_digest(tmp_path / "avx2.csv",
-                             NPY_DISABLE_CPU_FEATURES="AVX512_ICL AVX512_SPR X86_V4")
+def test_csv_bytes_do_not_depend_on_numpy_simd_level(tmp_path, child_python):
+    default = child_python(_CHILD_CSV, tmp_path / "default.csv", tmp_path / "default-fast.csv")
+    avx2 = child_python(_CHILD_CSV, tmp_path / "avx2.csv", tmp_path / "avx2-fast.csv",
+                        avx512=False)
     assert avx2 == default
-    # and the file is the row-by-row reference's
+    # and the files are the row-by-row reference's
     scope: dict = {}
-    exec(_FIXED_TRAJECTORY, scope)
-    assert hashlib.sha256(reference_csv(scope["traj"])).hexdigest() == default
+    exec(_FIXED_TRAJECTORY + _FAST_PATH_BLOCKS, scope)
+    assert "".join(hashlib.sha256(reference_csv(scope[t])).hexdigest() + "\n"
+                   for t in ("traj", "fast_traj")) == default
+
+
+@functools.cache
+def _fast_path_blocks() -> dict:
+    scope: dict = {}
+    exec(_FAST_PATH_BLOCKS, scope)
+    return scope["blocks"]
+
+
+def _exponents_and_trailing_zeros(values) -> list:
+    """Each double's decimal exponent and the trailing zeros of its 17
+    significant digits, as Python's ``%.16e`` prints them."""
+    out = []
+    for x in values.tolist():
+        mantissa, exponent = ("%.16e" % abs(x)).split("e")
+        digits = mantissa.replace(".", "")
+        out.append((int(exponent), len(digits) - len(digits.rstrip("0"))))
+    return out
+
+
+def test_csv_block_of_one_exponent_and_one_layout(tmp_path):
+    block = _fast_path_blocks()["one-layout"]
+    assert block.size == 4096 and len(set(_exponents_and_trailing_zeros(block))) == 1
+    # every row's log10 guess is the same k, so the exact product runs on scalars
+    assert np.unique(np.floor(np.log10(block))).tolist() == [-1.0]
+    assert_csv_like_reference(block, tmp_path)
+
+
+def test_csv_block_of_one_exponent_with_other_trailing_zero_counts(tmp_path):
+    block = _fast_path_blocks()["few-zeros"]
+    shapes = collections.Counter(_exponents_and_trailing_zeros(block))
+    # 1234.5, 1000.25 and the integer 2048 among 4093 rows of 17 digits
+    assert shapes == {(3, 0): 4093, (3, 12): 1, (3, 11): 1, (3, 13): 1}
+    assert_csv_like_reference(block, tmp_path)
+
+
+def test_csv_blocks_of_each_exponent_with_one_outlier_row(tmp_path):
+    blocks = _fast_path_blocks()
+    for k in range(-6, 17):
+        exponents = collections.Counter(e for e, _ in _exponents_and_trailing_zeros(
+            blocks[f"exponent {k}"]))
+        assert exponents[k] == 4095 and len(exponents) == 2
+    # one file, so the writer's 4096-row sub-blocks are these blocks
+    assert_csv_like_reference(np.concatenate([blocks[f"exponent {k}"] for k in range(-6, 17)]),
+                              tmp_path)
+
+
+def test_csv_block_with_slow_path_values(tmp_path):
+    block = _fast_path_blocks()["slow"]
+    a = np.abs(block)
+    # NaN, both infinities, two subnormals, 1e-6, 1e-7 and 1e17 go to
+    # "%.17g"; the two zeros stay on the kernel's path
+    assert np.isnan(block).sum() == 1 and np.isinf(block).sum() == 2
+    assert ((a > 0) & (a < np.finfo(float).tiny)).sum() == 2 and (a == 0).sum() == 2
+    assert (~((a > 1e-6) & (a < 1e17))).sum() == 10
+    assert_csv_like_reference(block, tmp_path)
+
+
+def test_csv_block_whose_first_row_is_the_outlier(tmp_path):
+    blocks = _fast_path_blocks()
+    shapes = _exponents_and_trailing_zeros(blocks["first-row-outlier"])
+    assert shapes[0][0] == 5 and {e for e, _ in shapes[1:]} == {-2}
+    # after a block of its own, so the outlier opens the writer's second sub-block
+    assert_csv_like_reference(np.concatenate([blocks["one-layout"], blocks["first-row-outlier"]]),
+                              tmp_path)
 
 
 # ---------------------------------------------------------------------------
