@@ -15,13 +15,7 @@ Power-law rate fitting of error paths lives in :mod:`avgsa.diagnostics`;
 the command line in :mod:`avgsa.cli`.
 """
 
-from avgsa.innovations import (
-    box_muller_pair,
-    halton_point,
-    make_source,
-    radical_inverse,
-    star_discrepancy_exact,
-)
+from avgsa.innovations import make_source, star_discrepancy_exact
 from avgsa.engine import (
     RateSpec,
     StepSchedule,
@@ -35,10 +29,7 @@ from avgsa.engine import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "box_muller_pair",
-    "halton_point",
     "make_source",
-    "radical_inverse",
     "star_discrepancy_exact",
     "RateSpec",
     "StepSchedule",

@@ -205,7 +205,9 @@ def darkpool_run(
     as the allocation's component sum, which bounds every component once
     the safeguard has made them nonnegative, exceeds ``DIVERGENCE_BOUND``
     or stops being finite.  It shares ``run``'s block-wise gains and
-    recorder, so memory beyond the inputs is O(block + records).
+    recorder, so memory beyond the inputs is O(block + records), but
+    keeps its own loop: the projected step needs the previous
+    allocation's component sum, which a field ``h(theta, y)`` cannot see.
     """
     v, d, rho = _checked_series(volumes, capacities, rebates)
     r = np.full(rho.size, 1.0 / rho.size)

@@ -70,29 +70,17 @@ class StepSchedule:
 
 @dataclass(frozen=True)
 class RateSpec:
-    """Averaging-rate label eps_n = (log n)**log_exponent * n**(-beta).
-
-    ``beta`` is the polynomial decay of the empirical averages of the
-    innovation stream; the optional logarithmic factor covers the mixing
-    and low-discrepancy refinements.  Only the polynomial part enters the
-    closed-form admissibility rule.
-    """
+    """Averaging-rate label eps_n = n**(-beta): ``beta`` is the polynomial
+    decay of the empirical averages of the innovation stream."""
 
     beta: float
-    log_exponent: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.beta <= 1.0:
             raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
-        if self.log_exponent < 0.0:
-            raise ValueError("log exponent must be nonnegative")
 
     def eps_array(self, horizon: int) -> np.ndarray:
-        n = np.arange(1, horizon + 1, dtype=float)
-        eps = n ** (-self.beta)
-        if self.log_exponent:
-            eps *= np.log(np.maximum(n, 1.0)) ** self.log_exponent
-        return eps
+        return np.arange(1, horizon + 1, dtype=float) ** (-self.beta)
 
 
 @dataclass(frozen=True)
@@ -132,35 +120,19 @@ def admissible_power_pair(a: float, beta: float) -> AdmissibilityReport:
     return AdmissibilityReport("admissible", rule)
 
 
-_QSA_REGULARITIES = ("finite-variation", "lipschitz")
-
-
-def admissible_qsa(regularity: str, q: int, a: float) -> AdmissibilityReport:
+def admissible_qsa(q: int, a: float) -> AdmissibilityReport:
     """Closed-form rule for power steps driven by a q-dimensional
-    low-discrepancy stream.
-
-    For update fields of finite variation the empirical averages settle
-    like ``(log n)**q / n`` and any exponent ``1/2 < a <= 1`` works; for
-    merely Lipschitz fields the rate degrades to ``log n * n**(-1/q)`` and
-    the exponent must satisfy ``1 - 1/q < a <= 1``.
-    """
+    low-discrepancy stream and an update field of finite variation: the
+    empirical averages settle like ``(log n)**q / n``, so any exponent
+    ``1/2 < a <= 1`` works."""
     if q < 1:
         raise ValueError("dimension must be >= 1")
-    if regularity == "finite-variation":
-        rule = f"finite-variation rule (rate (log n)^{q}/n): 1/2 < a <= 1"
-        lo = 0.5
-    elif regularity == "lipschitz":
-        rule = f"lipschitz rule (rate log n * n^(-1/{q})): 1 - 1/{q} < a <= 1"
-        lo = 1.0 - 1.0 / q
-    else:
-        raise ValueError(
-            f"unknown regularity {regularity!r}; expected one of {_QSA_REGULARITIES}"
-        )
-    if lo < a <= 1.0:
+    rule = f"finite-variation rule (rate (log n)^{q}/n): 1/2 < a <= 1"
+    if 0.5 < a <= 1.0:
         return AdmissibilityReport("admissible", rule)
     return AdmissibilityReport(
         "not-admissible", rule,
-        failed_condition=f"a = {a:g} outside ({lo:g}, 1]",
+        failed_condition=f"a = {a:g} outside (0.5, 1]",
     )
 
 
@@ -260,7 +232,8 @@ def check_schedule_numeric(
 
 class DivergenceError(RuntimeError):
     """Raised when an iterate leaves the guard ball; carries the step index
-    and offending value so a run can be post-mortemed."""
+    and offending value so a run can be post-mortemed.  The message names
+    the cause: ``theta is not finite``, or ``|theta| >`` the bound."""
 
     def __init__(self, step: int, value):
         self.step = step

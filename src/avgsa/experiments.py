@@ -229,7 +229,7 @@ _POWER_RATE_BETA = 0.5
 def _gate_admissibility(kind: str, dimension: int, step_cfg: dict, source_cfg: dict) -> None:
     a, c = step_cfg["a"], step_cfg["c"]
     if kind in ("halton", "halton-gaussian"):
-        report = engine.admissible_qsa("finite-variation", dimension, a)
+        report = engine.admissible_qsa(dimension, a)
     elif kind == "cir-euler":
         report = engine.admissible_power_pair(a, source_cfg["exponent"])
     else:
@@ -652,7 +652,7 @@ def validate_config(raw: dict) -> dict:
     outside its key's interval, a source kind the experiment does not
     support, a missing seed, inadmissible schedule/source pairs and a
     stepped run keeping more than ``_RECORD_CAP`` records
-    (``horizon // record_stride + 2``) are all hard errors.
+    (``ceil(horizon / record_stride) + 1``) are all hard errors.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
@@ -673,10 +673,10 @@ def validate_config(raw: dict) -> dict:
     dim = 2 if name == "implicit-correlation" else cfg["source"].get("dimension", 1)
     if "step" in cfg:   # only a stepped recursion has a schedule to gate
         _gate_admissibility(cfg["source"]["kind"], dim, cfg["step"], cfg["source"])
-        records = cfg["horizon"] // cfg["record_stride"] + 2
+        records = -(-cfg["horizon"] // cfg["record_stride"]) + 1   # the length of ns
         if records > _RECORD_CAP:
             raise ConfigError(
-                f"horizon: {cfg['horizon']} // record_stride {cfg['record_stride']} + 2 = "
+                f"horizon: ceil({cfg['horizon']} / record_stride {cfg['record_stride']}) + 1 = "
                 f"{records} records, above the cap of {_RECORD_CAP}; "
                 "raise record_stride or lower horizon"
             )

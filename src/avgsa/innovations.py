@@ -31,10 +31,7 @@ import numpy as np
 
 __all__ = [
     "first_primes",
-    "radical_inverse",
-    "halton_point",
     "halton_block",
-    "box_muller_pair",
     "star_discrepancy_exact",
     "InnovationSource",
     "IidUniformSource",
@@ -73,38 +70,6 @@ def first_primes(q: int) -> list[int]:
     return primes
 
 
-def radical_inverse(n: int, base: int) -> float:
-    """Radical inverse of the integer ``n >= 1`` in the given base.
-
-    Digits of ``n`` are mirrored around the radix point:
-    ``n = d_0 + d_1 b + d_2 b^2 + ...``  maps to ``d_0/b + d_1/b^2 + ...``.
-    Pure integer arithmetic until the final division, so the result is the
-    correctly rounded double.
-    """
-    if base < 2:
-        raise ValueError(f"base must be >= 2, got {base}")
-    if n < 1:
-        raise ValueError(f"index must be >= 1, got {n}")
-    rev = 0
-    denom = 1
-    while n > 0:
-        n, digit = divmod(n, base)
-        rev = rev * base + digit
-        denom *= base
-    return rev / denom
-
-
-def halton_point(n: int, q: int) -> np.ndarray:
-    """n-th point (1-indexed) of the q-dimensional Halton sequence.
-
-    Coordinate ``i`` is the radical inverse of ``n`` in the i-th prime
-    base.  Starting the count at ``n = 1`` keeps every coordinate strictly
-    inside ``(0, 1)``, which matters downstream (the Box-Muller map takes a
-    logarithm of the first coordinate).
-    """
-    return np.array([radical_inverse(n, b) for b in first_primes(q)])
-
-
 # Digit tables have at most this many entries: k base-b digits are read
 # per numpy pass, with b**k <= _DIGIT_TABLE.
 _DIGIT_TABLE = 4096
@@ -135,8 +100,8 @@ def halton_block(start: int, count: int, q: int) -> np.ndarray:
 
     Digits are mirrored k at a time through a table of reversed k-digit
     strings, then each coordinate is the integer ratio ``rev / b**K``,
-    where K is the number of base-b digits of the last index: the same
-    correctly rounded double as :func:`radical_inverse`.  That needs both
+    where K is the number of base-b digits of the last index: the
+    correctly rounded radical inverse of each index.  That needs both
     integers exact in double precision, so a block whose last index has
     ``b**K > 2**53`` in one of its bases raises ``ValueError``.
     """
@@ -190,24 +155,11 @@ def _last_exact_index(q: int) -> int:
 # Gaussian map
 # ---------------------------------------------------------------------------
 
-def box_muller_pair(u1: float, u2: float) -> tuple[float, float]:
-    """Map a pair of uniforms to a pair of independent standard normals.
-
-    Uses the polar form ``r = sqrt(-2 log u1)`` with angle ``2 pi u2``; the
-    sine component comes first.  ``u1`` must lie in ``(0, 1]`` (``u1 = 1``
-    is fine and yields the origin), ``u2`` in ``[0, 1)``.
-    """
-    if not 0.0 < u1 <= 1.0:
-        raise ValueError(f"u1 must be in (0, 1], got {u1}")
-    if not 0.0 <= u2 < 1.0:
-        raise ValueError(f"u2 must be in [0, 1), got {u2}")
-    r = math.sqrt(-2.0 * math.log(u1))
-    return r * math.sin(_TWO_PI * u2), r * math.cos(_TWO_PI * u2)
-
-
 def _gaussians_from_pairs(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """Vectorised Box-Muller: returns interleaved (sin, cos) components,
-    length ``2 * len(u1)``."""
+    """Box-Muller map of uniform pairs to independent standard normals:
+    radius ``sqrt(-2 log u1)``, angle ``2 pi u2``, returned as interleaved
+    (sin, cos) components of length ``2 * len(u1)``.  ``u1`` lies in
+    ``(0, 1]`` (``u1 = 1`` gives the origin), ``u2`` in ``[0, 1)``."""
     r = np.sqrt(-2.0 * np.log(u1))
     out = np.empty(2 * u1.size)
     out[0::2] = r * np.sin(_TWO_PI * u2)
@@ -383,7 +335,9 @@ class IidGaussianSource(InnovationSource):
 
 
 class HaltonSource(InnovationSource):
-    """Deterministic Halton stream in ``q`` dimensions, 1-indexed."""
+    """Deterministic Halton stream in ``q`` dimensions, 1-indexed.  Its
+    last buffer ends at the last index :func:`halton_block` computes
+    exactly, so every such index can be drawn."""
 
     def __init__(self, dimension: int = 1, start: int = 1):
         super().__init__(dimension)

@@ -557,17 +557,20 @@ def test_rate_fit_theta0_shows_only_in_record_0_at_the_default_step(tmp_path):
 
 @pytest.mark.parametrize("name", [n for n, e in REGISTRY.items() if "step" in e.schema])
 def test_record_count_above_the_cap_is_refused_before_any_file(tmp_path, capsys, name):
-    # a stepped run keeps horizon // record_stride + 2 records at most
+    # a stepped run keeps ceil(horizon / record_stride) + 1 records, the
+    # steps 0, s, 2s, ... below the horizon and the horizon itself
     base = {"experiment": name, "seed": 0, "output_dir": str(tmp_path / "out")}
-    validate_config({**base, "horizon": _RECORD_CAP - 2, "record_stride": 1})
-    validate_config({**base, "horizon": 10**12, "record_stride": 10**6})
-    raw = {**base, "horizon": _RECORD_CAP - 1, "record_stride": 1}
-    with pytest.raises(ConfigError) as info:
-        validate_config(raw)
-    assert str(info.value) == (
-        f"horizon: {_RECORD_CAP - 1} // record_stride 1 + 2 = {_RECORD_CAP + 1} records, "
-        f"above the cap of {_RECORD_CAP}; raise record_stride or lower horizon"
-    )
+    for horizon, stride in [(_RECORD_CAP - 1, 1), (3 * (_RECORD_CAP - 1), 3),
+                            (3 * (_RECORD_CAP - 2) + 1, 3), (10**12, 10**6)]:
+        validate_config({**base, "horizon": horizon, "record_stride": stride})
+    for horizon, stride in [(3 * (_RECORD_CAP - 1) + 1, 3), (_RECORD_CAP, 1)]:
+        with pytest.raises(ConfigError) as info:
+            validate_config({**base, "horizon": horizon, "record_stride": stride})
+        assert str(info.value) == (
+            f"horizon: ceil({horizon} / record_stride {stride}) + 1 = {_RECORD_CAP + 1} records, "
+            f"above the cap of {_RECORD_CAP}; raise record_stride or lower horizon"
+        )
+    raw = {**base, "horizon": _RECORD_CAP, "record_stride": 1}
     cfg = _write_cfg(tmp_path / "c.yaml", yaml.safe_dump(raw))
     for command in (["run", cfg], ["sweep", cfg, "--seeds", "0..1"]):
         assert main(command) == 2

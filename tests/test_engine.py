@@ -57,13 +57,10 @@ def test_power_schedule_validation():
 
 def test_rate_spec_validation():
     RateSpec(0.5)
-    RateSpec(1.0, log_exponent=1.5)
     with pytest.raises(ValueError):
         RateSpec(0.0)
     with pytest.raises(ValueError):
         RateSpec(1.2)
-    with pytest.raises(ValueError):
-        RateSpec(0.5, log_exponent=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -85,13 +82,16 @@ def test_power_pair_rule_frozen_verdicts():
 
 
 def test_qsa_rules():
-    assert admissible_qsa("finite-variation", 3, 0.6).verdict == "admissible"
-    assert admissible_qsa("finite-variation", 3, 0.5).verdict == "not-admissible"
-    assert admissible_qsa("lipschitz", 2, 0.75).verdict == "admissible"
-    assert admissible_qsa("lipschitz", 2, 0.5).verdict == "not-admissible"
-    assert admissible_qsa("lipschitz", 1, 0.3).verdict == "admissible"
-    with pytest.raises(ValueError):
-        admissible_qsa("convex", 2, 0.8)
+    assert admissible_qsa(3, 0.6).verdict == "admissible"
+    assert admissible_qsa(3, 0.5).verdict == "not-admissible"
+    # a merely Lipschitz field averages like log n * n**(-1/q): the power
+    # rule at beta = 1/q, which accepts 1 - 1/q < a <= 1
+    assert admissible_power_pair(0.75, 1 / 2).verdict == "admissible"
+    assert admissible_power_pair(0.5, 1 / 2).verdict == "not-admissible"
+    assert admissible_power_pair(0.3, 1 / 1).verdict == "admissible"
+    for q in (1, 2, 3, 5):
+        for a in (0.0, 0.25, 0.5, 2 / 3, 0.7, 0.75, 0.8, 1.0, 1.1):
+            assert admissible_power_pair(a, 1 / q).ok == (1 - 1 / q < a <= 1)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +276,7 @@ def test_recorder_matches_a_hand_loop(theta0, monitors, stride):
                                       sched.gamma_array(_HAND_HORIZON).tolist(),
                                       field, stride, monitors)
     assert traj.ns.dtype == np.int64 and np.array_equal(traj.ns, ns)
+    assert traj.ns.size == math.ceil(_HAND_HORIZON / stride) + 1   # what validate_config caps
     assert traj.thetas.dtype == np.float64 and np.array_equal(traj.thetas, thetas)
     assert list(traj.monitors) == list(values)
     for name, col in values.items():

@@ -1,9 +1,13 @@
-"""Every name a module of the package exports must exist."""
+"""Every name a module of the package exports must exist, and must be
+reached by something other than the tests that pin it."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -13,9 +17,67 @@ MODULES = ["avgsa"] + [
     info.name for info in pkgutil.walk_packages(avgsa.__path__, prefix="avgsa.")
 ]
 
+_SRC = Path(avgsa.__file__).resolve().parent
+_ROOT = _SRC.parents[1]
+
 
 @pytest.mark.parametrize("name", MODULES)
 def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def _is_all(node: ast.AST) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+
+
+def _reached(path: Path) -> set[str]:
+    """Identifiers a Python file uses outside its ``__all__``: names it
+    loads, attributes, names it imports, and string constants
+    (``getattr(module, "name")``)."""
+    found = set()
+    for stmt in ast.parse(path.read_text()).body:
+        if _is_all(stmt):
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.alias):
+                found.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found.add(node.value)
+    return found
+
+
+def _defined_exports(path: Path) -> list[str]:
+    """``__all__`` entries that the module defines rather than imports."""
+    tree = ast.parse(path.read_text())
+    imported = {a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    exported = next((ast.literal_eval(node.value) for node in tree.body if _is_all(node)), [])
+    return [n for n in exported if n not in imported]
+
+
+def test_every_export_is_reached_outside_the_unit_tests():
+    # a name in __all__ must be reached by another module of the package
+    # (not by the re-export in avgsa/__init__.py), by its own module beyond
+    # its definition, by README.md, by the acceptance gates or by the
+    # benchmark; one only the unit tests call is API nobody needs
+    files = sorted(_SRC.rglob("*.py"))
+    reached = {path: _reached(path) for path in files}
+    readme = set(re.findall(r"\w+", (_ROOT / "README.md").read_text()))
+    outside = _reached(_ROOT / "tests" / "test_acceptance.py")
+    for path in sorted((_ROOT / "perfbench").glob("*.py")):
+        outside |= _reached(path)
+    unreached = []
+    for path in files:
+        others = set().union(*(reached[p] for p in files
+                               if p not in (path, _SRC / "__init__.py")))
+        for name in _defined_exports(path):
+            if name not in others | reached[path] | readme | outside:
+                unreached.append(f"{path.relative_to(_SRC)}: {name}")
+    assert unreached == []

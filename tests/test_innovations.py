@@ -1,9 +1,9 @@
 """Innovation-stream unit tests.
 
 The reference values here are produced by independent oracles: a
-string-based digit-reversal for radical inverses, an exhaustive
-corner-enumeration for the star discrepancy, and hand-computed closed
-forms for the Gaussian map.
+digit-list reversal for radical inverses, the libm Box-Muller map on
+Python floats, an exhaustive corner-enumeration for the star
+discrepancy, and hand-computed closed forms for the Gaussian map.
 """
 
 from __future__ import annotations
@@ -28,12 +28,10 @@ from avgsa.innovations import (
     HaltonSource,
     IidGaussianSource,
     IidUniformSource,
-    box_muller_pair,
+    _gaussians_from_pairs,
     first_primes,
     halton_block,
-    halton_point,
     make_source,
-    radical_inverse,
     _within_discrepancy_budget,
     star_discrepancy_exact,
 )
@@ -44,13 +42,24 @@ from avgsa.innovations import (
 # ---------------------------------------------------------------------------
 
 def oracle_radical_inverse(n: int, base: int) -> float:
-    """Digit reversal through an explicit digit list (independent of the
-    integer-arithmetic production code)."""
+    """Digit reversal through an explicit digit list, one index at a time
+    (independent of the table-driven production code), then one correctly
+    rounded division of Python integers."""
     digits = []
     while n > 0:
         digits.append(n % base)
         n //= base
-    return sum(d * base ** (-(k + 1)) for k, d in enumerate(digits))
+    rev = 0
+    for d in digits:
+        rev = rev * base + d
+    return rev / base ** len(digits)
+
+
+def box_muller_pair(u1: float, u2: float) -> tuple[float, float]:
+    """One pair through libm's ``log``, ``sqrt``, ``sin`` and ``cos`` on
+    Python floats: ``r = sqrt(-2 log u1)`` at angle ``2 pi u2``, sine first."""
+    r = math.sqrt(-2.0 * math.log(u1))
+    return r * math.sin(2.0 * math.pi * u2), r * math.cos(2.0 * math.pi * u2)
 
 
 def oracle_star_discrepancy(points: np.ndarray) -> float:
@@ -75,28 +84,27 @@ def oracle_star_discrepancy(points: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def test_radical_inverse_frozen_values():
-    assert radical_inverse(1, 2) == 0.5
-    assert radical_inverse(2, 2) == 0.25
-    assert radical_inverse(3, 2) == 0.75
-    assert radical_inverse(4, 2) == 0.125
-    assert radical_inverse(1, 3) == pytest.approx(1.0 / 3.0, abs=0)
+    # coordinate 0 is base 2, coordinate 1 base 3
+    assert halton_block(1, 4, 1)[:, 0].tolist() == [0.5, 0.25, 0.75, 0.125]
+    assert halton_block(1, 1, 2)[0, 1] == pytest.approx(1.0 / 3.0, abs=0)
     # 5 = (1 2)_3, mirrored: 2/3 + 1/9 = 7/9 (single correctly rounded division)
-    assert radical_inverse(5, 3) == pytest.approx(7.0 / 9.0, abs=0)
+    assert halton_block(5, 1, 2)[0, 1] == pytest.approx(7.0 / 9.0, abs=0)
 
 
 def test_radical_inverse_matches_digit_oracle():
-    for base in (2, 3, 5, 7, 13):
+    bases = first_primes(6)     # 2, 3, 5, 7, 11, 13
+    blk = halton_block(1, 299, 6)
+    for j, base in enumerate(bases):
         for n in range(1, 300):
-            assert radical_inverse(n, base) == pytest.approx(
-                oracle_radical_inverse(n, base), abs=1e-15
-            )
+            assert blk[n - 1, j] == oracle_radical_inverse(n, base)
 
 
 def test_radical_inverse_rejects_bad_input():
+    # index 0 has no radical inverse inside (0, 1), and a point needs a base
     with pytest.raises(ValueError):
-        radical_inverse(0, 2)
+        halton_block(0, 1, 2)
     with pytest.raises(ValueError):
-        radical_inverse(3, 1)
+        halton_block(3, 1, 0)
 
 
 def test_first_primes():
@@ -104,14 +112,13 @@ def test_first_primes():
 
 
 def test_halton_point_first_elements():
-    np.testing.assert_allclose(halton_point(1, 2), [0.5, 1.0 / 3.0], atol=0)
-    np.testing.assert_allclose(halton_point(2, 2), [0.25, 2.0 / 3.0], atol=0)
+    np.testing.assert_allclose(halton_block(1, 2, 2), [[0.5, 1.0 / 3.0], [0.25, 2.0 / 3.0]], atol=0)
 
 
 def test_halton_block_agrees_with_pointwise():
     blk = halton_block(7, 40, 3)
     for i in range(40):
-        np.testing.assert_array_equal(blk[i], halton_point(7 + i, 3))
+        np.testing.assert_array_equal(blk[i], [oracle_radical_inverse(7 + i, b) for b in (2, 3, 5)])
 
 
 def _halton_block_digit_loop(start: int, count: int, q: int) -> np.ndarray:
@@ -161,7 +168,7 @@ def test_halton_block_exact_up_to_the_bound(q):
     bases = first_primes(q)
     last = min(b ** max(k for k in range(60) if b**k <= 2**53) for b in bases) - 1
     blk = halton_block(last - 63, 64, q)
-    expected = [[radical_inverse(n, b) for b in bases] for n in range(last - 63, last + 1)]
+    expected = [[oracle_radical_inverse(n, b) for b in bases] for n in range(last - 63, last + 1)]
     np.testing.assert_array_equal(blk, np.array(expected))
     with pytest.raises(ValueError):
         halton_block(last - 63, 65, q)
@@ -176,7 +183,8 @@ def test_halton_source_runs_to_the_last_exact_index(q):
     # the source's last buffer ends at the bound instead of a whole block
     # past it, so every exact index is reachable
     last = _last_exact(q)
-    expected = [[radical_inverse(n, b) for b in first_primes(q)] for n in range(last - 9, last + 1)]
+    expected = [[oracle_radical_inverse(n, b) for b in first_primes(q)]
+                for n in range(last - 9, last + 1)]
     src = HaltonSource(q, start=last - 9)
     np.testing.assert_array_equal(src.take_block(10), np.array(expected))
     assert len(src._buf) == 10   # one buffer, cut at the bound, not ten 1-row ones
@@ -195,7 +203,7 @@ def test_halton_gaussian_source_runs_to_the_last_exact_index(q):
     src = HaltonGaussianSource(q, start=last - 9)
     rows = src.take_block(10)
     for n, row in zip(range(last - 9, last + 1), rows):
-        u = [radical_inverse(n, b) for b in first_primes(2 * pairs)]
+        u = [oracle_radical_inverse(n, b) for b in first_primes(2 * pairs)]
         want = [z for p in range(pairs) for z in box_muller_pair(u[2 * p], u[2 * p + 1])]
         np.testing.assert_allclose(row, want[:q], rtol=1e-12, atol=1e-15)
     with pytest.raises(ValueError, match="not exact"):
@@ -224,21 +232,17 @@ def test_halton_uniformity_discrepancy_bound():
 # ---------------------------------------------------------------------------
 
 def test_box_muller_hand_values():
-    z1, z2 = box_muller_pair(math.exp(-2.0), 0.25)  # angle pi/2
+    # angle pi/2, angle pi, and log 1 = 0
+    z = _gaussians_from_pairs(np.array([math.exp(-2.0), math.exp(-2.0), 1.0]),
+                              np.array([0.25, 0.5, 0.7]))
+    z1, z2 = z[0:2]
     assert z1 == pytest.approx(2.0, abs=1e-12)
     assert z2 == pytest.approx(0.0, abs=1e-12)
-    z1, z2 = box_muller_pair(math.exp(-2.0), 0.5)  # angle pi
+    z1, z2 = z[2:4]
     assert z1 == pytest.approx(0.0, abs=1e-12)
     assert z2 == pytest.approx(-2.0, abs=1e-12)
-    z1, z2 = box_muller_pair(1.0, 0.7)  # log 1 = 0
+    z1, z2 = z[4:6]
     assert z1 == 0.0 and z2 == 0.0
-
-
-def test_box_muller_domain():
-    with pytest.raises(ValueError):
-        box_muller_pair(0.0, 0.5)
-    with pytest.raises(ValueError):
-        box_muller_pair(0.5, 1.0)
 
 
 def test_box_muller_moments_on_uniform_grid():
@@ -247,11 +251,7 @@ def test_box_muller_moments_on_uniform_grid():
     m = 401
     u1 = (np.arange(m) + 0.5) / m
     u2 = (np.arange(m) + 0.5) / m
-    zs = []
-    for a in u1:
-        for b in u2:
-            zs.extend(box_muller_pair(a, b))
-    zs = np.asarray(zs)
+    zs = _gaussians_from_pairs(np.repeat(u1, m), np.tile(u2, m))
     assert abs(zs.mean()) < 5e-3
     assert abs(zs.var() - 1.0) < 5e-3
 
