@@ -3,7 +3,8 @@
 `run` executes one configured experiment and reports where the artifacts
 went.  `list` names every registered experiment.  `plot` re-renders any
 trajectory CSV column as an SVG.  `sweep` replays one config over a seed
-range, each replication in its own subdirectory.
+range, each replication in its own subdirectory, and prints each seed's
+line as its replication ends.
 
 Exit status: 0 on success, 1 when a run aborts on the divergence guard
 (the summary is still written) or a sweep has failures, 2 on config or
@@ -18,6 +19,7 @@ before any file is written.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import re
 import sys
@@ -157,6 +159,17 @@ def _sweep_one(cfg: dict) -> dict:
     return run_experiment(cfg).summary
 
 
+def _in_pool(configs, jobs: int):
+    """Replication summaries in seed order from ``jobs`` workers, fed
+    ``4 * jobs`` configs at a time.  The pool is imported here: it pulls in
+    multiprocessing, which a one-job sweep and every other command never use."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        while window := list(itertools.islice(configs, 4 * jobs)):
+            yield from pool.map(_sweep_one, window)
+
+
 @_reports_config_errors
 def _cmd_sweep(args, raw) -> int:
     m = _SEED_RANGE.match(args.seeds)
@@ -174,19 +187,10 @@ def _cmd_sweep(args, raw) -> int:
     base = validate_config(raw)
     root = base["output_dir"]
     # each replication keeps the base config's key order
-    configs = [{**base, "seed": seed, "output_dir": f"{root}/seed-{seed}"}
-               for seed in range(lo, hi + 1)]
+    configs = ({**base, "seed": seed, "output_dir": f"{root}/seed-{seed}"}
+               for seed in range(lo, hi + 1))
 
-    if args.jobs == 1:
-        summaries = [_sweep_one(cfg) for cfg in configs]
-    else:
-        # imported here: the pool pulls in multiprocessing, which a
-        # one-job sweep and every other command never use
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            summaries = list(pool.map(_sweep_one, configs))
-
+    summaries = map(_sweep_one, configs) if args.jobs == 1 else _in_pool(configs, args.jobs)
     failures = 0
     for s in summaries:
         line = f"seed {s['seed']}: {s['status']}"
@@ -196,7 +200,7 @@ def _cmd_sweep(args, raw) -> int:
             line += f"  ({s['failure']})"
             failures += 1
         print(line)
-    print(f"{len(summaries)} runs, {failures} failed, artifacts under {root}/")
+    print(f"{hi - lo + 1} runs, {failures} failed, artifacts under {root}/")
     return 1 if failures else 0
 
 

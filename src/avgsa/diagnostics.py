@@ -35,12 +35,10 @@ class ErrorPath:
 
 @dataclass(frozen=True)
 class RateFit:
-    """Log-log least-squares fit error ~ C * n**(-beta_hat)."""
+    """Log-log least-squares fit error ~ C * n**(-beta_hat), and its r**2."""
 
     beta_hat: float
-    log_constant: float
     r_squared: float
-    points_used: int
 
 
 def fit_rate(path: ErrorPath) -> RateFit:
@@ -65,9 +63,4 @@ def fit_rate(path: ErrorPath) -> RateFit:
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-    return RateFit(
-        beta_hat=float(-slope),
-        log_constant=float(intercept),
-        r_squared=r2,
-        points_used=int(ns.size),
-    )
+    return RateFit(beta_hat=float(-slope), r_squared=r2)

@@ -201,13 +201,9 @@ class Experiment:
 
 @dataclass(frozen=True)
 class RunArtifacts:
-    """Paths of everything a run wrote, plus the parsed summary."""
+    """Where a run wrote its artifacts, plus the parsed summary."""
 
-    experiment: str
-    seed: int
     out_dir: Path
-    config_path: Path
-    summary_path: Path
     csv_path: Path | None
     plot_path: Path | None
     summary: dict
@@ -365,6 +361,12 @@ def _run_bandit(cfg: dict) -> Outcome:
     )
 
 
+# a dark-pool run holds its whole series, horizon * (1 + pools) values, from
+# before step 1: 96-104 B an order measured with two venues, 176 B with four,
+# so 5e7 values, 100 times the shipped four-venue series, are about 1.8 GB
+_DARKPOOL_SERIES_CAP = 50_000_000
+
+
 def _preflight_darkpool(cfg: dict) -> None:
     pr = cfg["params"]
     sizes = {len(pr["mix"]), len(pr["scale"]), len(pr["rebates"])}
@@ -373,8 +375,11 @@ def _preflight_darkpool(cfg: dict) -> None:
             "params: mix, scale and rebates must have one entry per pool "
             f"(got lengths {len(pr['mix'])}, {len(pr['scale'])}, {len(pr['rebates'])})"
         )
-    if sizes.pop() < 2:
+    if (pools := sizes.pop()) < 2:
         raise ConfigError("params: need at least two pools")
+    if (values := cfg["horizon"] * (1 + pools)) > _DARKPOOL_SERIES_CAP:
+        raise ConfigError(f"horizon: {cfg['horizon']} orders * (1 + {pools} pools) = {values} "
+                          f"series values, above the cap of {_DARKPOOL_SERIES_CAP}; lower horizon")
 
 
 def _run_darkpool(cfg: dict) -> Outcome:
@@ -748,8 +753,7 @@ def run_experiment(config) -> RunArtifacts:
     summary["runtime_seconds"] = round(time.perf_counter() - start, 6)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    config_path = out_dir / "effective_config.yaml"
-    with open(config_path, "w", newline="\n") as fh:
+    with open(out_dir / "effective_config.yaml", "w", newline="\n") as fh:
         yaml.safe_dump(cfg, fh, sort_keys=False)
     csv_path = plot_path = None
     if outcome is not None:
@@ -776,10 +780,7 @@ def run_experiment(config) -> RunArtifacts:
             fitted_rate=None if errors is None else _fit_error_decay(traj.ns, errors),
             csv=csv_path.name, plot=plot_path.name, notes=outcome.notes,
         )
-    summary_path = out_dir / "summary.json"
     return RunArtifacts(
-        experiment=cfg["experiment"], seed=cfg["seed"], out_dir=out_dir,
-        config_path=config_path, summary_path=summary_path,
-        csv_path=csv_path, plot_path=plot_path,
-        summary=_write_summary(summary_path, summary),
+        out_dir=out_dir, csv_path=csv_path, plot_path=plot_path,
+        summary=_write_summary(out_dir / "summary.json", summary),
     )

@@ -3,13 +3,16 @@ verbs."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ import avgsa
 from avgsa.cli import main
 from avgsa.engine import StepSchedule, read_csv_columns, run, write_trajectory_csv
 from avgsa.experiments import (
+    _DARKPOOL_SERIES_CAP,
     _RATE_FIT_MEANS,
     _RECORD_CAP,
     REGISTRY,
@@ -322,9 +326,9 @@ def test_run_experiment_writes_all_artifacts(tmp_path):
     arts = run_experiment(_small_corr_cfg(tmp_path))
     assert arts.csv_path.exists()
     assert arts.plot_path.exists() and arts.plot_path.suffix == ".svg"
-    assert arts.summary_path.exists()
-    assert arts.config_path.exists()
-    s = json.loads(arts.summary_path.read_text())
+    assert (arts.out_dir / "summary.json").exists()
+    assert (arts.out_dir / "effective_config.yaml").exists()
+    s = json.loads((arts.out_dir / "summary.json").read_text())
     assert list(s) == [
         "experiment", "seed", "horizon", "status", "final", "target",
         "error", "fitted_rate", "runtime_seconds", "csv", "plot",
@@ -343,14 +347,14 @@ def test_effective_config_round_trips_byte_identical(tmp_path):
     arts = run_experiment(_small_corr_cfg(tmp_path))
     csv1 = arts.csv_path.read_bytes()
     svg1 = arts.plot_path.read_bytes()
-    sum1 = json.loads(arts.summary_path.read_text())
+    sum1 = json.loads((arts.out_dir / "summary.json").read_text())
     # rerun from the serialized effective config
-    with open(arts.config_path) as fh:
+    with open(arts.out_dir / "effective_config.yaml") as fh:
         effective = yaml.safe_load(fh)
     arts2 = run_experiment(effective)
     assert arts2.csv_path.read_bytes() == csv1
     assert arts2.plot_path.read_bytes() == svg1
-    sum2 = json.loads(arts2.summary_path.read_text())
+    sum2 = json.loads((arts2.out_dir / "summary.json").read_text())
     sum1.pop("runtime_seconds")
     sum2.pop("runtime_seconds")
     assert sum1 == sum2
@@ -369,7 +373,7 @@ def test_run_experiment_abort_still_writes_summary(tmp_path):
     assert arts.summary["status"] == "aborted"
     assert "diverged" in arts.summary["failure"]
     assert arts.csv_path is None
-    s = json.loads(arts.summary_path.read_text())
+    s = json.loads((arts.out_dir / "summary.json").read_text())
     assert s["status"] == "aborted" and s["final"] is None
 
 
@@ -556,9 +560,13 @@ def test_rate_fit_theta0_shows_only_in_record_0_at_the_default_step(tmp_path):
 
 
 @pytest.mark.parametrize("name", [n for n, e in REGISTRY.items() if "step" in e.schema])
-def test_record_count_above_the_cap_is_refused_before_any_file(tmp_path, capsys, name):
+def test_record_count_above_the_cap_is_refused_before_any_file(tmp_path, capsys, monkeypatch,
+                                                               name):
     # a stepped run keeps ceil(horizon / record_stride) + 1 records, the
-    # steps 0, s, 2s, ... below the horizon and the horizon itself
+    # steps 0, s, 2s, ... below the horizon and the horizon itself; the
+    # dark-pool series cap, tested on its own below, would refuse most of
+    # these horizons first, so it is lifted here
+    monkeypatch.setattr("avgsa.experiments._DARKPOOL_SERIES_CAP", float("inf"))
     base = {"experiment": name, "seed": 0, "output_dir": str(tmp_path / "out")}
     for horizon, stride in [(_RECORD_CAP - 1, 1), (3 * (_RECORD_CAP - 1), 3),
                             (3 * (_RECORD_CAP - 2) + 1, 3), (10**12, 10**6)]:
@@ -576,6 +584,31 @@ def test_record_count_above_the_cap_is_refused_before_any_file(tmp_path, capsys,
         assert main(command) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: horizon: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config, pools", [("dark-pool-four-venues.yaml", 4),
+                                           ("dark-pool-two-venues.yaml", 2)])
+def test_darkpool_series_above_the_cap_is_refused_before_any_file(tmp_path, capsys,
+                                                                   config, pools):
+    # the run builds horizon * (1 + pools) series values before step 1
+    raw = yaml.safe_load((Path(__file__).resolve().parents[1] / "configs" / config).read_text())
+    raw["output_dir"] = str(tmp_path / "out")
+    largest = _DARKPOOL_SERIES_CAP // (1 + pools)
+    validate_config({**raw, "horizon": largest})
+    # each of these passes the record cap: at stride 100 or more it keeps at most 1e7 records
+    for horizon, stride in [(largest + 1, 100), (999_999_900, 100), (10**10, 10_000)]:
+        with pytest.raises(ConfigError) as info:
+            validate_config({**raw, "horizon": horizon, "record_stride": stride})
+        assert str(info.value) == (
+            f"horizon: {horizon} orders * (1 + {pools} pools) = {horizon * (1 + pools)} "
+            f"series values, above the cap of {_DARKPOOL_SERIES_CAP}; lower horizon"
+        )
+    cfg = _write_cfg(tmp_path / "c.yaml", yaml.safe_dump({**raw, "horizon": largest + 1}))
+    for command in (["run", cfg], ["sweep", cfg, "--seeds", "0..1"]):
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: horizon: {largest + 1} orders ")
         assert not (tmp_path / "out").exists()
 
 
@@ -911,6 +944,25 @@ def test_cli_sweep_rejects_bad_range(tmp_path, capsys):
     jobs = str((os.cpu_count() or 1) + 1)
     assert main(["sweep", cfg, "--seeds", "0..1", "--jobs", jobs]) == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+def test_cli_sweep_memory_is_flat_in_the_seed_range(tmp_path, monkeypatch):
+    # with the replication stubbed out, what remains is what the sweep
+    # itself holds: O(jobs) configs and summaries, not one per seed
+    monkeypatch.setattr("avgsa.cli.run_experiment", lambda cfg: SimpleNamespace(
+        summary={"seed": cfg["seed"], "status": "ok", "error": 0.5}))
+    cfg = _write_cfg(tmp_path / "c.yaml", "experiment: rate-fit\nseed: 0\n")
+    peaks = []
+    # stdout goes to a sink that keeps nothing, so the trace holds the sweep alone
+    with contextlib.redirect_stdout(SimpleNamespace(write=len)):
+        for hi in (0, 999, 99_999):       # the first run warms every cache
+            tracemalloc.start()
+            try:
+                assert main(["sweep", cfg, "--seeds", f"0..{hi}"]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[2] <= peaks[1], peaks
 
 
 # ---------------------------------------------------------------------------

@@ -49,9 +49,7 @@ def test_fit_rate_exact_on_power_law():
     errors = 3.0 * ns.astype(float) ** (-0.75)
     fit = fit_rate(ErrorPath(ns=ns, errors=errors))
     assert fit.beta_hat == pytest.approx(0.75, abs=1e-10)
-    assert fit.log_constant == pytest.approx(math.log(3.0), abs=1e-10)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-    assert fit.points_used == ns.size
 
 
 def test_fit_rate_drops_zero_errors():
@@ -61,7 +59,7 @@ def test_fit_rate_drops_zero_errors():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fit = fit_rate(ErrorPath(ns=ns, errors=errors))
-    assert fit.points_used == ns.size - 1
+    assert fit == fit_rate(ErrorPath(ns=np.delete(ns, 2), errors=np.delete(errors, 2)))
     assert fit.beta_hat == pytest.approx(0.5, abs=1e-10)
 
 
@@ -75,7 +73,6 @@ def test_fit_rate_drops_points_at_n_zero():
         with_zero = fit_rate(ErrorPath(ns=np.concatenate([[0], ns]),
                                        errors=np.concatenate([[0.7], errors])))
     assert with_zero == fit_rate(ErrorPath(ns=ns, errors=errors))
-    assert with_zero.points_used == ns.size
 
 
 def test_fit_rate_needs_five_points():

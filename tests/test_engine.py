@@ -101,7 +101,6 @@ def test_qsa_rules():
 def test_probe_blesses_the_canonical_pair():
     rep = check_schedule_numeric(StepSchedule(c=1.0, a=1.0), RateSpec(0.5), 10**6)
     assert rep.verdict == "consistent-with-admissible"
-    assert len(rep.detail["checkpoints"]) == 10
 
 
 def test_probe_rejects_constant_steps():

@@ -1,9 +1,11 @@
 """Every name a module of the package exports must exist, and must be
-reached by something other than the tests that pin it."""
+reached by something other than the tests that pin it; so must every
+field of an exported dataclass."""
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 import re
@@ -81,3 +83,28 @@ def test_every_export_is_reached_outside_the_unit_tests():
             if name not in others | reached[path] | readme | outside:
                 unreached.append(f"{path.relative_to(_SRC)}: {name}")
     assert unreached == []
+
+
+def _attributes_read(path: Path) -> set[str]:
+    """Names a Python file reads as attributes, ``obj.name``."""
+    return {node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_exported_dataclass_field_is_read_outside_the_unit_tests():
+    # a field of a dataclass in an __all__ must be read as obj.field by a
+    # module of the package, its own included, by the acceptance gates or
+    # by the benchmark; a field only the unit tests read is a result
+    # nobody needs computed
+    readers = (sorted(_SRC.rglob("*.py")) + [_ROOT / "tests" / "test_acceptance.py"]
+               + sorted((_ROOT / "perfbench").glob("*.py")))
+    read = set().union(*map(_attributes_read, readers))
+    unread = []
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for export in _defined_exports(Path(module.__file__)):
+            cls = getattr(module, export)
+            if isinstance(cls, type) and dataclasses.is_dataclass(cls):
+                unread += [f"{name}.{export}.{f.name}" for f in dataclasses.fields(cls)
+                           if f.name not in read]
+    assert unread == []

@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from avgsa.engine import read_csv_columns
 from avgsa.experiments import experiment_names, load_config, run_experiment
 
 # the shipped investment parameters sit outside the Feller region on purpose
@@ -151,9 +154,9 @@ def test_golden_output_bytes(tmp_path, name):
     assert Path(art.plot_path).name == plot_name
     assert _sha256(art.plot_path) == plot_sha
     summary_sha, config_sha = _GOLDEN_RECORDS[name]
-    _assert_strict_json(art.summary_path)
-    assert _summary_sha256(art.summary_path) == summary_sha
-    assert _config_sha256(art.config_path, tmp_path) == config_sha
+    _assert_strict_json(art.out_dir / "summary.json")
+    assert _summary_sha256(art.out_dir / "summary.json") == summary_sha
+    assert _config_sha256(art.out_dir / "effective_config.yaml", tmp_path) == config_sha
 
 
 # The four-venue shipped config at horizon 20 000: its zero-rebate venue is
@@ -175,9 +178,32 @@ def test_golden_output_bytes_dark_pool_four_venues(tmp_path):
     assert _sha256(art.csv_path) == csv_sha
     assert Path(art.plot_path).name == plot_name
     assert _sha256(art.plot_path) == plot_sha
-    _assert_strict_json(art.summary_path)
-    assert _summary_sha256(art.summary_path) == summary_sha
+    _assert_strict_json(art.out_dir / "summary.json")
+    assert _summary_sha256(art.out_dir / "summary.json") == summary_sha
     assert art.summary["notes"]["safeguard_count"] > 0
+
+
+@pytest.mark.parametrize("config, clips", [
+    (_FOUR_VENUES, 7459),
+    (_FOUR_VENUES.with_name("dark-pool-two-venues.yaml"), 0),
+], ids=["four-venues", "two-venues"])
+def test_safeguard_logs_its_first_clip_at_warning_and_the_rest_at_debug(
+    tmp_path, caplog, config, clips
+):
+    # the four-venue config's comment promises the safeguard is logged once
+    caplog.set_level(logging.DEBUG, logger="avgsa.applications.darkpool")
+    art = run_experiment({**load_config(config), "horizon": 20_000, "output_dir": str(tmp_path)})
+    assert art.summary["notes"]["safeguard_count"] == clips
+    records = [r for r in caplog.records if r.name == "avgsa.applications.darkpool"]
+    assert len(records) == clips
+    if clips:
+        assert [r.levelno for r in records] == [logging.WARNING] + [logging.DEBUG] * (clips - 1)
+        steps = [r.args[0] for r in records]
+        assert steps == sorted(set(steps))      # one record per clipped step, in step order
+        # the clip count recorded every 100 steps brackets the first clipped step
+        cols = read_csv_columns(art.csv_path)
+        i = int(np.argmax(cols["safeguard_count"] > 0))
+        assert cols["n"][i - 1] < steps[0] <= cols["n"][i]
 
 
 # rate-fit recorded at every step over 10 000 steps: the CSV's 10 001 rows
