@@ -160,14 +160,18 @@ def _sweep_one(cfg: dict) -> dict:
 
 
 def _in_pool(configs, jobs: int):
-    """Replication summaries in seed order from ``jobs`` workers, fed
-    ``4 * jobs`` configs at a time.  The pool is imported here: it pulls in
-    multiprocessing, which a one-job sweep and every other command never use."""
+    """Replication summaries in seed order, each one taken queuing the next of
+    ``4 * jobs`` runs.  The pool is imported here: only this path uses multiprocessing."""
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        while window := list(itertools.islice(configs, 4 * jobs)):
-            yield from pool.map(_sweep_one, window)
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    try:
+        queued = [pool.submit(_sweep_one, cfg) for cfg in itertools.islice(configs, 4 * jobs)]
+        while queued:
+            queued += [pool.submit(_sweep_one, cfg) for cfg in itertools.islice(configs, 1)]
+            yield queued.pop(0).result()
+    finally:
+        pool.shutdown(cancel_futures=True)      # drops unstarted runs when one fails
 
 
 @_reports_config_errors

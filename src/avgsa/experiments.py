@@ -780,7 +780,5 @@ def run_experiment(config) -> RunArtifacts:
             fitted_rate=None if errors is None else _fit_error_decay(traj.ns, errors),
             csv=csv_path.name, plot=plot_path.name, notes=outcome.notes,
         )
-    return RunArtifacts(
-        out_dir=out_dir, csv_path=csv_path, plot_path=plot_path,
-        summary=_write_summary(out_dir / "summary.json", summary),
-    )
+    return RunArtifacts(out_dir, csv_path, plot_path,
+                        _write_summary(out_dir / "summary.json", summary))

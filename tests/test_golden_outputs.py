@@ -171,7 +171,8 @@ _FOUR_VENUES_GOLDEN = (
 )
 
 
-def test_golden_output_bytes_dark_pool_four_venues(tmp_path):
+def test_golden_output_bytes_dark_pool_four_venues(tmp_path, caplog):
+    caplog.set_level(logging.DEBUG, logger="avgsa.applications.darkpool")
     raw = {**load_config(_FOUR_VENUES), "horizon": 20_000, "output_dir": str(tmp_path)}
     art = run_experiment(raw)
     csv_sha, plot_name, plot_sha, summary_sha = _FOUR_VENUES_GOLDEN
@@ -180,30 +181,26 @@ def test_golden_output_bytes_dark_pool_four_venues(tmp_path):
     assert _sha256(art.plot_path) == plot_sha
     _assert_strict_json(art.out_dir / "summary.json")
     assert _summary_sha256(art.out_dir / "summary.json") == summary_sha
-    assert art.summary["notes"]["safeguard_count"] > 0
-
-
-@pytest.mark.parametrize("config, clips", [
-    (_FOUR_VENUES, 7459),
-    (_FOUR_VENUES.with_name("dark-pool-two-venues.yaml"), 0),
-], ids=["four-venues", "two-venues"])
-def test_safeguard_logs_its_first_clip_at_warning_and_the_rest_at_debug(
-    tmp_path, caplog, config, clips
-):
-    # the four-venue config's comment promises the safeguard is logged once
-    caplog.set_level(logging.DEBUG, logger="avgsa.applications.darkpool")
-    art = run_experiment({**load_config(config), "horizon": 20_000, "output_dir": str(tmp_path)})
-    assert art.summary["notes"]["safeguard_count"] == clips
+    clips = art.summary["notes"]["safeguard_count"]
+    assert clips == 7459
+    # the config's comment promises the safeguard is logged once: a WARNING at
+    # the first clipped step, then one DEBUG record per further clipped step
     records = [r for r in caplog.records if r.name == "avgsa.applications.darkpool"]
-    assert len(records) == clips
-    if clips:
-        assert [r.levelno for r in records] == [logging.WARNING] + [logging.DEBUG] * (clips - 1)
-        steps = [r.args[0] for r in records]
-        assert steps == sorted(set(steps))      # one record per clipped step, in step order
-        # the clip count recorded every 100 steps brackets the first clipped step
-        cols = read_csv_columns(art.csv_path)
-        i = int(np.argmax(cols["safeguard_count"] > 0))
-        assert cols["n"][i - 1] < steps[0] <= cols["n"][i]
+    assert [r.levelno for r in records] == [logging.WARNING] + [logging.DEBUG] * (clips - 1)
+    steps = [r.args[0] for r in records]
+    assert steps == sorted(set(steps))          # one record per clipped step, in step order
+    # the clip count recorded every 100 steps brackets the first clipped step
+    cols = read_csv_columns(art.csv_path)
+    i = int(np.argmax(cols["safeguard_count"] > 0))
+    assert cols["n"][i - 1] < steps[0] <= cols["n"][i]
+
+
+def test_two_venue_safeguard_never_clips_or_logs(tmp_path, caplog):
+    caplog.set_level(logging.DEBUG, logger="avgsa.applications.darkpool")
+    two_venues = _FOUR_VENUES.with_name("dark-pool-two-venues.yaml")
+    art = run_experiment({**load_config(two_venues), "horizon": 20_000, "output_dir": str(tmp_path)})
+    assert art.summary["notes"]["safeguard_count"] == 0
+    assert [r for r in caplog.records if r.name == "avgsa.applications.darkpool"] == []
 
 
 # rate-fit recorded at every step over 10 000 steps: the CSV's 10 001 rows
