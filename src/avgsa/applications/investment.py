@@ -41,7 +41,7 @@ class CirParams:
     def __post_init__(self) -> None:
         if min(self.kappa, self.vartheta, self.sigma) <= 0.0:
             raise ValueError("kappa, vartheta, sigma must all be positive")
-        if not 2.0 * self.kappa * self.vartheta > self.sigma**2:
+        if not self.feller:
             # The Feller condition fails: the invariant Gamma law piles up
             # mass near zero and paths touch the origin.  The scheme and the
             # Gamma moments below remain valid, so this is survivable.
@@ -50,6 +50,11 @@ class CirParams:
                 "expect slower settling of occupation averages",
                 stacklevel=2,
             )
+
+    @property
+    def feller(self) -> bool:
+        """The Feller condition ``2 kappa vartheta > sigma^2``: paths never reach zero."""
+        return 2.0 * self.kappa * self.vartheta > self.sigma**2
 
     @property
     def gamma_shape(self) -> float:
@@ -194,7 +199,7 @@ def investment_run(
     exponent: float = 1.0 / 3.0,
     seed: int = 0,
     theta_tilde0: float = 0.0,
-    chain_rule: bool = False,
+    chain_rule: bool = True,
     record_stride: int = 100,
 ) -> Trajectory:
     """Run the capacity recursion along one decreasing-step Euler path.
@@ -202,6 +207,7 @@ def investment_run(
     The trajectory records the free iterate as ``theta_0`` and the
     transformed capacity as monitor ``capacity``; the latter is the
     estimate to compare against :func:`theta_star_closed_form`.
+    ``chain_rule`` defaults, as the config does, to the exact gradient.
     """
     source = cir_innovation_source(p, step0, exponent, seed)
     transform = _transform_kernel(q.beta)

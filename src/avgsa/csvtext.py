@@ -1,4 +1,5 @@
-"""Trajectory CSV rows as bytes, with no Python string per cell.
+"""Number text without a Python string per number: trajectory CSV rows
+(``format_rows``) and SVG polyline coordinate pairs (``format_pairs``).
 
 A sub-block of rows is built as a uint8 matrix, with 0 as the pad byte
 that is dropped before writing: the ``n`` cell, then ``","`` and each
@@ -8,8 +9,8 @@ from exact float64 arithmetic (Dekker's product), so the bytes do not
 depend on numpy's SIMD level; every other float is formatted by
 ``"%.17g"`` itself.
 
-Every digit comes from one table of 4-byte words, shared with the SVG
-writer; each writer imports this module on its first call.
+Every digit of both comes from one table of 4-byte words, built at
+import; the CSV and SVG writers import this module on their first call.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import functools
 
 import numpy as np
 
-__all__ = ["ROWS", "format_rows"]
+__all__ = ["ROWS", "format_rows", "format_pairs"]
 
 # rows per sub-block: formatting one column of it peaks near 1.6 MiB of
 # traced temporaries, and each further column adds its 0.1 MiB of row text
@@ -214,3 +215,32 @@ def format_rows(ns: np.ndarray, columns) -> bytes:
         mat[:, w + 25 * c:w + 25 * (c + 1)] = _float_cells(np.asarray(col, dtype=float))
     mat[:, -1] = ord("\n")
     return mat.tobytes().translate(None, b"\0")
+
+
+def format_pairs(a: np.ndarray, b: np.ndarray) -> str:
+    """``" ".join("%.2f,%.2f" % p for p in zip(a, b))``, byte for byte,
+    for finite coordinates in ``[0, 2**40)``.
+
+    Each ``v = M / 2**s`` with an integer mantissa ``M < 2**53``, so
+    ``100 * M < 2**60`` is exact in int64 and ``100 * v`` rounded half
+    to even at bit ``s`` is the integer of hundredths that ``%.2f``
+    prints: Python's dtoa rounds the exact binary value, ties to even.
+    Its text is the integer part's words, blank before the first digit,
+    and a ``".dd"`` word, pads dropped."""
+    v = np.empty(2 * a.size)
+    v[0::2], v[1::2] = a, b
+    mant, exp = np.frexp(v)
+    scaled = (mant * 2.0**53).astype(np.int64) * 100
+    # below 2**-9 every value prints 0.00; capping the shift keeps it
+    # inside int64 without changing that
+    shift = np.minimum(53 - exp, 62)
+    half = np.left_shift(1, shift - 1, dtype=np.int64)
+    # adding half - 1, and one more when the truncated value is odd,
+    # rounds half to even
+    cents = (scaled + (half - 1) + ((scaled >> shift) & 1)) >> shift
+
+    whole = cents // 100
+    text = np.column_stack([_int_words(whole), _TEXT[_CENTS + cents - 100 * whole]]).view(np.uint8)
+    text[0::2, -1], text[1::2, -1] = ord(","), ord(" ")
+    # drop the pads, and the block's last space
+    return text.tobytes().translate(None, b"\0")[:-1].decode("ascii")

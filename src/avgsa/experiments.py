@@ -336,7 +336,7 @@ def _run_investment(cfg: dict) -> Outcome:
         traj, "capacity", target=[star],
         notes={
             "capacity_final": float(traj.channel("capacity")[-1]),
-            "feller_condition": bool(2.0 * pr["kappa"] * pr["vartheta"] > pr["sigma"] ** 2),
+            "feller_condition": p.feller,
         },
     )
 

@@ -108,3 +108,46 @@ def test_every_exported_dataclass_field_is_read_outside_the_unit_tests():
                 unread += [f"{name}.{export}.{f.name}" for f in dataclasses.fields(cls)
                            if f.name not in read]
     assert unread == []
+
+
+# every private name one module of the package takes from another, with why
+# it is shared rather than made public; a new entry is a new coupling
+_SHARED_PRIVATE = {
+    ("engine", "innovations._BLOCK"): "run makes its gains in the sources' block size",
+    ("applications.correlation", "innovations._BLOCK"): "the fit draws blocks of that size",
+    ("applications.darkpool", "innovations._BLOCK"): "the series checks scan a block at a time",
+    ("applications.darkpool", "engine._gain_blocks"): "darkpool_run steps on run's gains",
+    ("applications.darkpool", "engine._recorder"): "darkpool_run records the rows run records",
+    ("experiments", "innovations._DISCREPANCY_BUDGET"): "the config refusal names the limit",
+    ("experiments", "innovations._within_discrepancy_budget"): "the refusal applies that test",
+}
+
+
+def _private_reads(path: Path) -> set[tuple[str, str]]:
+    """``(module, "source._name")`` for each private name the file takes
+    from another package module: ``from avgsa.source import _name``, or
+    ``alias._name`` where ``alias`` is bound to ``avgsa.source``."""
+    reader = ".".join(path.relative_to(_SRC).with_suffix("").parts)
+    tree, aliases, found = ast.parse(path.read_text()), {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("avgsa"):
+            for a in node.names:
+                full = f"{node.module}.{a.name}"
+                if full in MODULES:
+                    aliases[a.asname or a.name] = full
+                elif a.name.startswith("_"):
+                    found.add((reader, f"{node.module.removeprefix('avgsa.')}.{a.name}"))
+        elif isinstance(node, ast.Import):
+            aliases.update({a.asname: a.name for a in node.names
+                            if a.asname and a.name in MODULES})
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            found.add((reader, f"{aliases[node.value.id].removeprefix('avgsa.')}.{node.attr}"))
+    return found
+
+
+def test_private_names_shared_between_modules_are_the_listed_ones():
+    shared = set().union(*map(_private_reads, sorted(_SRC.rglob("*.py"))))
+    assert shared == set(_SHARED_PRIVATE)

@@ -20,6 +20,7 @@ import pytest
 
 from avgsa.engine import read_csv_columns
 from avgsa.experiments import experiment_names, load_config, run_experiment
+from avgsa.plotting import render_line_svg
 
 # the shipped investment parameters sit outside the Feller region on purpose
 pytestmark = pytest.mark.filterwarnings(
@@ -217,3 +218,31 @@ def test_golden_output_bytes_rate_fit_at_stride_one(tmp_path):
                           "record_stride": 1, "output_dir": str(tmp_path)})
     assert _sha256(art.csv_path) == _STRIDE_ONE_GOLDEN[0]
     assert _sha256(art.plot_path) == _STRIDE_ONE_GOLDEN[1]
+
+
+# whole SVG documents on the branches the experiment plots never take: an
+# empty title, a title to escape, a target on a log axis, and a flat series
+# whose y range is padded around its target
+_BRANCH_SVG_GOLDEN = {
+    ("", None, False): "7ba3898f5daa57ca4b3d928721fe1655f44b06cb819b4be7c827c69f8749f779",
+    ("", None, True): "2f5839a460a1afcc86f297712f2176225dda464d76a9bfcfaf022c0e3c751f44",
+    ("", 0.05, False): "695f9e3b983663cccf4669f7c1b7a2f464311db4150878648c3354038f3b2562",
+    ("", 0.05, True): "7cb40f6669f5a24b7b762902d01929e6494ead12448ffdb5990a709d6d341afe",
+    ("a<b&c", None, False): "ecfa212a3e7e337e51acb5a9dee8e9ff360108cd217f69813132ad50a2928c87",
+    ("a<b&c", None, True): "b90ca755506ac805a6c132d0dfd45b14f448b95c8a89d68e3386663fe0033aa9",
+    ("a<b&c", 0.05, False): "77975184f29be7a8c8ef46c0a8aa9d6b7217cc0a2d0dfce333572beebadd075d",
+    ("a<b&c", 0.05, True): "547def402cc172544d795d11a0e32b70a27f69f3cd2cc87e961665c821661b1e",
+}
+_FLAT_SVG_GOLDEN = "d1ab31edafdb3e16d60773a57dc0621615ed1f0c0f53d88ac4721f91e0e2c149"
+
+
+@pytest.mark.parametrize("title, target, logx", list(_BRANCH_SVG_GOLDEN))
+def test_svg_document_bytes_on_every_chrome_branch(title, target, logx):
+    x = np.arange(1, 500)
+    doc = render_line_svg(x, 1.0 / np.sqrt(x), title=title, target=target, logx=logx)
+    assert hashlib.sha256(doc.encode()).hexdigest() == _BRANCH_SVG_GOLDEN[title, target, logx]
+
+
+def test_svg_document_bytes_of_a_flat_series_on_its_target():
+    doc = render_line_svg(np.arange(1, 500), np.ones(499), target=1.0)
+    assert hashlib.sha256(doc.encode()).hexdigest() == _FLAT_SVG_GOLDEN

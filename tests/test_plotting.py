@@ -1,6 +1,6 @@
 """The polyline's integer formatting kernel against Python's ``%.2f``.
 
-``plotting._format_pairs`` prints ``"%.2f,%.2f"`` pairs from int64
+``csvtext.format_pairs`` prints ``"%.2f,%.2f"`` pairs from int64
 arithmetic on each double's mantissa; these tests hold it to Python's
 correctly rounded output where rounding is hardest: exact binary ties and
 their neighbours, carries into a new digit, zero and subnormals, and
@@ -14,7 +14,8 @@ import re
 import numpy as np
 import pytest
 
-from avgsa.plotting import _BLOCK, _format_pairs, _points, render_line_svg
+from avgsa.csvtext import ROWS as _BLOCK, format_pairs as _format_pairs
+from avgsa.plotting import _points, render_line_svg
 
 
 def reference_pairs(a, b) -> str:
