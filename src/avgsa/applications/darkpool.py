@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from avgsa.engine import DIVERGENCE_BOUND, DivergenceError, StepSchedule, Trajectory
-from avgsa.engine import _gain_blocks, _recorder
+from avgsa.engine import _recorder
 from avgsa.innovations import _BLOCK, Ar1MixingSource
 
 __all__ = [
@@ -204,25 +204,26 @@ def darkpool_run(
     Like :func:`avgsa.engine.run`, it raises ``DivergenceError`` as soon
     as the allocation's component sum, which bounds every component once
     the safeguard has made them nonnegative, exceeds ``DIVERGENCE_BOUND``
-    or stops being finite.  It shares ``run``'s block-wise gains and
-    recorder, so memory beyond the inputs is O(block + records), but
-    keeps its own loop: the projected step needs the previous
-    allocation's component sum, which a field ``h(theta, y)`` cannot see.
+    or stops being finite.  It shares ``run``'s block-wise gains, record
+    flags and recorder (``_recorder``), so it records where ``run`` would,
+    refuses the strides ``run`` refuses, and holds O(block + records)
+    memory beyond the inputs; it keeps its own loop, because the
+    projected step needs the previous allocation's component sum, which
+    a field ``h(theta, y)`` cannot see, and its own step count ``n`` for
+    renormalising and logging.
     """
     v, d, rho = _checked_series(volumes, capacities, rebates)
     r = np.full(rho.size, 1.0 / rho.size)
-    if record_stride < 1:
-        raise ValueError("record_stride must be at least 1")
 
     total, cr_sum, clipped_total = float(r.sum()), 0.0, 0
-    keep, watch, recorded = _recorder(r, record_stride, v.size, {
+    blocks, keep, watch, recorded = _recorder(r, schedule, v.size, record_stride, {
         "mean_cost_reduction": lambda n, _: cr_sum / n if n else 0.0,
         "safeguard_count": lambda n, _: clipped_total,
     })
     n = 0
-    for gains in _gain_blocks(schedule, v.size):
-        for g, vol, cap in zip(gains, v[n:], d[n:]):   # stops with the block's gains
-            if n % record_stride == 0:
+    for gains, flags in blocks:
+        for g, record, vol, cap in zip(gains, flags, v[n:], d[n:]):   # stops with the block
+            if record:
                 keep(r)
                 watch(n, r)
             cr_sum += relative_cost_reduction(r, vol, cap, rho)

@@ -21,6 +21,7 @@ import re
 import warnings
 from array import array
 from dataclasses import dataclass
+from operator import length_hint
 from typing import Callable, Mapping
 
 import numpy as np
@@ -253,12 +254,16 @@ def run(
     columns as the step reaches it and freed after it, so no per-row
     container outlives its step and the loop sets off no garbage
     collections; otherwise the iterate is an array and each row a
-    length-``dimension`` numpy vector.  ``h``
-    and the monitors receive the iterate in that form.  ``_recorder``
-    keeps the iterate and each monitor's ``float(fn(n, theta))`` at steps
-    ``0, s, 2s, ...`` below the horizon and at it (``s = record_stride``)
-    in flat buffers, and refuses a monitor named like a column of the path
-    (``n``, ``theta_i``) before the first step.  A monitor is for state
+    length-``dimension`` numpy vector.  ``h`` and the monitors receive
+    the iterate in that form.  Records come from ``_recorder``, which
+    refuses a ``record_stride`` that is not a positive int, or a monitor
+    named like a column of the path (``n``, ``theta_i``), before the
+    first step.  The loop steps through its blocks of gains and record
+    flags and keeps the iterate and each monitor's ``float(fn(n,
+    theta))`` where a flag is set, at steps ``0, s, 2s, ...`` below the
+    horizon (``s = record_stride``); the recorder adds the horizon.  A
+    monitor's ``n`` and ``DivergenceError.step`` come from the gains left
+    in the block, not from a per-step counter.  A monitor is for state
     the recorded path does not hold; a column that exact numpy arithmetic
     derives from the path, such as rate-fit's ``abs_error``, is built
     after the loop, not by a Python call per record.  A guard aborts
@@ -269,8 +274,6 @@ def run(
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if record_stride < 1:
-        raise ValueError("record stride must be >= 1")
 
     theta = np.atleast_1d(np.asarray(theta0, dtype=float)).copy()
     if theta.shape[0] == 1:
@@ -284,40 +287,57 @@ def run(
         norm = lambda th: np.max(np.abs(th))
         rows_of = lambda block: block
 
-    keep, watch, recorded = _recorder(x, record_stride, horizon, monitors)
-    n = 0
-    for gains in _gain_blocks(schedule, horizon):
-        for y, g in zip(rows_of(source.take_block(len(gains))), gains):
-            if n % record_stride == 0:
+    blocks, keep, watch, recorded = _recorder(x, schedule, horizon, record_stride, monitors)
+    end = 0
+    for gains, flags in blocks:
+        end += len(gains)
+        # the gains not yet stepped give the step index, so no counter runs
+        left = iter(gains)
+        for y, g, record in zip(rows_of(source.take_block(len(gains))), left, flags):
+            if record:
                 keep(x)
                 if watch is not None:
-                    watch(n, x)
+                    watch(end - 1 - length_hint(left), x)
             x = x - g * drift_of(x, y)
-            n += 1
             if not norm(x) <= DIVERGENCE_BOUND:
-                raise DivergenceError(n, x)
+                raise DivergenceError(end - length_hint(left), x)
     return recorded(x)
 
 
-def _gain_blocks(schedule: StepSchedule, horizon: int):
-    """Yield the gains of steps 1..horizon one ``_BLOCK`` at a time, as lists
-    of Python floats, so memory is set by the block, not by the horizon."""
+def _step_blocks(schedule: StepSchedule, horizon: int, record_stride: int):
+    """Yield ``(gains, flags)`` for steps 1..horizon one ``_BLOCK`` at a
+    time, so memory is set by the block, not by the horizon or the stride:
+    ``gains`` holds the block's gains as Python floats and ``flags``, a
+    bytearray as long, holds 1 where the steps done so far, ``n``, are a
+    multiple of ``record_stride`` and 0 elsewhere.  A loop records the
+    iterate it is about to step from wherever the flag is 1, so the
+    record points ``0, s, 2s, ...`` cost one slice assignment per block
+    and no per-step modulus."""
     for n in range(0, horizon, _BLOCK):
-        yield schedule.gamma_array(min(_BLOCK, horizon - n), start=n + 1).tolist()
+        m = min(_BLOCK, horizon - n)
+        flags, first = bytearray(m), -n % record_stride
+        flags[first::record_stride] = b"\x01" * len(range(first, m, record_stride))
+        yield schedule.gamma_array(m, start=n + 1).tolist(), flags
 
 
-def _recorder(theta0, record_stride: int, horizon: int,
+def _recorder(theta0, schedule: StepSchedule, horizon: int, record_stride: int,
               monitors: Mapping[str, Callable] | None):
-    """``(keep, watch, recorded)`` for a loop that records at steps ``0, s,
-    2s, ...`` below ``horizon`` and at it (``s = record_stride``), so ``ns``
-    follows from those two numbers.  The iterate, a float or an array like
-    ``theta0``, and each monitor go into flat ``array("d")`` buffers:
-    ``keep(theta)`` is the buffer's own C-level ``append`` (``extend`` for
-    an array), so a record costs the loop no Python frame; ``watch(n,
-    theta)`` appends each monitor's ``float(fn(n, theta))`` and is ``None``
-    without monitors; ``recorded(theta)`` records the final iterate and
-    returns the ``Trajectory``, whose arrays wrap the buffers without a
-    copy.  A monitor named ``n`` or ``theta_i``, ``i < d``, is refused."""
+    """``(blocks, keep, watch, recorded)`` for a loop over steps
+    1..horizon that records at steps ``0, s, 2s, ...`` below ``horizon``
+    and at it (``s = record_stride``): the one owner of that schedule.
+    ``blocks`` is ``_step_blocks``, whose flags mark those steps, and
+    ``ns`` lists the same points.  ``record_stride`` must be an int (not
+    a bool) of at least 1, and a monitor named ``n`` or ``theta_i``,
+    ``i < d``, is refused; both are checked here, before the first step.
+    The iterate, a float or an array like ``theta0``, and each monitor go
+    into flat ``array("d")`` buffers: ``keep(theta)`` is the buffer's own
+    C-level ``append`` (``extend`` for an array), so a record costs the
+    loop no Python frame; ``watch(n, theta)`` appends each monitor's
+    ``float(fn(n, theta))`` and is ``None`` without monitors;
+    ``recorded(theta)`` records the final iterate and returns the
+    ``Trajectory``, whose arrays wrap the buffers without a copy."""
+    if isinstance(record_stride, bool) or not isinstance(record_stride, int) or record_stride < 1:
+        raise ValueError(f"record_stride must be an integer >= 1, got {record_stride!r}")
     monitors = dict(monitors or {})
     taken = ["n"] + [f"theta_{i}" for i in range(np.size(theta0))]
     clash = [name for name in monitors if name in taken]
@@ -339,7 +359,8 @@ def _recorder(theta0, record_stride: int, horizon: int,
         return Trajectory(ns, np.frombuffer(thetas).reshape(ns.size, -1),
                           {k: np.frombuffer(v) for k, v in values.items()})
 
-    return keep, (watch if pairs else None), recorded
+    return (_step_blocks(schedule, horizon, record_stride), keep,
+            (watch if pairs else None), recorded)
 
 
 # ---------------------------------------------------------------------------

@@ -1024,6 +1024,14 @@ def test_darkpool_run_validation():
         darkpool_run(v, d, np.array([0.02, 1.0]), sched)
 
 
+@pytest.mark.parametrize("stride", [2.5, True, "3", 0])
+def test_darkpool_run_refuses_a_stride_that_is_not_a_positive_int(stride):
+    # the stride check is run's, in the recorder both loops share
+    with pytest.raises(ValueError, match=r"^record_stride must be an integer >= 1, got "):
+        darkpool_run(np.ones(10), np.ones((10, 2)), np.array([0.02, 0.05]),
+                     StepSchedule(c=1.0, a=1.0), record_stride=stride)
+
+
 _ONES_V, _ONES_D, _REB2 = np.ones(10), np.ones((10, 2)), np.array([0.02, 0.05])
 
 

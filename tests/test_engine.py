@@ -23,7 +23,13 @@ from avgsa.engine import (
     run,
     write_trajectory_csv,
 )
-from avgsa.innovations import _BLOCK, HaltonSource, IidGaussianSource, IidUniformSource
+from avgsa.innovations import (
+    _BLOCK,
+    HaltonSource,
+    IidGaussianSource,
+    IidUniformSource,
+    InnovationSource,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +359,46 @@ def test_run_guard_catches_nan(theta0, d):
     # a NaN iterate never passed the bound, so the message names its cause
     with pytest.raises(DivergenceError, match=r"^iterate diverged at step 1: theta is not finite \(theta = "):
         run(theta0, src, lambda th, y: nan, StepSchedule(c=1.0, a=1.0), 10)
+
+
+class _OneRowSource(InnovationSource):
+    """Rows of zeros but for ``value`` in every column of row ``k``."""
+
+    def __init__(self, dimension: int, k: int, value: float):
+        super().__init__(dimension)
+        self._k, self._value, self._start = k, value, 0
+
+    def _generate(self, count: int) -> np.ndarray:
+        rows = np.zeros((count, self.dimension))
+        if self._start <= self._k < self._start + count:
+            rows[self._k - self._start] = self._value
+        self._start += count
+        return rows
+
+
+@_GUARD_CASES
+@pytest.mark.parametrize("k", [0, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 8])
+@pytest.mark.parametrize("value, cause", [(math.nan, "theta is not finite"),
+                                          (1e13, "|theta| > 1e+12")], ids=["nan", "bound"])
+def test_run_guard_names_the_step_at_block_edges(theta0, d, k, value, cause):
+    # a unit constant step makes theta_{n+1} = y_n, so row k's value is the
+    # iterate after step k + 1, whichever block row k falls in
+    field = (lambda th, y: th - y[0]) if d == 1 else (lambda th, y: th - y)
+    with pytest.raises(DivergenceError) as exc:
+        run(theta0, _OneRowSource(d, k, value), field, StepSchedule(c=1.0, a=0.0), 3 * _BLOCK)
+    assert exc.value.step == k + 1
+    assert str(exc.value).startswith(f"iterate diverged at step {k + 1}: {cause} (theta = ")
+
+
+@pytest.mark.parametrize("stride", [2.5, 1.0, True, False, "3", None, 0, -4])
+def test_run_refuses_a_stride_that_is_not_a_positive_int(stride):
+    # a float stride used to step the whole horizon and then fail to
+    # reshape the records; True was taken as 1
+    steps = []
+    with pytest.raises(ValueError, match=r"^record_stride must be an integer >= 1, got "):
+        run(0.0, IidUniformSource(1, seed=0), lambda th, y: steps.append(1) or th,
+            StepSchedule(c=1.0, a=1.0), 10, record_stride=stride)
+    assert steps == []
 
 
 # ---------------------------------------------------------------------------

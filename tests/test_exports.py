@@ -116,8 +116,7 @@ _SHARED_PRIVATE = {
     ("engine", "innovations._BLOCK"): "run makes its gains in the sources' block size",
     ("applications.correlation", "innovations._BLOCK"): "the fit draws blocks of that size",
     ("applications.darkpool", "innovations._BLOCK"): "the series checks scan a block at a time",
-    ("applications.darkpool", "engine._gain_blocks"): "darkpool_run steps on run's gains",
-    ("applications.darkpool", "engine._recorder"): "darkpool_run records the rows run records",
+    ("applications.darkpool", "engine._recorder"): "darkpool_run steps and records as run does",
     ("experiments", "innovations._DISCREPANCY_BUDGET"): "the config refusal names the limit",
     ("experiments", "innovations._within_discrepancy_budget"): "the refusal applies that test",
 }
