@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from statistics import NormalDist
 
 import numpy as np
 
 from avgsa.engine import StepSchedule, Trajectory, run
-from avgsa.innovations import Ar1MixingSource, IidUniformSource, InnovationSource
+from avgsa.innovations import _BLOCK, Ar1MixingSource, IidUniformSource, InnovationSource
+from avgsa.innovations import ar1_stationary_scale
 
 __all__ = [
     "make_event_source",
@@ -27,20 +29,6 @@ __all__ = [
     "BanditResult",
     "bandit_run",
 ]
-
-
-class _ThresholdEvents(InnovationSource):
-    """Performance events for the two arms, one 0/1 pair per row: an
-    arm's event occurs when its column of ``stream`` is at most its
-    cutoff."""
-
-    def __init__(self, stream: InnovationSource, cutoffs):
-        super().__init__(2)
-        self._stream = stream
-        self._cutoffs = np.asarray(cutoffs, dtype=float)
-
-    def _generate(self, count: int) -> np.ndarray:
-        return (self._stream.take_block(count) <= self._cutoffs).astype(float)
 
 
 def make_event_source(
@@ -63,15 +51,21 @@ def make_event_source(
         if not 0.0 <= f <= 1.0:
             raise ValueError(f"{name} must be a frequency in [0, 1], got {f}")
     if kind == "iid":
-        return _ThresholdEvents(IidUniformSource(2, seed), (freq_a, freq_b))
-    if not abs(mixing) < 1.0:
-        raise ValueError(f"mixing must lie in (-1, 1), got {mixing}")
-    scale = 1.0 / math.sqrt(1.0 - mixing**2)
-    cutoffs = [
-        -math.inf if f == 0.0 else math.inf if f == 1.0 else NormalDist().inv_cdf(f) * scale
-        for f in (freq_a, freq_b)
-    ]
-    return _ThresholdEvents(Ar1MixingSource(2, seed, a=mixing), cutoffs)
+        stream, cutoffs = IidUniformSource(2, seed), [freq_a, freq_b]
+    else:
+        if not abs(mixing) < 1.0:
+            raise ValueError(f"mixing must lie in (-1, 1), got {mixing}")
+        scale = ar1_stationary_scale(mixing)
+        stream = Ar1MixingSource(2, seed, a=mixing)
+        cutoffs = [
+            -math.inf if f == 0.0 else math.inf if f == 1.0 else NormalDist().inv_cdf(f) * scale
+            for f in (freq_a, freq_b)
+        ]
+    # one 0/1 pair per row: an arm's event occurs when its column of the
+    # stream is at most its cutoff
+    cutoffs = np.asarray(cutoffs, dtype=float)
+    return InnovationSource(2, ((stream.take_block(m) <= cutoffs).astype(float)
+                                for m in repeat(_BLOCK)))
 
 
 def bandit_field(theta: float, y) -> float:
@@ -84,19 +78,6 @@ def bandit_field(theta: float, y) -> float:
     up = (1.0 - theta) if (u <= theta and a_occurred != 0.0) else 0.0
     down = theta if (u > theta and b_occurred != 0.0) else 0.0
     return down - up
-
-
-class _RoundSource(InnovationSource):
-    """The event stream and the coin stream side by side, one round per
-    row.  Each stream's output does not depend on how it is consumed, so
-    stacking them changes no row."""
-
-    def __init__(self, events: InnovationSource, uniforms: InnovationSource):
-        super().__init__(3)
-        self._parts = (events, uniforms)
-
-    def _generate(self, count: int) -> np.ndarray:
-        return np.hstack([s.take_block(count) for s in self._parts])
 
 
 def classify_terminal(theta: float) -> str:
@@ -145,8 +126,10 @@ def bandit_run(
     if schedule.c > 1.0:
         # steps never increase, so the first one, c, bounds them all
         raise ValueError(f"step must lie in (0, 1], got {schedule.c}")
-    traj = run(
-        theta0, _RoundSource(events, uniforms), bandit_field, schedule, horizon,
-        record_stride=record_stride,
-    )
+    # the event and coin streams side by side, one round per row; each
+    # stream's output does not depend on how it is consumed, so stacking
+    # them changes no row
+    rounds = InnovationSource(3, (np.hstack([events.take_block(m), uniforms.take_block(m)])
+                                  for m in repeat(_BLOCK)))
+    traj = run(theta0, rounds, bandit_field, schedule, horizon, record_stride=record_stride)
     return BanditResult(traj, classify_terminal(float(traj.final_theta[0])))

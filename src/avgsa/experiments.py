@@ -38,7 +38,7 @@ from avgsa.applications import varcvar as vc
 from avgsa.diagnostics import ErrorPath, fit_rate
 from avgsa.engine import StepSchedule, Trajectory
 from avgsa.innovations import _DISCREPANCY_BUDGET, _within_discrepancy_budget
-from avgsa.innovations import make_source, star_discrepancy_exact
+from avgsa.innovations import ar1_stationary_scale, make_source, star_discrepancy_exact
 from avgsa.plotting import write_line_svg
 
 __all__ = [
@@ -300,7 +300,7 @@ def _var_cvar_targets(kind: str, alpha: float, mixing: float):
     scale = 1.0
     if kind == "ar1-mixing":
         # stationary marginal of x' = a x + xi is N(0, 1/(1-a^2))
-        scale = 1.0 / math.sqrt(1.0 - mixing * mixing)
+        scale = ar1_stationary_scale(mixing)
     z = nd.inv_cdf(alpha)
     es = math.exp(-z * z / 2.0) / (math.sqrt(2.0 * math.pi) * (1.0 - alpha))
     return scale * z, scale * es

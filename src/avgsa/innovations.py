@@ -12,8 +12,13 @@ noise.  We provide the stream families used throughout the package
   approximates the invariant law of a diffusion,
 
 together with the exact star discrepancy that measures the quality of a
-low-discrepancy point set.  Only ``IidUniformSource`` and ``HaltonSource``
-generate numbers from scratch; every other source maps one of them.
+low-discrepancy point set.
+
+Every source is an :class:`InnovationSource` over a generator of blocks
+that holds the stream's state in its local variables.  Only the PCG64
+and Halton generators make numbers from scratch; every other generator
+maps the blocks of one of them.  A chain's initial state (Markov state
+0, the Euler ``y0``) is the first row of its first block.
 
 Every source is deterministic given its construction arguments: the same
 seed always reproduces the same stream, element for element, regardless of
@@ -24,8 +29,9 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -38,6 +44,7 @@ __all__ = [
     "IidGaussianSource",
     "HaltonSource",
     "HaltonGaussianSource",
+    "ar1_stationary_scale",
     "Ar1MixingSource",
     "FiniteMarkovChainSource",
     "EulerDecreasingSource",
@@ -45,9 +52,9 @@ __all__ = [
     "make_source",
 ]
 
-# Fixed internal buffer size.  Sources materialise their output in chunks of
-# this many rows so that the emitted sequence is independent of the pattern
-# of next()/take_block() calls.  Must be even (Gaussian pairs).
+# Rows per block of every stream's generator.  A stream is fixed by the
+# blocks its generator yields, so the emitted sequence is independent of
+# the pattern of next()/take_block() calls.  Must be even (Gaussian pairs).
 _BLOCK = 4096
 
 _TWO_PI = 2.0 * math.pi
@@ -135,20 +142,6 @@ def halton_block(start: int, count: int, q: int) -> np.ndarray:
             rev = rev * b**rest + table[idx] // b ** (k - rest)
         out[:, j] = rev / b**K
     return out
-
-
-@functools.cache
-def _last_exact_index(q: int) -> int:
-    """Last index whose ``q``-dimensional point :func:`halton_block` still
-    returns: the least ``b**K - 1`` over the bases, with ``b**K`` the
-    largest power of ``b`` not above ``2**53``."""
-    last = []
-    for b in first_primes(q):
-        power = b
-        while power * b <= 2**53:
-            power *= b
-        last.append(power - 1)
-    return min(last)
 
 
 # ---------------------------------------------------------------------------
@@ -250,36 +243,25 @@ def star_discrepancy_exact(points: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 class InnovationSource:
-    """Common machinery for sequential innovation streams.
+    """A stream of innovation rows cut from ``blocks``, an iterator of
+    ``(m, dimension)`` arrays: each source of this module passes a
+    generator that yields ``_BLOCK`` rows at a time (the Halton sources
+    end on a shorter block at their last exact index), so the emitted
+    sequence never depends on how it is consumed.  A generator that
+    raised is finished: the stream then ends with ``StopIteration``."""
 
-    Subclasses implement ``_generate(count)`` returning the next ``count``
-    rows as an ``(count, dimension)`` array.  Generation always happens in
-    fixed-size internal chunks, so the emitted sequence depends only on the
-    construction arguments, never on how it is consumed.  The Halton
-    sources return a shorter last chunk that ends at their last exact
-    index.
-    """
-
-    def __init__(self, dimension: int):
+    def __init__(self, dimension: int, blocks: Iterator[np.ndarray]):
         if dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {dimension}")
         self.dimension = dimension
-        self._buf: np.ndarray | None = None
-        self._pos = 0
-
-    # -- subclass hook ------------------------------------------------
-    def _generate(self, count: int) -> np.ndarray:
-        raise NotImplementedError
-
-    # -- public stream interface --------------------------------------
-    def _refill(self) -> None:
-        self._buf = self._generate(_BLOCK)
+        self._blocks = blocks
+        self._buf = np.empty((0, dimension))
         self._pos = 0
 
     def next(self) -> np.ndarray:
         """Next innovation as a length-``dimension`` vector."""
-        if self._buf is None or self._pos >= len(self._buf):
-            self._refill()
+        if self._pos >= len(self._buf):
+            self._buf, self._pos = next(self._blocks), 0
         row = self._buf[self._pos]
         self._pos += 1
         return row
@@ -290,85 +272,91 @@ class InnovationSource:
         where it is."""
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
-        if count == 0:
-            return np.empty((0, self.dimension))
-        parts = []
+        parts = [np.empty((0, self.dimension))]
         need = count
         while need > 0:
-            if self._buf is None or self._pos >= len(self._buf):
-                self._refill()
+            if self._pos >= len(self._buf):
+                self._buf, self._pos = next(self._blocks), 0
             take = min(need, len(self._buf) - self._pos)
             parts.append(self._buf[self._pos : self._pos + take])
             self._pos += take
             need -= take
-        return np.concatenate(parts) if len(parts) > 1 else parts[0].copy()
+        return np.concatenate(parts)
+
+
+def _uniform_blocks(seed: int, shape) -> Iterator[np.ndarray]:
+    """Blocks of ``shape`` uniforms on ``[0, 1)`` from one PCG64 stream,
+    seeded here, so a bad seed is refused before the first draw."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return (rng.random(shape) for _ in itertools.repeat(None))
 
 
 class IidUniformSource(InnovationSource):
     """Independent uniforms on ``[0, 1)^q`` from a PCG64 generator."""
 
     def __init__(self, dimension: int = 1, seed: int = 0):
-        super().__init__(dimension)
-        self._rng = np.random.default_rng(np.random.SeedSequence(seed))
+        super().__init__(dimension, _uniform_blocks(seed, (_BLOCK, dimension)))
 
-    def _generate(self, count: int) -> np.ndarray:
-        return self._rng.random((count, self.dimension))
+
+def _gaussian_blocks(dimension: int, seed: int) -> Iterator[np.ndarray]:
+    """Blocks of :class:`IidGaussianSource`; ``1 - u`` maps ``[0, 1)`` to
+    ``(0, 1]`` for the logarithm."""
+    return (_gaussians_from_pairs(1.0 - u[0], u[1]).reshape(_BLOCK, dimension)
+            for u in _uniform_blocks(seed, (2, _BLOCK * dimension // 2)))
 
 
 class IidGaussianSource(InnovationSource):
-    """Independent standard normals: ``count * dimension`` uniforms of an
+    """Independent standard normals: ``_BLOCK * dimension`` uniforms of an
     :class:`IidUniformSource` per block, halves as the ``(u1, u2)`` of each
     pair, through the same Box-Muller map the quasi-Monte Carlo sources
     use, so an i.i.d. run and a low-discrepancy run differ only in the
     underlying uniforms."""
 
     def __init__(self, dimension: int = 1, seed: int = 0):
-        super().__init__(dimension)
-        self._uniforms = IidUniformSource(1, seed)
+        super().__init__(dimension, _gaussian_blocks(dimension, seed))
 
-    def _generate(self, count: int) -> np.ndarray:
-        # count * dimension is even
-        u = self._uniforms._generate(count * self.dimension).reshape(2, -1)
-        u1 = 1.0 - u[0]  # map [0,1) to (0,1] for the logarithm
-        g = _gaussians_from_pairs(u1, u[1])
-        return g.reshape(count, self.dimension)
+
+def _halton_blocks(q: int, start: int) -> Iterator[np.ndarray]:
+    """Blocks of :class:`HaltonSource`; ``last`` is the least ``b**K - 1``
+    over the bases, ``b**K`` the largest power of ``b`` not above ``2**53``."""
+    last = math.inf
+    for b in first_primes(q):
+        power = b
+        while power * b <= 2**53:
+            power *= b
+        last = min(last, power - 1)
+    while True:
+        # a start past the last exact index keeps one row, which
+        # halton_block refuses
+        count = max(1, min(_BLOCK, last - start + 1))
+        yield halton_block(start, count, q)
+        start += count
 
 
 class HaltonSource(InnovationSource):
     """Deterministic Halton stream in ``q`` dimensions, 1-indexed.  Its
-    last buffer ends at the last index :func:`halton_block` computes
+    last block ends at the last index :func:`halton_block` computes
     exactly, so every such index can be drawn."""
 
     def __init__(self, dimension: int = 1, start: int = 1):
-        super().__init__(dimension)
+        super().__init__(dimension, _halton_blocks(dimension, start))
         if start < 1:
             raise ValueError("Halton indices start at 1")
-        self._next_index = start
-
-    def _generate(self, count: int) -> np.ndarray:
-        # the block ends at the last exact index; a start past it keeps one
-        # row, which halton_block refuses
-        count = max(1, min(count, _last_exact_index(self.dimension) - self._next_index + 1))
-        block = halton_block(self._next_index, count, self.dimension)
-        self._next_index += count
-        return block
 
 
 class HaltonGaussianSource(InnovationSource):
     """Gaussian vectors obtained by pushing consecutive coordinate pairs of
     a Halton stream through the Box-Muller map.  A q-dimensional output row
-    consumes one point of a :class:`HaltonSource` of dimension
-    ``2*ceil(q/2)``, block for block; for odd q the final cosine component
-    is dropped."""
+    consumes one point of the Halton stream of dimension ``2*ceil(q/2)``,
+    block for block; for odd q the final cosine component is dropped."""
 
     def __init__(self, dimension: int = 1, start: int = 1):
-        super().__init__(dimension)
-        self._points = HaltonSource(2 * ((dimension + 1) // 2), start)
-
-    def _generate(self, count: int) -> np.ndarray:
-        pts = self._points._generate(count)
-        g = _gaussians_from_pairs(pts[:, 0::2].ravel(), pts[:, 1::2].ravel())
-        return g.reshape(len(pts), -1)[:, : self.dimension]
+        super().__init__(dimension, (
+            _gaussians_from_pairs(p[:, 0::2].ravel(), p[:, 1::2].ravel())
+            .reshape(len(p), -1)[:, :dimension]
+            for p in _halton_blocks(2 * ((dimension + 1) // 2), start)))
+        if start < 1:
+            raise ValueError("Halton indices start at 1")
 
 
 # A block of a dyadic AR(1) chain with a value below this magnitude is
@@ -399,6 +387,57 @@ def _scale_tables(m: int, negative: bool) -> tuple[np.ndarray, np.ndarray]:
     return s, inv
 
 
+def _scaled_chain(z: np.ndarray, x: np.ndarray, a: float) -> np.ndarray | None:
+    """The chain over the noise block ``z`` from the state ``x`` by the
+    scaled running sum, or ``None`` when ``a`` is not dyadic or the output
+    has a zero, a value below ``_SCALED_FLOOR`` or a non-finite value."""
+    scales = _dyadic_scales(a)
+    if scales is None:
+        return None
+    s, inv = scales
+    out = np.empty_like(z)
+    for i in range(0, len(z), len(s)):
+        w = out[i : i + len(s)]
+        np.multiply(z[i : i + len(s)], s[: len(w)], out=w)
+        w[0] += a * x
+        np.add.accumulate(w, axis=0, out=w)
+        w *= inv[: len(w)]
+        x = w[-1]
+    r = np.abs(out)
+    return out if r.min() >= _SCALED_FLOOR and r.max() < math.inf else None
+
+
+def _loop_chain(z: np.ndarray, x: np.ndarray, a: float) -> np.ndarray:
+    """The chain over the noise block ``z`` from ``x``, one row at a time."""
+    out = np.empty_like(z)
+    for j in range(z.shape[1]):
+        xj = float(x[j])
+        col = []
+        for zi in z[:, j].tolist():
+            xj = a * xj + zi
+            col.append(xj)
+        out[:, j] = col
+    return out
+
+
+def _ar1_blocks(noise: Iterator[np.ndarray], a: float, d: int) -> Iterator[np.ndarray]:
+    """Blocks of the chain ``x' = a x + z`` from 0, one per block of ``noise``."""
+    a, x = float(a), np.zeros(d)
+    for z in noise:
+        out = _scaled_chain(z, x, a)
+        if out is None:
+            out = _loop_chain(z, x, a)
+        x = out[-1].copy()
+        yield out
+
+
+def ar1_stationary_scale(a: float) -> float:
+    """Stationary standard deviation ``1/sqrt(1 - a*a)`` of the chain
+    ``x' = a x + z``, ``|a| < 1``; ``a * a`` is correctly rounded, libm's
+    ``a**2`` is for some ``a`` one ulp off."""
+    return 1.0 / math.sqrt(1.0 - a * a)
+
+
 class Ar1MixingSource(InnovationSource):
     """Geometrically mixing linear autoregression ``x' = a x + z`` with
     standard normal increments (componentwise independent chains when the
@@ -425,57 +464,33 @@ class Ar1MixingSource(InnovationSource):
     """
 
     def __init__(self, dimension: int = 1, seed: int = 0, a: float = 0.5):
-        super().__init__(dimension)
+        super().__init__(dimension, _ar1_blocks(_gaussian_blocks(dimension, seed), a, dimension))
         if not abs(a) < 1.0:
             raise ValueError(f"|a| < 1 required for mixing, got {a}")
-        self.a = a
-        self._state = np.zeros(dimension)
-        self._noise = IidGaussianSource(dimension, seed)
 
-    def _generate(self, count: int) -> np.ndarray:
-        z = self._noise._generate(count)
-        scales = _dyadic_scales(float(self.a))
-        out = None if scales is None else self._scaled_chain(z, *scales)
-        if out is None:
-            out = self._loop_chain(z)
-        self._state = out[-1].copy()
-        return out
 
-    def _scaled_chain(self, z: np.ndarray, s: np.ndarray, inv: np.ndarray) -> np.ndarray | None:
-        """The block by the scaled running sum, or ``None`` when its output
-        has a zero, a value below ``_SCALED_FLOOR`` or a non-finite value."""
-        out = np.empty_like(z)
-        a, x = float(self.a), self._state
-        for i in range(0, len(z), len(s)):
-            w = out[i : i + len(s)]
-            np.multiply(z[i : i + len(s)], s[: len(w)], out=w)
-            w[0] += a * x
-            np.add.accumulate(w, axis=0, out=w)
-            w *= inv[: len(w)]
-            x = w[-1]
-        r = np.abs(out)
-        return out if r.min() >= _SCALED_FLOOR and r.max() < math.inf else None
-
-    def _loop_chain(self, z: np.ndarray) -> np.ndarray:
-        out = np.empty_like(z)
-        a = float(self.a)
-        for j in range(self.dimension):
-            x = float(self._state[j])
-            col = []
-            for zi in z[:, j].tolist():
-                x = a * x + zi
-                col.append(x)
-            out[:, j] = col
-        return out
+def _markov_blocks(rows: list, values: np.ndarray, uniforms: Iterator) -> Iterator[np.ndarray]:
+    """Blocks of :class:`FiniteMarkovChainSource`, one per block of
+    ``uniforms``; ``skip`` is 1 on the first block only."""
+    bisect_right = bisect.bisect_right
+    s, skip = 0, 1
+    for u in uniforms:
+        states = [s] * skip
+        for ui in u[skip:].tolist():
+            s = bisect_right(rows[s], ui)
+            states.append(s)
+        skip = 0
+        yield values[states]
 
 
 class FiniteMarkovChainSource(InnovationSource):
     """Homogeneous finite-state Markov chain emitting per-state values.
 
     ``transition`` is a row-stochastic matrix, ``values`` assigns a vector
-    (or scalar) to each state.  The chain starts in state 0, whose value is
-    the first emission; it then moves according to the matrix, driven by
-    one uniform of an :class:`IidUniformSource` per row.
+    (or scalar) to each state.  The chain starts in state 0, whose value
+    is the first row of the first block; it then moves according to the
+    matrix, driven by one uniform of a PCG64 stream per row, the first
+    row's uniform unused.
     """
 
     def __init__(self, transition: np.ndarray, values: np.ndarray, seed: int = 0):
@@ -489,29 +504,27 @@ class FiniteMarkovChainSource(InnovationSource):
             vals = vals[:, None]
         if vals.shape[0] != P.shape[0]:
             raise ValueError("one value row per state required")
-        super().__init__(vals.shape[1])
-        self._P_cum = np.cumsum(P, axis=1)
-        self._values = vals
-        self._state = 0
-        self._emitted_initial = False
-        self._uniforms = IidUniformSource(1, seed)
+        super().__init__(vals.shape[1], _markov_blocks(
+            np.cumsum(P, axis=1).tolist(), vals, _uniform_blocks(seed, _BLOCK)))
 
-    def _generate(self, count: int) -> np.ndarray:
-        rows = self._P_cum.tolist()
-        us = self._uniforms._generate(count).ravel().tolist()
-        states = []
-        s = self._state
-        if not self._emitted_initial:
-            # the first row is the initial state; its uniform goes unused
-            self._emitted_initial = True
-            states.append(s)
-            us = us[1:]
-        bisect_right = bisect.bisect_right
-        for ui in us:
-            s = bisect_right(rows[s], ui)
-            states.append(s)
-        self._state = s
-        return self._values[states]
+
+def _euler_blocks(drift, diffusion, step0: float, exponent: float, y: float,
+                  noise: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
+    """Blocks of :class:`EulerDecreasingSource` from ``y``, one per block
+    of ``noise``; ``skip`` is 1 on the first block only."""
+    g0, neg_r, sqrt = step0, -exponent, math.sqrt
+    n, skip = 0, 1  # n counts the transitions applied so far
+    for z in noise:
+        ys = [y] * skip
+        for zi in z[skip:, 0].tolist():
+            n += 1
+            gam = g0 * n**neg_r
+            y = y + gam * drift(y) + sqrt(gam) * diffusion(y) * zi
+            ys.append(y)
+        skip = 0
+        out = np.empty((len(z), 1))
+        out[:, 0] = ys
+        yield out
 
 
 class EulerDecreasingSource(InnovationSource):
@@ -523,57 +536,20 @@ class EulerDecreasingSource(InnovationSource):
     vanish while their partial sums diverge, and the occupation measure of
     the emitted sequence approximates the invariant law of the diffusion.
 
-    The first row is ``y0`` itself.  It is emitted once, at the head of the
-    first generated block and ahead of the per-row loop, and the normal
-    drawn for that row goes unused, so row ``n`` always pairs with normal
-    ``n`` of the underlying stream.
+    The first row is ``y0`` itself: the first row of the first block,
+    ahead of the per-row loop.  The normal drawn for that row goes
+    unused, so row ``n`` always pairs with normal ``n`` of the underlying
+    stream.
     """
 
-    def __init__(
-        self,
-        drift: Callable[[float], float],
-        diffusion: Callable[[float], float],
-        step0: float,
-        exponent: float,
-        y0: float = 0.0,
-        seed: int = 0,
-    ):
+    def __init__(self, drift: Callable[[float], float], diffusion: Callable[[float], float],
+                 step0: float, exponent: float, y0: float = 0.0, seed: int = 0):
         if not 0.0 < step0 < math.inf:
             raise ValueError(f"step0 must be positive and finite, got {step0}")
         if not 0.0 < exponent < 1.0:
             raise ValueError(f"exponent must lie in (0, 1), got {exponent}")
-        super().__init__(1)
-        self._step0 = step0
-        self._exponent = exponent
-        self._drift = drift
-        self._diffusion = diffusion
-        self._y = float(y0)
-        self._n = 0  # transitions applied so far
-        self._emitted_initial = False
-        self._noise = IidGaussianSource(1, seed)
-
-    def _generate(self, count: int) -> np.ndarray:
-        zs = self._noise._generate(count).ravel().tolist()
-        ys = []
-        y = self._y
-        n = self._n
-        if not self._emitted_initial:
-            # the first row is the initial condition; its normal goes unused
-            self._emitted_initial = True
-            ys.append(y)
-            zs = zs[1:]
-        g0, neg_r = self._step0, -self._exponent
-        drift, diffusion, sqrt = self._drift, self._diffusion, math.sqrt
-        for zi in zs:
-            n += 1
-            gam = g0 * n**neg_r
-            y = y + gam * drift(y) + sqrt(gam) * diffusion(y) * zi
-            ys.append(y)
-        out = np.empty((count, 1))
-        out[:, 0] = ys
-        self._y = y
-        self._n = n
-        return out
+        super().__init__(1, _euler_blocks(drift, diffusion, step0, exponent, float(y0),
+                                          _gaussian_blocks(1, seed)))
 
 
 SOURCE_KINDS = (

@@ -52,6 +52,7 @@ from avgsa.applications.varcvar import (
     var_field,
 )
 from avgsa.engine import DivergenceError, StepSchedule
+from avgsa.experiments import _var_cvar_targets
 from avgsa.innovations import (
     _BLOCK,
     Ar1MixingSource,
@@ -378,19 +379,6 @@ def test_var_cvar_trajectory_matches_hand_loop(kind, stride):
     np.testing.assert_array_equal(tr.final_theta, [theta])
 
 
-class _FixedRows(InnovationSource):
-    """The given rows as a stream, for runs no longer than them."""
-
-    kind = "fixed-rows"
-
-    def __init__(self, rows):
-        super().__init__(1)
-        self._rows = np.asarray(rows, dtype=float).reshape(-1, 1)
-
-    def _generate(self, count: int) -> np.ndarray:
-        return self._rows
-
-
 @pytest.mark.parametrize("theta0, y0", [
     (0.25, 0.25), (0.0, -0.0), (-0.0, 0.0), (0.0, math.inf), (0.0, -math.inf), (0.0, math.nan),
 ])
@@ -409,8 +397,9 @@ def test_var_cvar_field_edge_rows_match_max(theta0, y0):
         thetas.append(theta)
         cvars.append(vsum / n)
 
-    tr = var_cvar_trajectory(_FixedRows(ys), sched, len(ys), alpha=alpha,
-                             theta0=theta0, record_stride=1)
+    # the rows as one block: the run reads no further
+    rows = InnovationSource(1, iter([np.reshape(ys, (-1, 1))]))
+    tr = var_cvar_trajectory(rows, sched, len(ys), alpha=alpha, theta0=theta0, record_stride=1)
     assert tr.channel("theta_0").tobytes() == np.array(thetas).tobytes()
     assert tr.channel("cvar").tobytes() == np.array(cvars).tobytes()
 
@@ -756,6 +745,19 @@ def test_make_event_source_dispatch():
         make_event_source("markov", 0.5, 0.5, 0)
     with pytest.raises(ValueError):
         make_event_source("iid", 1.2, 0.5, 0)
+
+
+def test_ar1_event_cutoffs_are_the_var_cvar_quantile_targets(monkeypatch):
+    # both scale by the AR(1) stationary sd 1/sqrt(1 - a*a); at this a,
+    # a**2 is one ulp above a*a and the bandit's cutoffs came out one ulp
+    # off var-cvar's targets. A chain row at arm A's target performs, one
+    # ulp above arm B's does not.
+    a = 0.8035113089342609
+    qa, qb = (_var_cvar_targets("ar1-mixing", f, a)[0] for f in (0.4, 0.6))
+    rows = np.tile([qa, math.nextafter(qb, math.inf)], (_BLOCK, 1))
+    monkeypatch.setattr("avgsa.applications.bandit.Ar1MixingSource",
+                        lambda d, seed, a: InnovationSource(d, iter([rows])))
+    assert make_event_source("ar1", 0.4, 0.6, 0, mixing=a).next().tolist() == [1.0, 0.0]
 
 
 @pytest.mark.parametrize("mixing", [1.0, -1.0, 1.5, math.nan])

@@ -4,6 +4,7 @@ itself, and the delimited output."""
 from __future__ import annotations
 
 import gc
+import itertools
 import math
 import tracemalloc
 
@@ -361,19 +362,13 @@ def test_run_guard_catches_nan(theta0, d):
         run(theta0, src, lambda th, y: nan, StepSchedule(c=1.0, a=1.0), 10)
 
 
-class _OneRowSource(InnovationSource):
-    """Rows of zeros but for ``value`` in every column of row ``k``."""
-
-    def __init__(self, dimension: int, k: int, value: float):
-        super().__init__(dimension)
-        self._k, self._value, self._start = k, value, 0
-
-    def _generate(self, count: int) -> np.ndarray:
-        rows = np.zeros((count, self.dimension))
-        if self._start <= self._k < self._start + count:
-            rows[self._k - self._start] = self._value
-        self._start += count
-        return rows
+def _one_row_blocks(dimension: int, k: int, value: float):
+    """Blocks of zeros but for ``value`` in every column of row ``k``."""
+    for start in itertools.count(0, _BLOCK):
+        rows = np.zeros((_BLOCK, dimension))
+        if start <= k < start + _BLOCK:
+            rows[k - start] = value
+        yield rows
 
 
 @_GUARD_CASES
@@ -384,8 +379,9 @@ def test_run_guard_names_the_step_at_block_edges(theta0, d, k, value, cause):
     # a unit constant step makes theta_{n+1} = y_n, so row k's value is the
     # iterate after step k + 1, whichever block row k falls in
     field = (lambda th, y: th - y[0]) if d == 1 else (lambda th, y: th - y)
+    source = InnovationSource(d, _one_row_blocks(d, k, value))
     with pytest.raises(DivergenceError) as exc:
-        run(theta0, _OneRowSource(d, k, value), field, StepSchedule(c=1.0, a=0.0), 3 * _BLOCK)
+        run(theta0, source, field, StepSchedule(c=1.0, a=0.0), 3 * _BLOCK)
     assert exc.value.step == k + 1
     assert str(exc.value).startswith(f"iterate diverged at step {k + 1}: {cause} (theta = ")
 

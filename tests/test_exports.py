@@ -114,6 +114,7 @@ def test_every_exported_dataclass_field_is_read_outside_the_unit_tests():
 # it is shared rather than made public; a new entry is a new coupling
 _SHARED_PRIVATE = {
     ("engine", "innovations._BLOCK"): "run makes its gains in the sources' block size",
+    ("applications.bandit", "innovations._BLOCK"): "its event and round streams map blocks",
     ("applications.correlation", "innovations._BLOCK"): "the fit draws blocks of that size",
     ("applications.darkpool", "innovations._BLOCK"): "the series checks scan a block at a time",
     ("applications.darkpool", "engine._recorder"): "darkpool_run steps and records as run does",

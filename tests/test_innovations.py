@@ -450,20 +450,28 @@ def test_star_discrepancy_guard_and_domain():
         lambda: EulerDecreasingSource(
             lambda y: -y, lambda y: 1.0, 0.5, 1.0 / 3.0, y0=0.3, seed=7
         ),
+        lambda: make_event_source("iid", 0.6, 0.4, seed=7),
+        lambda: make_event_source("ar1", 0.6, 0.4, seed=7, mixing=0.5),
     ],
     ids=["iid-uniform", "iid-gaussian", "halton", "halton-gaussian",
-         "ar1", "markov", "euler"],
+         "ar1", "markov", "euler", "events-iid", "events-ar1"],
 )
 def test_sources_deterministic_and_consumption_invariant(factory):
-    # same construction => identical stream, however it is consumed
+    # same construction => identical stream, however it is consumed, over
+    # three blocks
+    n = 2 * innovations._BLOCK + 700
     a = factory()
     b = factory()
-    left = a.take_block(700)
-    right = np.vstack([b.next() for _ in range(700)])
+    left = a.take_block(n)
+    right = np.vstack([b.next() for _ in range(n)])
     np.testing.assert_array_equal(left, right)
-    # interleaving block and single draws does not change the sequence
+    # interleaving block and single draws does not change the sequence;
+    # the single draws straddle the first block edge
     c = factory()
-    mixed = np.vstack([c.take_block(13), np.vstack([c.next() for _ in range(9)]), c.take_block(678)])
+    edge = innovations._BLOCK - 5
+    mixed = np.vstack([c.take_block(13), np.vstack([c.next() for _ in range(9)]),
+                       c.take_block(edge - 22), np.vstack([c.next() for _ in range(11)]),
+                       c.take_block(n - edge - 11)])
     np.testing.assert_array_equal(left, mixed)
 
 
@@ -685,24 +693,16 @@ def test_dyadic_scale_tables(a, m):
     np.testing.assert_array_equal(s * inv, 1.0)
 
 
-class _ScriptedNoise:
-    """Gaussian noise with the rows from ``start`` on replaced by
-    ``script``, a stand-in for an Ar1MixingSource's own noise."""
-
-    def __init__(self, dimension, script, start):
-        self._rest = IidGaussianSource(dimension, seed=21)
-        self._script = np.asarray(script, dtype=float)
-        self._start = start
-        self._pos = 0
-
-    def _generate(self, count):
-        z = self._rest._generate(count)
-        lo, hi = self._pos, self._pos + count
-        self._pos = hi
-        i, j = max(lo, self._start), min(hi, self._start + len(self._script))
+def _scripted_noise(dimension, script, start):
+    """Blocks of Gaussian noise with the rows from ``start`` on replaced
+    by ``script``, a stand-in for an Ar1MixingSource's own noise."""
+    script = np.asarray(script, dtype=float)
+    for lo, z in zip(itertools.count(0, innovations._BLOCK),
+                     innovations._gaussian_blocks(dimension, seed=21)):
+        i, j = max(lo, start), min(lo + len(z), start + len(script))
         if i < j:
-            z[i - lo : j - lo] = self._script[i - self._start : j - self._start, None]
-        return z
+            z[i - lo : j - lo] = script[i - start : j - start, None]
+        yield z
 
 
 @pytest.mark.parametrize(
@@ -719,11 +719,11 @@ class _ScriptedNoise:
     ids=["zero", "signed-zero", "tiny", "tiny-neg", "tiny-2e-20"],
 )
 def test_ar1_blocks_the_scaled_sum_cannot_carry_take_the_loop(a, dimension, script, start):
-    source = Ar1MixingSource(dimension, seed=0, a=a)
-    source._noise = _ScriptedNoise(dimension, script, start)
-    got = source.take_block(3 * innovations._BLOCK)
-    noise = _ScriptedNoise(dimension, script, start)
-    want = ar1_loop(np.vstack([noise._generate(innovations._BLOCK) for _ in range(3)]), a)
+    # the chain Ar1MixingSource streams, over scripted noise
+    chain = innovations._ar1_blocks(_scripted_noise(dimension, script, start), a, dimension)
+    got = innovations.InnovationSource(dimension, chain).take_block(3 * innovations._BLOCK)
+    noise = _scripted_noise(dimension, script, start)
+    want = ar1_loop(np.vstack(list(itertools.islice(noise, 3))), a)
     assert np.any(np.abs(want) < 2.0**-1000)
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
