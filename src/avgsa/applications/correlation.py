@@ -69,7 +69,12 @@ def _bestof_kernel(
     mu2 = (p.rate - 0.5 * p.sigma2**2) * t
     v1 = p.sigma1 * sq
     v2 = p.sigma2 * sq
-    disc = math.exp(-p.rate * t)
+    try:
+        disc = math.exp(-p.rate * t)
+    except OverflowError:
+        raise ValueError(
+            f"rate={p.rate:g} and maturity={t:g} put the discount factor beyond the float range"
+        ) from None
     exp, cos, sin = math.exp, math.cos, math.sin
 
     def kernel(theta: float, z: Sequence[float]) -> float:

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import logging
 import math
+from itertools import islice
 
 import numpy as np
 
-from avgsa.engine import DIVERGENCE_BOUND, DivergenceError, StepSchedule, Trajectory
-from avgsa.engine import _recorder
+from avgsa.engine import DIVERGENCE_BOUND, StepSchedule, Trajectory
+from avgsa.engine import _walk
 from avgsa.innovations import _BLOCK, Ar1MixingSource
 
 __all__ = [
@@ -198,53 +199,50 @@ def darkpool_run(
     The allocation in force when an order arrives earns that order's
     rebates; the trajectory records the allocation path (``theta_i``
     columns), the running mean of the per-order relative cost reduction
-    (monitor ``mean_cost_reduction``), and the cumulative safeguard
-    trigger count (monitor ``safeguard_count``).  The component sum is
-    renormalised to exactly 1 every ``_RENORM_EVERY`` (10 000) steps.
-    Like :func:`avgsa.engine.run`, it raises ``DivergenceError`` as soon
-    as the allocation's component sum, which bounds every component once
-    the safeguard has made them nonnegative, exceeds ``DIVERGENCE_BOUND``
-    or stops being finite.  It shares ``run``'s block-wise gains, record
-    flags and recorder (``_recorder``), so it records where ``run`` would,
-    refuses the strides ``run`` refuses, and holds O(block + records)
-    memory beyond the inputs; it keeps its own loop, because the
-    projected step needs the previous allocation's component sum, which
-    a field ``h(theta, y)`` cannot see, and its own step count ``n`` for
-    renormalising and logging.
+    (monitor ``mean_cost_reduction``) and the cumulative safeguard
+    trigger count (monitor ``safeguard_count``).  It steps through
+    ``run``'s loop with the field negated, so it records and refuses
+    strides as ``run`` does and holds O(block + records) memory beyond
+    the inputs.  After each step the safeguard repairs the allocation in
+    place at the previous component sum, which is renormalised to exactly
+    1 every ``_RENORM_EVERY`` (10 000) steps.  ``DivergenceError`` aborts
+    the run once that sum, which bounds every component of a repaired
+    allocation, exceeds ``DIVERGENCE_BOUND`` or stops being finite.
     """
     v, d, rho = _checked_series(volumes, capacities, rebates)
     r = np.full(rho.size, 1.0 / rho.size)
+    total, n, cr_sum, clipped_total = float(r.sum()), 0, 0.0, 0
 
-    total, cr_sum, clipped_total = float(r.sum()), 0.0, 0
-    blocks, keep, watch, recorded = _recorder(r, schedule, v.size, record_stride, {
-        "mean_cost_reduction": lambda n, _: cr_sum / n if n else 0.0,
-        "safeguard_count": lambda n, _: clipped_total,
-    })
-    n = 0
-    for gains, flags in blocks:
-        for g, record, vol, cap in zip(gains, flags, v[n:], d[n:]):   # stops with the block
-            if record:
-                keep(r)
-                watch(n, r)
-            cr_sum += relative_cost_reduction(r, vol, cap, rho)
-            candidate = r + g * darkpool_field(r, vol, cap, rho)
-            r, clipped = simplex_safeguard(candidate, total)
-            n += 1
-            total = float(r.sum())
-            if not total <= DIVERGENCE_BOUND:
-                raise DivergenceError(n, r.copy())
+    def field(r, order) -> np.ndarray:
+        nonlocal cr_sum
+        vol, cap = order
+        cr_sum += relative_cost_reduction(r, vol, cap, rho)
+        # r - g * (-F) is r + g * F bit for bit: negation is exact
+        return -darkpool_field(r, vol, cap, rho)
+
+    def settle(r) -> float:
+        nonlocal total, n, clipped_total
+        repaired, clipped = simplex_safeguard(r, total)
+        if clipped:
+            r[:] = repaired
+        n += 1
+        total = size = float(r.sum())
+        if size <= DIVERGENCE_BOUND:     # a diverged step is not logged before the abort
             if clipped:
                 clipped_total += 1
                 if clipped_total == 1:
-                    logger.warning(
-                        "allocation safeguard engaged at step %d (a zero-rebate or "
-                        "exhausted venue is being pinned to the boundary); further "
-                        "triggers log at DEBUG and are counted in 'safeguard_count'",
-                        n,
-                    )
+                    logger.warning("allocation safeguard engaged at step %d (a zero-rebate or "
+                                   "exhausted venue is being pinned to the boundary); further "
+                                   "triggers log at DEBUG and are counted in 'safeguard_count'", n)
                 else:
                     logger.debug("allocation safeguard clipped at step %d", n)
             if n % _RENORM_EVERY == 0:
                 r /= total
                 total = float(r.sum())
-    return recorded(r)
+        return size
+
+    orders = zip(v, d)
+    return _walk(r, lambda m: islice(orders, m), field, settle, schedule, v.size, record_stride, {
+        "mean_cost_reduction": lambda n, _: cr_sum / n if n else 0.0,
+        "safeguard_count": lambda n, _: clipped_total,
+    })

@@ -187,14 +187,16 @@ def check_schedule_numeric(schedule: StepSchedule, rate: RateSpec,
 # ---------------------------------------------------------------------------
 
 class DivergenceError(RuntimeError):
-    """Raised when an iterate leaves the guard ball; carries the step index
-    and offending value so a run can be post-mortemed.  The message names
-    the cause: ``theta is not finite``, or ``|theta| >`` the bound."""
+    """Raised when an iterate leaves the guard ball, or when a step raises
+    an arithmetic error; carries the step index and the offending value so
+    a run can be post-mortemed.  The message names the cause: ``theta is
+    not finite``, ``|theta| >`` the bound, or the arithmetic error."""
 
-    def __init__(self, step: int, value):
+    def __init__(self, step: int, value, error: ArithmeticError | None = None):
         self.step = step
         self.value = value
-        cause = ("theta is not finite" if np.isnan(value).any()
+        cause = (f"{type(error).__name__}: {error}" if error is not None
+                 else "theta is not finite" if np.isnan(value).any()
                  else f"|theta| > {DIVERGENCE_BOUND:.0e}")
         super().__init__(f"iterate diverged at step {step}: {cause} (theta = {value})")
 
@@ -246,31 +248,21 @@ def run(
 ) -> Trajectory:
     """Run the recursion for ``horizon`` steps and record the path.
 
-    This is the one step loop of the package: correlation, VaR/CVaR,
-    investment, bandit and rate-fit runs all go through it.  The stream
-    is read with ``take_block``, one row per step in stream order.  When
-    the iterate is scalar it is a plain float, and ``h`` receives each
-    row as a tuple of ``dimension`` Python floats, made from the block's
-    columns as the step reaches it and freed after it, so no per-row
-    container outlives its step and the loop sets off no garbage
-    collections; otherwise the iterate is an array and each row a
-    length-``dimension`` numpy vector.  ``h`` and the monitors receive
-    the iterate in that form.  Records come from ``_recorder``, which
-    refuses a ``record_stride`` that is not a positive int, or a monitor
-    named like a column of the path (``n``, ``theta_i``), before the
-    first step.  The loop steps through its blocks of gains and record
-    flags and keeps the iterate and each monitor's ``float(fn(n,
-    theta))`` where a flag is set, at steps ``0, s, 2s, ...`` below the
-    horizon (``s = record_stride``); the recorder adds the horizon.  A
-    monitor's ``n`` and ``DivergenceError.step`` come from the gains left
-    in the block, not from a per-step counter.  A monitor is for state
-    the recorded path does not hold; a column that exact numpy arithmetic
-    derives from the path, such as rate-fit's ``abs_error``, is built
-    after the loop, not by a Python call per record.  A guard aborts
-    the run loudly as soon as the iterate norm exceeds
-    ``DIVERGENCE_BOUND`` or stops being finite; it covers every run
-    above, VaR/CVaR and the bandit included, and ``darkpool_run`` applies
-    the same bound to its allocation.
+    Correlation, VaR/CVaR, investment, bandit and rate-fit runs all go
+    through it; it steps in ``_walk``, the loop it shares with
+    ``darkpool_run``.  The stream is read with ``take_block``, one row
+    per step in stream order.  A scalar iterate is a plain float and
+    ``h`` gets each row as a tuple of Python floats, made as the step
+    reaches it and freed after it, so the loop sets off no garbage
+    collections; otherwise the iterate is an array and each row a numpy
+    vector.  The path and each monitor's ``float(fn(n, theta))`` are
+    recorded at steps ``0, s, 2s, ...`` and at the horizon (``s =
+    record_stride``).  A monitor is for state the path does not hold; a
+    column exact numpy arithmetic derives from the path, such as
+    rate-fit's ``abs_error``, is built after the loop.  The run aborts
+    with ``DivergenceError`` once ``max |theta_i|`` exceeds
+    ``DIVERGENCE_BOUND`` or stops being finite, or once ``h``, a monitor
+    or the stream raises an ``ArithmeticError``.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -278,89 +270,75 @@ def run(
     theta = np.atleast_1d(np.asarray(theta0, dtype=float)).copy()
     if theta.shape[0] == 1:
         # scalar path: plain float arithmetic in the hot loop
-        x = float(theta[0])
-        drift_of, norm = h, abs
-        rows_of = lambda block: zip(*block.T.tolist())
-    else:
-        x = theta
-        drift_of = lambda th, y: np.asarray(h(th, y), dtype=float)
-        norm = lambda th: np.max(np.abs(th))
-        rows_of = lambda block: block
-
-    blocks, keep, watch, recorded = _recorder(x, schedule, horizon, record_stride, monitors)
-    end = 0
-    for gains, flags in blocks:
-        end += len(gains)
-        # the gains not yet stepped give the step index, so no counter runs
-        left = iter(gains)
-        for y, g, record in zip(rows_of(source.take_block(len(gains))), left, flags):
-            if record:
-                keep(x)
-                if watch is not None:
-                    watch(end - 1 - length_hint(left), x)
-            x = x - g * drift_of(x, y)
-            if not norm(x) <= DIVERGENCE_BOUND:
-                raise DivergenceError(end - length_hint(left), x)
-    return recorded(x)
+        return _walk(float(theta[0]), lambda m: zip(*source.take_block(m).T.tolist()), h, abs,
+                     schedule, horizon, record_stride, monitors)
+    return _walk(theta, source.take_block, lambda th, y: np.asarray(h(th, y), dtype=float),
+                 lambda th: np.max(np.abs(th)), schedule, horizon, record_stride, monitors)
 
 
-def _step_blocks(schedule: StepSchedule, horizon: int, record_stride: int):
-    """Yield ``(gains, flags)`` for steps 1..horizon one ``_BLOCK`` at a
-    time, so memory is set by the block, not by the horizon or the stride:
-    ``gains`` holds the block's gains as Python floats and ``flags``, a
-    bytearray as long, holds 1 where the steps done so far, ``n``, are a
-    multiple of ``record_stride`` and 0 elsewhere.  A loop records the
-    iterate it is about to step from wherever the flag is 1, so the
-    record points ``0, s, 2s, ...`` cost one slice assignment per block
-    and no per-step modulus."""
-    for n in range(0, horizon, _BLOCK):
-        m = min(_BLOCK, horizon - n)
-        flags, first = bytearray(m), -n % record_stride
-        flags[first::record_stride] = b"\x01" * len(range(first, m, record_stride))
-        yield schedule.gamma_array(m, start=n + 1).tolist(), flags
+def _walk(x, rows, drift_of, size, schedule: StepSchedule, horizon: int, record_stride: int,
+          monitors: Mapping[str, Callable] | None) -> Trajectory:
+    """Step ``x = x - g * drift_of(x, y)`` over steps 1..horizon and
+    return the recorded path: the one step loop of the package.  ``x`` is
+    a float or an array, ``rows(m)`` yields the next ``m`` innovations,
+    and the gains are made one ``_BLOCK`` at a time as Python floats.
 
-
-def _recorder(theta0, schedule: StepSchedule, horizon: int, record_stride: int,
-              monitors: Mapping[str, Callable] | None):
-    """``(blocks, keep, watch, recorded)`` for a loop over steps
-    1..horizon that records at steps ``0, s, 2s, ...`` below ``horizon``
-    and at it (``s = record_stride``): the one owner of that schedule.
-    ``blocks`` is ``_step_blocks``, whose flags mark those steps, and
-    ``ns`` lists the same points.  ``record_stride`` must be an int (not
-    a bool) of at least 1, and a monitor named ``n`` or ``theta_i``,
-    ``i < d``, is refused; both are checked here, before the first step.
-    The iterate, a float or an array like ``theta0``, and each monitor go
-    into flat ``array("d")`` buffers: ``keep(theta)`` is the buffer's own
-    C-level ``append`` (``extend`` for an array), so a record costs the
-    loop no Python frame; ``watch(n, theta)`` appends each monitor's
-    ``float(fn(n, theta))`` and is ``None`` without monitors;
-    ``recorded(theta)`` records the final iterate and returns the
-    ``Trajectory``, whose arrays wrap the buffers without a copy."""
+    Records: the iterate a step starts from is kept at ``n = 0, s, 2s,
+    ...`` below ``horizon`` (``s = record_stride``, an int >= 1), and the
+    last iterate at ``horizon``, in flat ``array("d")`` buffers that the
+    ``Trajectory`` wraps without a copy.  Per block, one slice assignment
+    sets a bytearray of flags at those steps, so the loop keeps no
+    counter; ``n`` comes from the gains left in the block.  Monitors:
+    each ``float(fn(n, x))`` is kept at the same points, and a monitor
+    named ``n`` or ``theta_i`` is refused before the first step.  Guard:
+    ``size(x)`` after each step is the number bounded by
+    ``DIVERGENCE_BOUND``; past it, or not finite, ``DivergenceError``
+    names the step.  An iterate with a constraint restores it in place
+    inside ``size``: the step has just made that array, so nothing else
+    holds it.  An ``ArithmeticError`` from the field, ``size``, a monitor
+    or ``rows`` aborts the same way, named in the message.
+    """
     if isinstance(record_stride, bool) or not isinstance(record_stride, int) or record_stride < 1:
         raise ValueError(f"record_stride must be an integer >= 1, got {record_stride!r}")
     monitors = dict(monitors or {})
-    taken = ["n"] + [f"theta_{i}" for i in range(np.size(theta0))]
+    taken = ["n"] + [f"theta_{i}" for i in range(np.size(x))]
     clash = [name for name in monitors if name in taken]
     if clash:
         raise ValueError(f"monitor {clash[0]!r} collides with a trajectory column")
     thetas, values = array("d"), {name: array("d") for name in monitors}
-    keep = thetas.extend if isinstance(theta0, np.ndarray) else thetas.append
+    keep = thetas.extend if isinstance(x, np.ndarray) else thetas.append
     pairs = [(values[name].append, fn) for name, fn in monitors.items()]
 
     def watch(n: int, th) -> None:
         for append, fn in pairs:
             append(float(fn(n, th)))
 
-    def recorded(th) -> Trajectory:
-        keep(th)
-        if pairs:
-            watch(horizon, th)
-        ns = np.append(np.arange(0, horizon, record_stride, dtype=np.int64), horizon)
-        return Trajectory(ns, np.frombuffer(thetas).reshape(ns.size, -1),
-                          {k: np.frombuffer(v) for k, v in values.items()})
-
-    return (_step_blocks(schedule, horizon, record_stride), keep,
-            (watch if pairs else None), recorded)
+    # a plain local, so a record reads no closure cell to learn there are no monitors
+    watch = watch if pairs else None
+    end, left = 0, iter(())
+    try:
+        for start in range(0, horizon, _BLOCK):
+            m = min(_BLOCK, horizon - start)
+            flags, first = bytearray(m), -start % record_stride
+            flags[first::record_stride] = b"\x01" * len(range(first, m, record_stride))
+            # the gains not yet stepped give the step index, so no counter runs
+            left, end = iter(schedule.gamma_array(m, start=start + 1).tolist()), start + m
+            for y, g, record in zip(rows(m), left, flags):
+                if record:
+                    keep(x)
+                    if watch is not None:
+                        watch(end - 1 - length_hint(left), x)
+                x = x - g * drift_of(x, y)
+                if not size(x) <= DIVERGENCE_BOUND:
+                    raise DivergenceError(end - length_hint(left), x)
+    except ArithmeticError as err:
+        raise DivergenceError(end - length_hint(left), x, err) from err
+    keep(x)
+    if watch is not None:
+        watch(horizon, x)
+    ns = np.append(np.arange(0, horizon, record_stride, dtype=np.int64), horizon)
+    return Trajectory(ns, np.frombuffer(thetas).reshape(ns.size, -1),
+                      {k: np.frombuffer(v) for k, v in values.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -448,6 +448,14 @@ def _run_discrepancy(cfg: dict) -> Outcome:
 _RATE_FIT_MEANS = {"halton": 0.5, "iid-uniform": 0.5, "iid-gaussian": 0.0, "ar1-mixing": 0.0}
 
 
+def _preflight_rate_fit(cfg: dict) -> None:
+    """Refuse a path with fewer than two records past ``n = 0``, the
+    points its log-x plot draws."""
+    if cfg["record_stride"] >= cfg["horizon"]:
+        raise ConfigError(f"record_stride: {cfg['record_stride']} >= horizon {cfg['horizon']} "
+                          "leaves the log-x plot one point past n = 0; lower record_stride")
+
+
 def _run_rate_fit(cfg: dict) -> Outcome:
     mean = _RATE_FIT_MEANS[cfg["source"]["kind"]]
     traj = engine.run(
@@ -596,6 +604,7 @@ _register(Experiment(
         params={"theta0": (0.0, _REAL)},  # first gain is c; c = 1 makes theta_1 y_1 up to rounding
     ),
     runner=_run_rate_fit,
+    preflight=_preflight_rate_fit,
 ))
 
 

@@ -985,6 +985,19 @@ def test_darkpool_run_matches_manual_composition():
             np.testing.assert_array_equal(tr.channel("safeguard_count"), clips[ns])
 
 
+def test_darkpool_run_leaves_its_inputs_untouched():
+    # the safeguard repairs the allocation in place, in the array each step
+    # makes; on the clipping four-venue series the inputs stay as given
+    v, d = synthetic_darkpool_series(10_050, seed=2, mix=np.array([0.4, 0.6, 0.8, 0.2]),
+                                     scale=np.array([0.1, 0.2, 0.3, 0.2]))
+    reb = np.array([0.0, 0.02, 0.04, 0.06])
+    before = v.copy(), d.copy(), reb.copy()
+    tr = darkpool_run(v, d, reb, StepSchedule(c=2.0, a=0.75), record_stride=1)
+    assert tr.channel("safeguard_count")[-1] > 0
+    for given, copy in zip((v, d, reb), before):
+        assert np.array_equal(given, copy)
+
+
 def test_darkpool_run_builds_its_gains_per_block(monkeypatch):
     # like engine.run, the dark-pool walk never holds a horizon of gains
     asked = []
@@ -1028,7 +1041,7 @@ def test_darkpool_run_validation():
 
 @pytest.mark.parametrize("stride", [2.5, True, "3", 0])
 def test_darkpool_run_refuses_a_stride_that_is_not_a_positive_int(stride):
-    # the stride check is run's, in the recorder both loops share
+    # the stride check is run's, in the step loop both entry points share
     with pytest.raises(ValueError, match=r"^record_stride must be an integer >= 1, got "):
         darkpool_run(np.ones(10), np.ones((10, 2)), np.array([0.02, 0.05]),
                      StepSchedule(c=1.0, a=1.0), record_stride=stride)

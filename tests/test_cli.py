@@ -889,6 +889,53 @@ def test_cli_run_refuses_target_beyond_float_range(tmp_path, capsys):
     assert not (out / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("experiment, params, error", [
+    ("ergodic-investment", "theta_tilde0: -1000000000.0",
+     "ZeroDivisionError: 0.0 cannot be raised to a negative power"),
+    ("implicit-correlation", "rate: 1000.0", "OverflowError: math range error"),
+], ids=["investment", "correlation"])
+def test_cli_run_field_error_aborts_like_a_divergence(tmp_path, capsys, experiment, params,
+                                                      error):
+    # every key lies in its interval, yet the field raises at step 1; before,
+    # the run ended in a traceback and wrote nothing
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path / "c.yaml", f"experiment: {experiment}\nseed: 0\nhorizon: 2000\n"
+                     f"params: {{{params}}}\noutput_dir: {out}\n")
+    assert main(["run", cfg]) == 1
+    capsys.readouterr()
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "aborted"
+    assert summary["failure"].startswith(f"iterate diverged at step 1: {error} (theta = ")
+    assert sorted(p.name for p in out.iterdir()) == ["effective_config.yaml", "summary.json"]
+
+
+def test_cli_run_refuses_a_discount_beyond_float_range(tmp_path, capsys):
+    # exp(1904.9) overflowed while the kernel was built, in a traceback
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path / "c.yaml", "experiment: implicit-correlation\nseed: 0\n"
+                     f"params: {{rate: -1904.9}}\noutput_dir: {out}\n")
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "rate=-1904.9" in err and "maturity=1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--seeds", "0..1"]],
+                         ids=["run", "sweep"])
+@pytest.mark.parametrize("horizon, stride", [(10, 10), (10, 11), (1, 1)])
+def test_cli_rate_fit_refuses_a_stride_that_leaves_one_log_x_point(tmp_path, capsys, command,
+                                                                   horizon, stride):
+    # the log-x plot draws the records past n = 0; with one, the SVG writer
+    # refused after the config and CSV were on disk, and no summary followed
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path / "c.yaml", f"experiment: rate-fit\nseed: 0\nhorizon: {horizon}\n"
+                     f"record_stride: {stride}\noutput_dir: {out}\n")
+    assert main([command[0], cfg, *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: record_stride: {stride} >= horizon {horizon} ")
+    assert not out.exists()
+
+
 def test_cli_run_investment_at_large_gamma_shape(tmp_path, capsys):
     # sigma = 0.05 meets the Feller condition with an invariant Gamma shape
     # of 800, whose Gamma function is beyond the float range

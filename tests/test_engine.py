@@ -386,6 +386,23 @@ def test_run_guard_names_the_step_at_block_edges(theta0, d, k, value, cause):
     assert str(exc.value).startswith(f"iterate diverged at step {k + 1}: {cause} (theta = ")
 
 
+@_GUARD_CASES
+@pytest.mark.parametrize("k", [0, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 8])
+def test_run_aborts_on_an_arithmetic_error_at_its_step(theta0, d, k):
+    # a field that raises on row k aborts the run like a divergence, at
+    # step k + 1, naming the error; before, the exception escaped the run
+    def field(th, y):
+        math.exp(1000.0 * y[0])             # overflows on row k alone
+        return th - (y[0] if d == 1 else y)
+
+    source = InnovationSource(d, _one_row_blocks(d, k, 1.0))
+    with pytest.raises(DivergenceError) as exc:
+        run(theta0, source, field, StepSchedule(c=1.0, a=0.0), 3 * _BLOCK)
+    assert exc.value.step == k + 1 and isinstance(exc.value.__cause__, OverflowError)
+    assert str(exc.value).startswith(
+        f"iterate diverged at step {k + 1}: OverflowError: math range error (theta = ")
+
+
 @pytest.mark.parametrize("stride", [2.5, 1.0, True, False, "3", None, 0, -4])
 def test_run_refuses_a_stride_that_is_not_a_positive_int(stride):
     # a float stride used to step the whole horizon and then fail to

@@ -117,7 +117,7 @@ _SHARED_PRIVATE = {
     ("applications.bandit", "innovations._BLOCK"): "its event and round streams map blocks",
     ("applications.correlation", "innovations._BLOCK"): "the fit draws blocks of that size",
     ("applications.darkpool", "innovations._BLOCK"): "the series checks scan a block at a time",
-    ("applications.darkpool", "engine._recorder"): "darkpool_run steps and records as run does",
+    ("applications.darkpool", "engine._walk"): "darkpool_run steps, records and guards as run does",
     ("experiments", "innovations._DISCREPANCY_BUDGET"): "the config refusal names the limit",
     ("experiments", "innovations._within_discrepancy_budget"): "the refusal applies that test",
 }
