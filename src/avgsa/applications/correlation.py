@@ -73,7 +73,7 @@ def _bestof_kernel(
         disc = math.exp(-p.rate * t)
     except OverflowError:
         raise ValueError(
-            f"rate={p.rate:g} and maturity={t:g} put the discount factor beyond the float range"
+            f"rate={p.rate!r} and maturity={t!r} put the discount factor beyond the float range"
         ) from None
     exp, cos, sin = math.exp, math.cos, math.sin
 

@@ -185,7 +185,7 @@ def theta_star_closed_form(p: CirParams, q: CobbDouglasParams) -> float:
         return (q.beta * invariant_moment(p, q.alpha) / q.cost) ** (1.0 / (1.0 - q.beta))
     except OverflowError:
         raise ValueError(
-            f"beta={q.beta:g} and cost={q.cost:g} put the optimal capacity "
+            f"beta={q.beta!r} and cost={q.cost!r} put the optimal capacity "
             "beyond the float range"
         ) from None
 

@@ -111,7 +111,7 @@ def admissible_power_pair(a: float, beta: float) -> AdmissibilityReport:
     if not 1.0 - beta < a <= 1.0:
         return AdmissibilityReport(
             "not-admissible", rule,
-            failed_condition=f"a = {a:g} outside (1-beta, 1] = ({1.0 - beta:g}, 1]",
+            failed_condition=f"a = {a!r} outside (1-beta, 1] = ({1.0 - beta!r}, 1]",
         )
     return AdmissibilityReport("admissible", rule)
 
@@ -128,7 +128,7 @@ def admissible_qsa(q: int, a: float) -> AdmissibilityReport:
         return AdmissibilityReport("admissible", rule)
     return AdmissibilityReport(
         "not-admissible", rule,
-        failed_condition=f"a = {a:g} outside (0.5, 1]",
+        failed_condition=f"a = {a!r} outside (0.5, 1]",
     )
 
 

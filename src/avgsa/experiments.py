@@ -232,7 +232,7 @@ def _gate_admissibility(kind: str, dimension: int, step_cfg: dict, source_cfg: d
         report = engine.admissible_power_pair(a, _POWER_RATE_BETA)
     if not report.ok:
         raise ConfigError(
-            f"step schedule c={c:g}, a={a:g} is not admissible for source "
+            f"step schedule c={c!r}, a={a!r} is not admissible for source "
             f"'{kind}': {report.rule} (violated: {report.failed_condition})"
         )
 
@@ -651,10 +651,14 @@ def load_config(path) -> dict:
         return yaml.load(fh, Loader=_ConfigLoader)
 
 
-# a run holds 8 bytes per column per record until its CSV is written
-# (flat array("d") buffers, and the int64 ns), so 1e7 records are 80 MB
-# a column: 100 times the densest shipped or tested run, 1e5 steps at
-# record_stride 1
+# a run holds 8 bytes per column per record until its artifacts are
+# written (flat array("d") buffers, and the int64 ns), so 1e7 records are
+# 80 MB a column: 100 times the densest shipped or tested run, 1e5 steps
+# at record_stride 1.  No stage after the runner holds more than a block
+# per column: the CSV, the plot's points and the rate fit each go a block
+# at a time.  Besides the run's columns, only two things grow with the
+# records: an error path derived from a target (one more column) and the
+# plot's keep mask (1 byte a record).
 _RECORD_CAP = 10_000_000
 
 
@@ -771,7 +775,8 @@ def run_experiment(config) -> RunArtifacts:
         target, errors, line = outcome.target, outcome.errors, None
         if target is not None and errors is None:
             line = target[0]
-            errors = np.abs(values - line)
+            errors = values - line
+            np.abs(errors, out=errors)
         csv_path = out_dir / "trajectory.csv"
         engine.write_trajectory_csv(traj, csv_path)
         plot_path = out_dir / f"{name}.svg"

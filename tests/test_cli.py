@@ -293,6 +293,20 @@ def test_cli_run_time_refusal_writes_nothing(tmp_path, capsys, command, body, me
     assert not out.exists()
 
 
+def test_cli_refusal_prints_the_refused_value_in_full(tmp_path, capsys):
+    # a step exponent 1e-13 above the interval's closed end: rounded to six
+    # digits it would read a = 1, a value inside the interval it is refused by
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path / "c.yaml", "experiment: rate-fit\nseed: 0\n"
+                     "source: {kind: iid-uniform}\nstep: {a: 1.0000000000001}\n"
+                     f"output_dir: {out}\n")
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "a=1.0000000000001 is not admissible" in err
+    assert "(violated: a = 1.0000000000001 outside (1-beta, 1] = (0.5, 1])" in err
+    assert not out.exists()
+
+
 def test_shipped_configs_validate_with_distinct_output_dirs():
     # two shipped configs writing to one directory overwrite each other
     paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from avgsa import diagnostics
 from avgsa.diagnostics import ErrorPath, fit_rate
 from avgsa.engine import StepSchedule, run
 from avgsa.innovations import (
@@ -79,6 +80,70 @@ def test_fit_rate_needs_five_points():
     ns = np.array([10, 20, 30, 40], dtype=np.int64)
     with pytest.raises(ValueError):
         fit_rate(ErrorPath(ns=ns, errors=1.0 / ns.astype(float)))
+
+
+_BLOCK = diagnostics._BLOCK
+
+
+def _polyfit_reference(ns, errors):
+    """(beta_hat, r**2) of the usable points by numpy's whole-array
+    least squares, the fit's definition without its blocked folds."""
+    keep = (ns > 0) & (errors > 0.0)
+    x, y = np.log(ns[keep].astype(float)), np.log(errors[keep])
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    return -slope, 1.0 - np.sum(resid**2) / np.sum((y - y.mean()) ** 2)
+
+
+def _noisy_path(length, seed):
+    """A power-law error path with log-normal noise, a record at n = 0,
+    and exact zeros scattered through it."""
+    rng = np.random.default_rng(seed)
+    ns = np.arange(length)
+    errors = 2.0 * (ns + 1.0) ** -0.6 * np.exp(0.3 * rng.standard_normal(length))
+    errors[rng.integers(0, length, length // 50 + 1)] = 0.0
+    return ns, errors
+
+
+@pytest.mark.parametrize("length", [7, _BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 17, 10 * _BLOCK])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fit_rate_agrees_with_polyfit(length, seed):
+    ns, errors = _noisy_path(length, seed)
+    fit = fit_rate(ErrorPath(ns=ns, errors=errors))
+    beta, r2 = _polyfit_reference(ns, errors)
+    assert fit.beta_hat == pytest.approx(beta, rel=1e-12, abs=0.0)
+    assert fit.r_squared == pytest.approx(r2, rel=1e-12, abs=0.0)
+
+
+def test_fit_rate_does_not_depend_on_block_boundaries(monkeypatch):
+    # a zero error at index 1 drops that point and shifts every later block
+    # boundary by one against the path without it; the folds see the same
+    # usable points in the same order, so the fits are bit-equal
+    ns, errors = _noisy_path(3 * _BLOCK + 17, 2)
+    errors[1] = 0.0
+    shifted = ErrorPath(ns=ns, errors=errors)
+    packed = ErrorPath(ns=np.delete(ns, 1), errors=np.delete(errors, 1))
+    fit = fit_rate(packed)
+    assert fit_rate(shifted) == fit
+    # and so are fits in blocks of 1, of 7 and of the whole path
+    for block in (1, 7, ns.size):
+        monkeypatch.setattr(diagnostics, "_BLOCK", block)
+        assert fit_rate(shifted) == fit_rate(packed) == fit
+
+
+def test_fit_rate_r_squared_stays_at_most_one_on_exact_power_laws():
+    # Sxy**2 / (Sxx * Syy) rounds above 1 on many exact power laws
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        ns = np.arange(1, int(rng.integers(5, 300)))
+        fit = fit_rate(ErrorPath(ns=ns, errors=ns ** -rng.uniform(0.1, 2.0)))
+        assert fit.r_squared <= 1.0
+
+
+def test_fit_rate_needs_two_distinct_n():
+    ns = np.full(6, 40, dtype=np.int64)
+    with pytest.raises(ValueError, match="distinct"):
+        fit_rate(ErrorPath(ns=ns, errors=np.linspace(0.1, 0.6, 6)))
 
 
 def test_ar1_mixing_rate_near_one_half():

@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from avgsa.diagnostics import ErrorPath, fit_rate
 from avgsa.engine import (
     AdmissibilityReport,
     DivergenceError,
@@ -245,6 +246,22 @@ def test_run_memory_is_flat_in_horizon():
     finally:
         tracemalloc.stop()
     assert peak < 2**20, f"run peaked at {peak / 2**20:.2f} MB"
+
+
+@pytest.mark.parametrize("points", [100_001, 1_000_001])
+def test_fit_rate_memory_is_flat_in_path_length(points):
+    # the rate fit reads the error path a block at a time, twice; a fit on
+    # whole-path arrays of logs peaks at 7.8 MiB on 1e5 points, 78 MiB on 1e6
+    ns = np.arange(points)
+    errors = 1.0 / np.sqrt(ns + 1.0)
+    errors[::97] = 0.0                       # dropped points in every block
+    tracemalloc.start()
+    try:
+        fit_rate(ErrorPath(ns=ns, errors=errors))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"fit_rate peaked at {peak / 2**20:.2f} MB"
 
 
 def _run_by_hand(theta0, rows, gains, field, stride, monitors):

@@ -82,23 +82,23 @@ _GOLDEN = {
 #                effective_config.yaml sha256 with output_dir set to OUT)
 _GOLDEN_RECORDS = {
     "implicit-correlation": (
-        "0ac1727bf5dbddf8e95f60d34e249dcf81dd55423a6d1687370a41fc417ee9a6",
+        "edb9aa7c46ad046b2d5c7e022eb186bf1cfd024d870c245398b7d54b0fd00f57",
         "118bab1370ab446cd4a6f9f6e22f04342721521415ab4885a2287ffb3f13e5b2",
     ),
     "var-cvar": (
-        "ad79df747c3b8b9332fe194ecbfd864c648b1d4db05cc35361f7500c350da073",
+        "55a82a497959bfb1a3f67e1cd26f0bc88bf12984adf64ed474367111157970e8",
         "b1863a2c33152a7f965764b3d26454d62db946e03634e7801248362e3b37285b",
     ),
     "ergodic-investment": (
-        "949ee5a6cdb0533c009cecb9c35cead75aff834691140c3c9dc50beed29d56a4",
+        "968d637b368ed94c97f8c8ce67354ff9c78bef8700d3fd0ea1c5f66899c12905",
         "a6fd5190d4e6df5ab90e370ba7a64b1ed10570f15da8615c23812589e511a956",
     ),
     "two-armed-bandit": (
-        "9dbeb9cbea8fb9ee809f4bdb317d62262dfa4297e69a39da6997ff1b2622e862",
+        "462fd2d57b5e8214e63482570272af5c96d12b516b45cdcdf8b89a7b2aaad1c1",
         "f46e1ab7b8a6650ecccf2d848021696bdb4fa79dab76f87dc8427635f4f46d4a",
     ),
     "dark-pool": (
-        "11f3612840c24ea8193b7a4fcea8ed7a203575ea60289db7141ce05f5ab44909",
+        "6014ac7632613ea2a4b75777ca3559a2980fc5b1787a55b44a6ffa919c80f587",
         "71761f2964eed50480456a803fd39f1ec7b456cd428317de25a0b9a67107e489",
     ),
     "discrepancy": (
@@ -106,7 +106,7 @@ _GOLDEN_RECORDS = {
         "8ad6e90566b35b90bdbef83d8c78e8141f9993c26ae7ea4d166a28c787ec6b25",
     ),
     "rate-fit": (
-        "da870f9b926e2d683a34ac471df6bf9f13bb9ff342f3419914a79a1f1e9a735e",
+        "7bdaf01a9bb8274b908bbf2b6be71a9c35298b6443478d67f2c494b23f77b8e5",
         "3bc40363b4807067ba74ec160502265b3b56d3f6bef73553009b737676b9e3ee",
     ),
 }
