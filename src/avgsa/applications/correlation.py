@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from avgsa.engine import StepSchedule, Trajectory, run
 from avgsa.innovations import _BLOCK, InnovationSource
 
@@ -65,8 +67,14 @@ def _bestof_kernel(
     t = p.maturity
     sq = math.sqrt(t)
     x1, x2, strike = p.x1, p.x2, p.strike
-    mu1 = (p.rate - 0.5 * p.sigma1**2) * t
-    mu2 = (p.rate - 0.5 * p.sigma2**2) * t
+
+    def log_drift(key: str, sigma: float) -> float:
+        try:
+            return (p.rate - 0.5 * sigma**2) * t
+        except OverflowError:
+            raise ValueError(f"{key}={sigma!r} puts its square beyond the float range") from None
+
+    mu1, mu2 = log_drift("sigma1", p.sigma1), log_drift("sigma2", p.sigma2)
     v1 = p.sigma1 * sq
     v2 = p.sigma2 * sq
     try:
@@ -127,15 +135,15 @@ def calibrate_correlation(
     record_stride: int = 100,
 ) -> Trajectory:
     """Run the angle recursion and record the implied-correlation channel
-    ``rho = cos(theta)`` alongside the angle itself."""
+    ``rho = cos(theta)`` alongside the angle itself.  The channel is a
+    function of the recorded angle, so it is built after the loop with
+    one ``math.cos`` per record, the libm call the kernel makes; the
+    records are read as Python floats through a ``memoryview``, so no
+    list as long as the path is made."""
     if source.dimension != 2:
         raise ValueError("calibration needs a 2-dimensional Gaussian source")
-    return run(
-        theta0,
-        source,
-        _bestof_kernel(p, p.market_price),
-        schedule,
-        horizon,
-        record_stride=record_stride,
-        monitors={"rho": lambda n, th: math.cos(th)},
-    )
+    traj = run(theta0, source, _bestof_kernel(p, p.market_price), schedule, horizon,
+               record_stride=record_stride)
+    traj.monitors["rho"] = np.fromiter(map(math.cos, memoryview(traj.thetas[:, 0])), float,
+                                       traj.ns.size)
+    return traj

@@ -17,6 +17,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from avgsa.engine import StepSchedule, Trajectory, run
 from avgsa.innovations import EulerDecreasingSource
 
@@ -41,6 +43,15 @@ class CirParams:
     def __post_init__(self) -> None:
         if min(self.kappa, self.vartheta, self.sigma) <= 0.0:
             raise ValueError("kappa, vartheta, sigma must all be positive")
+        try:
+            shape, scale = self.gamma_shape, self.gamma_scale
+        except ArithmeticError:     # sigma**2 overflows, or underflows to zero
+            shape = scale = math.inf
+        if not (0.0 < shape < math.inf and 0.0 < scale < math.inf):
+            raise ValueError(
+                f"kappa={self.kappa!r}, vartheta={self.vartheta!r} and sigma={self.sigma!r} put "
+                "the invariant Gamma law's shape or scale outside the positive float range"
+            )
         if not self.feller:
             # The Feller condition fails: the invariant Gamma law piles up
             # mass near zero and paths touch the origin.  The scheme and the
@@ -182,12 +193,16 @@ def theta_star_closed_form(p: CirParams, q: CobbDouglasParams) -> float:
     ``(beta * E[Y^alpha] / cost)^{1/(1-beta)}``.  Raises ValueError when
     it lies beyond the float range."""
     try:
-        return (q.beta * invariant_moment(p, q.alpha) / q.cost) ** (1.0 / (1.0 - q.beta))
+        # the quotient overflows to inf without raising, its power with OverflowError
+        star = (q.beta * invariant_moment(p, q.alpha) / q.cost) ** (1.0 / (1.0 - q.beta))
     except OverflowError:
+        star = math.inf
+    if star == math.inf:
         raise ValueError(
             f"beta={q.beta!r} and cost={q.cost!r} put the optimal capacity "
             "beyond the float range"
-        ) from None
+        )
+    return star
 
 
 def investment_run(
@@ -205,18 +220,14 @@ def investment_run(
     """Run the capacity recursion along one decreasing-step Euler path.
 
     The trajectory records the free iterate as ``theta_0`` and the
-    transformed capacity as monitor ``capacity``; the latter is the
-    estimate to compare against :func:`theta_star_closed_form`.
+    transformed capacity as channel ``capacity``, built after the loop by
+    :func:`_transform_kernel` from each recorded iterate; the latter is
+    the estimate to compare against :func:`theta_star_closed_form`.
     ``chain_rule`` defaults, as the config does, to the exact gradient.
     """
     source = cir_innovation_source(p, step0, exponent, seed)
-    transform = _transform_kernel(q.beta)
-    return run(
-        theta_tilde0,
-        source,
-        _grad_field(q, chain_rule),
-        schedule,
-        horizon,
-        record_stride=record_stride,
-        monitors={"capacity": lambda n, th: transform(th)},
-    )
+    traj = run(theta_tilde0, source, _grad_field(q, chain_rule), schedule, horizon,
+               record_stride=record_stride)
+    traj.monitors["capacity"] = np.fromiter(
+        map(_transform_kernel(q.beta), memoryview(traj.thetas[:, 0])), float, traj.ns.size)
+    return traj

@@ -656,9 +656,8 @@ def load_config(path) -> dict:
 # 80 MB a column: 100 times the densest shipped or tested run, 1e5 steps
 # at record_stride 1.  No stage after the runner holds more than a block
 # per column: the CSV, the plot's points and the rate fit each go a block
-# at a time.  Besides the run's columns, only two things grow with the
-# records: an error path derived from a target (one more column) and the
-# plot's keep mask (1 byte a record).
+# at a time.  Besides the run's columns, only an error path derived from
+# a target (one more column) grows with the records.
 _RECORD_CAP = 10_000_000
 
 

@@ -73,9 +73,11 @@ def _svg_text(
 ) -> Iterator[str]:
     """Check and lay out one series; return an iterator over the pieces
     of its SVG document, in order.  Everything but the polyline's points
-    is built here, so a refusal comes before the first piece."""
-    # x stays as it comes (a run's int64 step indices): _points converts
-    # each block, so no whole-series float copy is made
+    is built here, so a refusal comes before the first piece.  The
+    plottable points are scanned twice, a block at a time: once here for
+    the point count and the axis ranges, once by ``_points``."""
+    # x stays as it comes (a run's int64 step indices): each block is
+    # converted on its own, so no array as long as the series is made
     xs = np.asarray(x)
     if xs.dtype.kind not in "iuf":
         xs = xs.astype(float)
@@ -84,19 +86,16 @@ def _svg_text(
         raise ValueError("x and y must be one-dimensional and of equal length")
     if target is not None and not math.isfinite(float(target)):
         raise ValueError(f"target must be finite, got {target}")
-    keep = np.isfinite(xs) & np.isfinite(ys)
-    if logx:
-        keep &= xs > 0.0
-    if np.count_nonzero(keep) < 2:
+    count, x0, x1, y0, y1 = 0, math.inf, -math.inf, math.inf, -math.inf
+    for a, b in _plottable(xs, ys, logx):
+        if a.size:
+            count += a.size
+            x0, x1 = min(x0, float(a.min())), max(x1, float(a.max()))
+            y0, y1 = min(y0, float(b.min())), max(y1, float(b.max()))
+    if count < 2:
         raise ValueError("need at least two plottable points")
 
-    # the kept points' ranges, read in place from the first kept point on
-    # (an integer x has no infinity to start from); float conversion and
-    # log10 are monotone, so the converted extreme is the extreme of the
-    # converted values
-    first = int(np.argmax(keep))
-    x0, x1, y0, y1 = (float(f(v, where=keep, initial=v[first])) for v in (xs, ys)
-                      for f in (np.min, np.max))
+    # log10 is monotone, so the log of the extreme is the extreme of the logs
     if logx:
         x0, x1 = float(np.log10(x0)), float(np.log10(x1))
     if x1 <= x0:
@@ -152,25 +151,37 @@ def _svg_text(
     tail += [_text(16, mid, ylabel, size=13, extra=f' transform="rotate(-90 16 {mid})"'),
              "</svg>\n"]
     return itertools.chain(["\n".join(parts) + '\n<polyline points="'],
-                           _points(px, py, xs, ys, keep, logx), ["\n".join(tail)])
+                           _points(px, py, xs, ys, logx), ["\n".join(tail)])
 
 
-def _points(px, py, xs: np.ndarray, ys: np.ndarray, keep=None,
-            logx: bool = False) -> Iterator[str]:
-    """Polyline coordinates as space-separated ``x,y`` pairs, yielded a
-    block of ``csvtext.ROWS`` points at a time, so only one block's points
-    and digits are alive at once.  A block converts its x to float, keeps
-    its points where ``keep`` holds (all of them without it) and takes
-    ``log10`` of their x when ``logx``; ``px`` and ``py`` map whole
-    slices, which is the same float arithmetic in the same order as
-    mapping each point."""
+def _plottable(xs: np.ndarray, ys: np.ndarray,
+               logx: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The plottable points, ``csvtext.ROWS`` of the series at a time:
+    each block's x converted to float, then the points where both
+    coordinates are finite and, on a log axis, x is positive."""
     from avgsa import csvtext      # loaded by the first plot, not by import avgsa
 
-    sep, rows = "", csvtext.ROWS
+    rows = csvtext.ROWS
     for i in range(0, xs.size, rows):
         a, b = np.asarray(xs[i:i + rows], dtype=float), ys[i:i + rows]
-        if keep is not None:
-            a, b = a[keep[i:i + rows]], b[keep[i:i + rows]]
+        keep = np.isfinite(a) & np.isfinite(b)
+        if logx:
+            keep &= a > 0.0
+        # rebound, so a converted block is not held while its points are formatted
+        a, b = a[keep], b[keep]
+        yield a, b
+
+
+def _points(px, py, xs: np.ndarray, ys: np.ndarray, logx: bool = False) -> Iterator[str]:
+    """Polyline coordinates as space-separated ``x,y`` pairs, yielded a
+    block of ``_plottable`` points at a time, so only one block's points
+    and digits are alive at once.  A block takes ``log10`` of its x when
+    ``logx``; ``px`` and ``py`` map whole slices, which is the same float
+    arithmetic in the same order as mapping each point."""
+    from avgsa import csvtext
+
+    sep = ""
+    for a, b in _plottable(xs, ys, logx):
         if a.size:
             yield sep + csvtext.format_pairs(px(np.log10(a) if logx else a), py(b))
             sep = " "

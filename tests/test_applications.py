@@ -12,6 +12,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
+from avgsa.applications import correlation, investment
 from avgsa.applications.bandit import (
     bandit_field,
     bandit_run,
@@ -621,6 +622,30 @@ def test_investment_run_matches_hand_loop(stride, chain_rule):
     np.testing.assert_array_equal(tr.channel("theta_0"), thetas)
     np.testing.assert_array_equal(tr.channel("capacity"), caps)
     np.testing.assert_array_equal(tr.final_theta, [theta])
+
+
+@pytest.mark.parametrize("stride", [1, 3, 100])
+def test_rho_and_capacity_are_maps_of_the_recorded_iterate(monkeypatch, stride):
+    # both channels are built after the loop from the recorded theta_0, one
+    # libm call per record, so neither run hands the step loop a monitor
+    passed = []
+    for module in (correlation, investment):
+        monkeypatch.setattr(module, "run", lambda *a, _run=module.run, **kw:
+                            passed.append(sorted(kw)) or _run(*a, **kw))
+    p = BestOfCallParams(x1=95.0, x2=105.0, rate=0.05, sigma1=0.25, sigma2=0.4,
+                         maturity=0.75, strike=100.0, market_price=14.0)
+    tr = calibrate_correlation(p, make_source("iid-gaussian", 2, 3), StepSchedule(c=8.0, a=1.0),
+                               1_001, theta0=0.3, record_stride=stride)
+    want = [math.cos(t) for t in tr.channel("theta_0").tolist()]
+    assert tr.channel("rho").tobytes() == np.array(want).tobytes()
+    q = CobbDouglasParams(0.8, 0.7, 0.5)
+    tr = investment_run(CirParams(1.0, 1.0, 1.2), q, StepSchedule(c=0.2, a=0.6), 1_001,
+                        seed=14, theta_tilde0=-1.0, record_stride=stride)
+    thetas = tr.channel("theta_0").tolist()
+    assert min(thetas) < 0.0 < max(thetas)      # both branches of the transform
+    want = [_transform_kernel(q.beta)(t) for t in thetas]
+    assert tr.channel("capacity").tobytes() == np.array(want).tobytes()
+    assert passed == [["record_stride"], ["record_stride"]]
 
 
 # ---------------------------------------------------------------------------

@@ -280,9 +280,12 @@ def test_cli_sweep_reports_a_run_time_parameter_error(tmp_path, capsys, jobs):
 @pytest.mark.parametrize("body, message", [
     # the closed-form optimal capacity overflows once the runner computes it
     ("experiment: ergodic-investment\nparams: {beta: 0.999, cost: 1.0e-9}\n", "beta=0.999"),
+    # beta * E[Y^alpha] / cost overflows to inf without raising; the SVG
+    # writer refused the infinite target with the config and CSV on disk
+    ("experiment: ergodic-investment\nparams: {cost: 5.0e-324}\n", "cost=5e-324"),
     # the lognormal volumes overflow; the series builder refuses the key by name
     ("experiment: dark-pool\nsource: {log_sigma: 2000}\n", "log_sigma = 2000"),
-], ids=["investment-overflow", "darkpool-infinite-volume"])
+], ids=["investment-overflow", "investment-infinite-quotient", "darkpool-infinite-volume"])
 def test_cli_run_time_refusal_writes_nothing(tmp_path, capsys, command, body, message):
     out = tmp_path / "out"
     cfg = _write_cfg(tmp_path / "c.yaml", f"{body}seed: 0\nhorizon: 200\noutput_dir: {out}\n")
@@ -931,6 +934,27 @@ def test_cli_run_refuses_a_discount_beyond_float_range(tmp_path, capsys):
     assert main(["run", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "rate=-1904.9" in err and "maturity=1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--seeds", "0..1"]],
+                         ids=["run", "sweep"])
+@pytest.mark.parametrize("experiment, params, message", [
+    ("implicit-correlation", "sigma2: 1.0e+300", "sigma2=1e+300 puts its square beyond"),
+    ("implicit-correlation", "sigma1: 1.0e+200", "sigma1=1e+200 puts its square beyond"),
+    ("ergodic-investment", "sigma: 1.0e+300", "sigma=1e+300 put the invariant Gamma law's"),
+    ("ergodic-investment", "sigma: 1.0e-300", "sigma=1e-300 put the invariant Gamma law's"),
+], ids=["sigma2-squared", "sigma1-squared", "cir-sigma-overflow", "cir-sigma-underflow"])
+def test_cli_refuses_a_volatility_whose_square_leaves_the_float_range(tmp_path, capsys, command,
+                                                                      experiment, params,
+                                                                      message):
+    # each raised OverflowError or ZeroDivisionError, a traceback with exit 1
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path / "c.yaml", f"experiment: {experiment}\nseed: 0\nhorizon: 10\n"
+                     f"params: {{{params}}}\noutput_dir: {out}\n")
+    assert main([command[0], cfg, *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
     assert not out.exists()
 
 

@@ -115,7 +115,8 @@ def test_every_exported_dataclass_field_is_read_outside_the_unit_tests():
 _SHARED_PRIVATE = {
     ("engine", "innovations._BLOCK"): "run makes its gains in the sources' block size",
     ("applications.bandit", "innovations._BLOCK"): "its event and round streams map blocks",
-    ("applications.correlation", "innovations._BLOCK"): "the fit draws blocks of that size",
+    ("applications.correlation", "innovations._BLOCK"):
+        "bs_bestof_price draws its payoffs in blocks of that size",
     ("applications.darkpool", "innovations._BLOCK"): "the series checks scan a block at a time",
     ("applications.darkpool", "engine._walk"): "darkpool_run steps, records and guards as run does",
     ("experiments", "innovations._DISCREPANCY_BUDGET"): "the config refusal names the limit",

@@ -433,10 +433,10 @@ def test_svg_renderer_memory_is_flat_in_points():
     assert peak < _PEAK_LIMIT, f"SVG renderer peaked at {peak / 2**20:.1f} MB"
 
 
-# the document is written a piece at a time and each block of points is
-# filtered and mapped on its own, so the peak is one block's formatting
-# and a byte of mask per point (0.91 MiB here); a whole-series float copy
-# of the points would add 0.76 MiB each
+# the document is written a piece at a time, and the ranges and each
+# block of points are scanned, filtered and mapped a block at a time, so
+# the peak is one block's formatting (0.80 MiB here) at any length; a
+# whole-series float copy of the points would add 0.76 MiB each
 _SVG_WRITE_LIMIT = 3 * 2**20 // 2
 
 
@@ -447,6 +447,20 @@ def test_svg_writer_memory_holds_no_document(tmp_path):
     peak = _peak_bytes(lambda: write_line_svg(path, x, y, target=0.0, logx=True))
     assert peak < _SVG_WRITE_LIMIT, f"SVG writer peaked at {peak / 2**20:.2f} MiB"
     assert path.read_text() == render_line_svg(x, y, target=0.0, logx=True)
+
+
+def test_svg_writer_memory_is_flat_in_points(tmp_path):
+    # the same plot at ten times the points peaks within 5%: no mask, range
+    # or copy as long as the series is made (a whole-series byte mask
+    # peaked at 0.89 MiB for 1e5 points and 1.97 MiB for 1e6)
+    peaks = []
+    for n in (_ROWS, 10 * _ROWS):
+        ns = np.arange(n, dtype=np.int64)
+        y = 1.0 / np.sqrt(ns + 1.0)
+        write = lambda: write_line_svg(tmp_path / "p.svg", ns, y, target=0.0, logx=True)
+        write()                             # numpy's first calls fill its caches
+        peaks.append(_peak_bytes(write))
+    assert peaks[1] <= 1.05 * peaks[0] and peaks[1] < _SVG_WRITE_LIMIT, peaks
 
 
 def test_svg_of_int64_x_has_the_float_bytes_and_no_float_copy(tmp_path):
