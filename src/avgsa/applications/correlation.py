@@ -135,15 +135,13 @@ def calibrate_correlation(
     record_stride: int = 100,
 ) -> Trajectory:
     """Run the angle recursion and record the implied-correlation channel
-    ``rho = cos(theta)`` alongside the angle itself.  The channel is a
-    function of the recorded angle, so it is built after the loop with
-    one ``math.cos`` per record, the libm call the kernel makes; the
-    records are read as Python floats through a ``memoryview``, so no
-    list as long as the path is made."""
+    ``rho = cos(theta)``, built after the loop from each recorded angle
+    with ``math.cos``, the libm call the kernel makes."""
     if source.dimension != 2:
         raise ValueError("calibration needs a 2-dimensional Gaussian source")
     traj = run(theta0, source, _bestof_kernel(p, p.market_price), schedule, horizon,
                record_stride=record_stride)
+    # a memoryview hands out the recorded floats without a list as long as the path
     traj.monitors["rho"] = np.fromiter(map(math.cos, memoryview(traj.thetas[:, 0])), float,
                                        traj.ns.size)
     return traj

@@ -83,7 +83,12 @@ def invariant_moment(p: CirParams, order: float) -> float:
     shape = p.gamma_shape
     if shape + order <= 0.0:
         raise ValueError(f"moment of order {order} does not exist")
-    return math.exp(math.lgamma(shape + order) - math.lgamma(shape)) * p.gamma_scale**order
+    try:
+        log_ratio = math.lgamma(shape + order) - math.lgamma(shape)
+    except OverflowError:       # a shape above about 2.5e305
+        raise ValueError(f"kappa={p.kappa!r}, vartheta={p.vartheta!r} and sigma={p.sigma!r} put "
+                         "the invariant Gamma law's shape beyond lgamma's range") from None
+    return math.exp(log_ratio) * p.gamma_scale**order
 
 
 def cir_innovation_source(p: CirParams, step0: float, exponent: float,
@@ -219,10 +224,9 @@ def investment_run(
 ) -> Trajectory:
     """Run the capacity recursion along one decreasing-step Euler path.
 
-    The trajectory records the free iterate as ``theta_0`` and the
-    transformed capacity as channel ``capacity``, built after the loop by
-    :func:`_transform_kernel` from each recorded iterate; the latter is
-    the estimate to compare against :func:`theta_star_closed_form`.
+    The trajectory records the free iterate as ``theta_0`` and its
+    transform, built after the loop, as ``capacity``: the estimate to
+    compare against :func:`theta_star_closed_form`.
     ``chain_rule`` defaults, as the config does, to the exact gradient.
     """
     source = cir_innovation_source(p, step0, exponent, seed)

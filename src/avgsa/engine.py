@@ -257,11 +257,9 @@ def run(
     collections; otherwise the iterate is an array and each row a numpy
     vector.  The path and each monitor's ``float(fn(n, theta))`` are
     recorded at steps ``0, s, 2s, ...`` and at the horizon (``s =
-    record_stride``).  A monitor is for state the path does not hold,
-    such as var-cvar's running tail mean; a column that is a function of
-    the recorded path is built from it after the loop, as rate-fit's
-    ``abs_error``, correlation's ``rho`` and investment's ``capacity``
-    are.  The run aborts
+    record_stride``).  Monitors are for state the path does not hold,
+    such as var-cvar's tail mean; a column derived from the path, such as
+    correlation's ``rho``, is built after the loop.  The run aborts
     with ``DivergenceError`` once ``max |theta_i|`` exceeds
     ``DIVERGENCE_BOUND`` or stops being finite, or once ``h``, a monitor
     or the stream raises an ``ArithmeticError``.
@@ -290,17 +288,15 @@ def _walk(x, rows, drift_of, size, schedule: StepSchedule, horizon: int, record_
     last iterate at ``horizon``, in flat ``array("d")`` buffers that the
     ``Trajectory`` wraps without a copy.  Per block, one slice assignment
     sets a bytearray of flags at those steps, so the loop keeps no
-    counter; ``n`` comes from the gains left in the block.  Monitors,
-    for tallies the path does not hold (var-cvar's tail mean, dark-pool's
-    cost and safeguard counts): each ``float(fn(n, x))`` is kept at the
-    same points, and a monitor named ``n`` or ``theta_i`` is refused
-    before the first step.  Guard:
-    ``size(x)`` after each step is the number bounded by
-    ``DIVERGENCE_BOUND``; past it, or not finite, ``DivergenceError``
-    names the step.  An iterate with a constraint restores it in place
-    inside ``size``: the step has just made that array, so nothing else
-    holds it.  An ``ArithmeticError`` from the field, ``size``, a monitor
-    or ``rows`` aborts the same way, named in the message.
+    counter; ``n`` comes from the gains left in the block.  Monitors, tallies
+    such as dark-pool's clip count: each ``float(fn(n, x))`` is kept at the
+    same points, and one named ``n`` or ``theta_i`` is refused before the
+    first step.  Guard: ``size(x)`` after each step is the number bounded by
+    ``DIVERGENCE_BOUND``; past it, or not finite, ``DivergenceError`` names
+    the step.  An iterate with a constraint restores it in place inside
+    ``size``: the step has just made that array, so nothing else holds it.  An
+    ``ArithmeticError`` from the field, ``size``, a monitor or ``rows`` aborts
+    the same way, named in the message.
     """
     if isinstance(record_stride, bool) or not isinstance(record_stride, int) or record_stride < 1:
         raise ValueError(f"record_stride must be an integer >= 1, got {record_stride!r}")

@@ -73,11 +73,9 @@ def _svg_text(
 ) -> Iterator[str]:
     """Check and lay out one series; return an iterator over the pieces
     of its SVG document, in order.  Everything but the polyline's points
-    is built here, so a refusal comes before the first piece.  The
-    plottable points are scanned twice, a block at a time: once here for
-    the point count and the axis ranges, once by ``_points``."""
-    # x stays as it comes (a run's int64 step indices): each block is
-    # converted on its own, so no array as long as the series is made
+    is built here, so a refusal comes before the first piece.  x stays as
+    it comes (a run's int64 steps): ``_plottable`` scans the points a block
+    at a time, here for their count and ranges, in ``_points`` for the line."""
     xs = np.asarray(x)
     if xs.dtype.kind not in "iuf":
         xs = xs.astype(float)
@@ -154,30 +152,24 @@ def _svg_text(
                            _points(px, py, xs, ys, logx), ["\n".join(tail)])
 
 
-def _plottable(xs: np.ndarray, ys: np.ndarray,
-               logx: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The plottable points, ``csvtext.ROWS`` of the series at a time:
-    each block's x converted to float, then the points where both
-    coordinates are finite and, on a log axis, x is positive."""
+def _plottable(xs: np.ndarray, ys: np.ndarray, logx: bool) -> Iterator[tuple]:
+    """Each ``csvtext.ROWS`` block's plottable points: x as float, both
+    coordinates finite, and x > 0 on a log axis."""
     from avgsa import csvtext      # loaded by the first plot, not by import avgsa
 
-    rows = csvtext.ROWS
-    for i in range(0, xs.size, rows):
-        a, b = np.asarray(xs[i:i + rows], dtype=float), ys[i:i + rows]
+    for i in range(0, xs.size, csvtext.ROWS):
+        a, b = np.asarray(xs[i:i + csvtext.ROWS], dtype=float), ys[i:i + csvtext.ROWS]
         keep = np.isfinite(a) & np.isfinite(b)
         if logx:
             keep &= a > 0.0
-        # rebound, so a converted block is not held while its points are formatted
-        a, b = a[keep], b[keep]
+        a, b = a[keep], b[keep]     # the converted block is not held while these are formatted
         yield a, b
 
 
 def _points(px, py, xs: np.ndarray, ys: np.ndarray, logx: bool = False) -> Iterator[str]:
-    """Polyline coordinates as space-separated ``x,y`` pairs, yielded a
-    block of ``_plottable`` points at a time, so only one block's points
-    and digits are alive at once.  A block takes ``log10`` of its x when
-    ``logx``; ``px`` and ``py`` map whole slices, which is the same float
-    arithmetic in the same order as mapping each point."""
+    """Polyline coordinates as space-separated ``x,y`` pairs, a block of
+    ``_plottable`` points at a time; ``px`` and ``py`` map whole slices, the
+    same float arithmetic in the same order as mapping each point."""
     from avgsa import csvtext
 
     sep = ""

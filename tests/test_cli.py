@@ -944,7 +944,10 @@ def test_cli_run_refuses_a_discount_beyond_float_range(tmp_path, capsys):
     ("implicit-correlation", "sigma1: 1.0e+200", "sigma1=1e+200 puts its square beyond"),
     ("ergodic-investment", "sigma: 1.0e+300", "sigma=1e+300 put the invariant Gamma law's"),
     ("ergodic-investment", "sigma: 1.0e-300", "sigma=1e-300 put the invariant Gamma law's"),
-], ids=["sigma2-squared", "sigma1-squared", "cir-sigma-overflow", "cir-sigma-underflow"])
+    ("ergodic-investment", "kappa: 1.0e+300, sigma: 1.0e-3",
+     "kappa=1e+300, vartheta=1.0 and sigma=0.001 put the invariant Gamma law's shape beyond"),
+], ids=["sigma2-squared", "sigma1-squared", "cir-sigma-overflow", "cir-sigma-underflow",
+        "cir-shape-beyond-lgamma"])
 def test_cli_refuses_a_volatility_whose_square_leaves_the_float_range(tmp_path, capsys, command,
                                                                       experiment, params,
                                                                       message):

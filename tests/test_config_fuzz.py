@@ -52,7 +52,8 @@ def _numbers(key: str, default, lo, hi, ends: str, integer: bool):
     for end in (lo, hi):
         if math.isfinite(end):
             edges += [end, math.nextafter(end, -math.inf), math.nextafter(end, math.inf)]
-    low, high = max(lo, default - 4.0 * max(abs(default), 1.0)), min(hi, default + 4.0 * max(abs(default), 1.0))
+    scale = 4.0 * max(abs(default), 1.0)
+    low, high = max(lo, default - scale), min(hi, default + scale)
     near = st.floats(low, high, exclude_min=low == lo and ends[0] == "(",
                      exclude_max=high == hi and ends[1] == ")")
     inside = [v for v in edges if (lo <= v if ends[0] == "[" else lo < v)
@@ -100,7 +101,7 @@ def _configs(name: str):
 # built for every experiment at import, so a leaf without a strategy fails collection
 CONFIGS = st.one_of([_configs(name) for name in REGISTRY])
 
-# the runs each status writes, beside effective_config.yaml and summary.json
+# the artifacts each status writes besides effective_config.yaml and summary.json
 _ARTIFACTS = {"ok": 2, "aborted": 0}
 
 
@@ -137,6 +138,10 @@ def _run(raw: dict, out: Path):
           "params": {"sigma": 1.0e300}})
 @example({"experiment": "ergodic-investment", "seed": 0, "horizon": 10,
           "params": {"sigma": 1.0e-300}})
+@example({"experiment": "ergodic-investment", "seed": 0, "horizon": 10,
+          "params": {"cost": 5.0e-324}})
+@example({"experiment": "ergodic-investment", "seed": 0, "horizon": 10,
+          "params": {"kappa": 1.0e300, "sigma": 1.0e-3}})
 def test_schema_valid_configs_are_refused_or_run(raw):
     with tempfile.TemporaryDirectory() as tmp:
         first = _run(raw, Path(tmp) / "a")
