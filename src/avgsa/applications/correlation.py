@@ -45,6 +45,11 @@ class BestOfCallParams:
             raise ValueError("spots and maturity must be positive")
         if min(self.sigma1, self.sigma2) < 0.0:
             raise ValueError("volatilities must be nonnegative")
+        for key, sigma in (("sigma1", self.sigma1), ("sigma2", self.sigma2)):
+            try:
+                sigma**2
+            except OverflowError:
+                raise ValueError(f"{key}={sigma!r} puts its square beyond the float range") from None
 
 
 def _bestof_kernel(
@@ -67,14 +72,8 @@ def _bestof_kernel(
     t = p.maturity
     sq = math.sqrt(t)
     x1, x2, strike = p.x1, p.x2, p.strike
-
-    def log_drift(key: str, sigma: float) -> float:
-        try:
-            return (p.rate - 0.5 * sigma**2) * t
-        except OverflowError:
-            raise ValueError(f"{key}={sigma!r} puts its square beyond the float range") from None
-
-    mu1, mu2 = log_drift("sigma1", p.sigma1), log_drift("sigma2", p.sigma2)
+    mu1 = (p.rate - 0.5 * p.sigma1**2) * t
+    mu2 = (p.rate - 0.5 * p.sigma2**2) * t
     v1 = p.sigma1 * sq
     v2 = p.sigma2 * sq
     try:

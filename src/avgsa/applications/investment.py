@@ -45,12 +45,13 @@ class CirParams:
             raise ValueError("kappa, vartheta, sigma must all be positive")
         try:
             shape, scale = self.gamma_shape, self.gamma_scale
-        except ArithmeticError:     # sigma**2 overflows, or underflows to zero
+            math.lgamma(shape)      # overflows for a shape above about 2.5e305
+        except (ArithmeticError, ValueError):   # sigma**2 leaves the float range; lgamma(0.0)
             shape = scale = math.inf
         if not (0.0 < shape < math.inf and 0.0 < scale < math.inf):
             raise ValueError(
                 f"kappa={self.kappa!r}, vartheta={self.vartheta!r} and sigma={self.sigma!r} put "
-                "the invariant Gamma law's shape or scale outside the positive float range"
+                "the invariant Gamma law's shape or scale outside the range its moments can use"
             )
         if not self.feller:
             # The Feller condition fails: the invariant Gamma law piles up
@@ -83,12 +84,7 @@ def invariant_moment(p: CirParams, order: float) -> float:
     shape = p.gamma_shape
     if shape + order <= 0.0:
         raise ValueError(f"moment of order {order} does not exist")
-    try:
-        log_ratio = math.lgamma(shape + order) - math.lgamma(shape)
-    except OverflowError:       # a shape above about 2.5e305
-        raise ValueError(f"kappa={p.kappa!r}, vartheta={p.vartheta!r} and sigma={p.sigma!r} put "
-                         "the invariant Gamma law's shape beyond lgamma's range") from None
-    return math.exp(log_ratio) * p.gamma_scale**order
+    return math.exp(math.lgamma(shape + order) - math.lgamma(shape)) * p.gamma_scale**order
 
 
 def cir_innovation_source(p: CirParams, step0: float, exponent: float,

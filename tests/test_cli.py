@@ -945,7 +945,8 @@ def test_cli_run_refuses_a_discount_beyond_float_range(tmp_path, capsys):
     ("ergodic-investment", "sigma: 1.0e+300", "sigma=1e+300 put the invariant Gamma law's"),
     ("ergodic-investment", "sigma: 1.0e-300", "sigma=1e-300 put the invariant Gamma law's"),
     ("ergodic-investment", "kappa: 1.0e+300, sigma: 1.0e-3",
-     "kappa=1e+300, vartheta=1.0 and sigma=0.001 put the invariant Gamma law's shape beyond"),
+     "kappa=1e+300, vartheta=1.0 and sigma=0.001 put the invariant Gamma law's shape or scale "
+     "outside the range its moments can use"),
 ], ids=["sigma2-squared", "sigma1-squared", "cir-sigma-overflow", "cir-sigma-underflow",
         "cir-shape-beyond-lgamma"])
 def test_cli_refuses_a_volatility_whose_square_leaves_the_float_range(tmp_path, capsys, command,
